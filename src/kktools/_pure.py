@@ -2,10 +2,11 @@
 
 The compiled module `_speedups` mirrors every signature here; `_backend`
 picks one at import time.  Masks are plain ints with bit e-1 for element e.
-The new-shadow/new-shade kernels here work by the literal ownership rule
-(build every one-element extension and compare in squashed order, which for
-equal sizes is numeric order of masks); the compiled kernels use the closed
-forms, and the parity tests hold the two routes together.
+The new-shadow/new-shade kernels use the same closed forms as the compiled
+ones: a k-set owns the deletions of the elements of its initial run 1, 2, ...
+and the insertions of the elements below its minimum.  The tests keep the
+literal ownership rule (squashed-least extension, squashed-greatest deletion)
+as an oracle against both.
 """
 
 from __future__ import annotations
@@ -36,56 +37,34 @@ def shade_masks(masks, n: int) -> list[int]:
     return sorted(out)
 
 
-def _least_superset(sub: int, n: int) -> int:
-    """The squashed-least one-element extension of sub inside {1..n}."""
-    candidates = []
-    for b in range(n):
-        bit = 1 << b
-        if not sub & bit:
-            candidates.append(sub | bit)
-    return min(candidates)
-
-
-def _greatest_subset(sup: int) -> int:
-    """The squashed-greatest one-element deletion of sup."""
-    candidates = []
-    x = sup
-    while x:
-        low = x & -x
-        candidates.append(sup ^ low)
-        x ^= low
-    return max(candidates)
-
-
 def new_shadow_masks(masks, n: int) -> list[int]:
-    """Shadow sets owned by a member: those whose squashed-least extension
-    is that member.  Ownership classes of distinct sets never overlap."""
+    """Shadow sets owned by a member: the deletions of one element of its
+    initial run, the trailing ones (m ^ (m + 1)) >> 1.  Ownership classes of
+    distinct sets never overlap."""
     out = []
     for m in masks:
-        x = m
-        while x:
-            low = x & -x
-            sub = m ^ low
-            if _least_superset(sub, n) == m:
-                out.append(sub)
-            x ^= low
-    return sorted(out)
+        run = (m ^ (m + 1)) >> 1
+        b = 1
+        while b <= run:
+            out.append(m ^ b)
+            b <<= 1
+    out.sort()
+    return out
 
 
 def new_shade_masks(masks, n: int) -> list[int]:
-    """Shade sets owned by a member: those whose squashed-greatest deletion
-    is that member."""
+    """Shade sets owned by a member: the insertions of one element below its
+    minimum, the bits of ((m & -m) - 1) & full; every singleton for m = 0."""
     out = []
+    full = (1 << n) - 1
     for m in masks:
-        full = (1 << n) - 1
-        x = full & ~m
-        while x:
-            low = x & -x
-            sup = m | low
-            if _greatest_subset(sup) == m:
-                out.append(sup)
-            x ^= low
-    return sorted(out)
+        below = ((m & -m) - 1) & full
+        b = 1
+        while b <= below:
+            out.append(m | b)
+            b <<= 1
+    out.sort()
+    return out
 
 
 def prefix_shadow_sizes(masks) -> list[int]:

@@ -180,12 +180,14 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     pairs = []
     left_deg: dict[int, int] = {}
     right_deg: dict[int, int] = {}
+    right = [(y, y.mask) for y in b]
     for x in a:
-        for y in b:
-            if x.mask & y.mask == 0:
+        xm = x.mask
+        for y, ym in right:
+            if xm & ym == 0:
                 pairs.append((x, y))
-                left_deg[x.mask] = left_deg.get(x.mask, 0) + 1
-                right_deg[y.mask] = right_deg.get(y.mask, 0) + 1
+                left_deg[xm] = left_deg.get(xm, 0) + 1
+                right_deg[ym] = right_deg.get(ym, 0) + 1
     ok = all(v <= 1 for v in left_deg.values()) and \
         all(v <= 1 for v in right_deg.values())
     return DisjointPairReport(tuple(pairs), len(pairs), ok)
@@ -295,7 +297,9 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
                 chosen.pop()
 
     visit(0, 0)
-    assert len(out) == DEDEKIND_COUNTS[n]
+    if len(out) != DEDEKIND_COUNTS[n]:
+        raise RuntimeError(f"enumerated {len(out)} antichains at n={n}, "
+                           f"expected {DEDEKIND_COUNTS[n]}")
     return tuple(out)
 
 

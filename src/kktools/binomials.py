@@ -34,7 +34,8 @@ def hockey_stick(r: int, k: int) -> int:
     if r < 0 or k < 0:
         raise ValueError(f"hockey_stick: arguments must be nonnegative, got r={r}, k={k}")
     total = sum(math.comb(r + i, i) for i in range(k + 1))
-    assert total == math.comb(r + k + 1, k)
+    if total != math.comb(r + k + 1, k):
+        raise RuntimeError(f"hockey_stick: sum {total} misses C({r + k + 1}, {k})")
     return total
 
 

@@ -192,8 +192,7 @@ def _cmd_rank(cfg: SweepConfig) -> int:
     text = cfg.parameters["set_text"]
     n = cfg.parameters.get("n")
     if n is None:
-        probe = squashed.parse_subset(text, 30)
-        n = max(probe.elements) if probe.elements else 1
+        n = max((1, *squashed.parse_elements(text)))
     s = squashed.parse_subset(text, n)
     rk = squashed.rank(s)
     total = binomials.binom(n, s.size)
@@ -254,6 +253,7 @@ def _verify_dispatch(which: str, cfg: SweepConfig) -> VerificationReport:
         for kk in range(1, nn):
             part = shadows.verify_clements_minimality(nn, kk, jobs=jobs)
             merged.checks_run += part.checks_run
+            merged.elapsed_ms += part.elapsed_ms
             merged.violations.extend(
                 {**v, "k": kk} for v in part.violations)
         return merged

@@ -14,7 +14,6 @@ from . import _backend, _pure
 from .binomials import binom
 from .report import VerificationReport, timed
 from .shadows import cascade_rep, kk_shadow_min
-from .squashed import unrank
 
 
 def kappa(r: int, m: int) -> int:
@@ -36,23 +35,27 @@ def negativity_threshold(r: int) -> int:
     return 1 + sum(binom(2 * i - 1, i) for i in range(1, r + 1))
 
 
-def _rank_set_mask(m: int, r: int) -> tuple[int, int]:
-    """Mask of the rank-m r-set, with the smallest ground set containing it."""
-    n = r
-    while binom(n, r) <= m:
-        n += 1
-    s = unrank(m, n, r)
-    return s.mask, n
+def _squashed_walk(r: int):
+    """Every r-set mask in squashed order, without end: the walk starts at
+    {1..r} and steps to the next mask of the same popcount in numeric order
+    (Gosper's hack, HAKMEM item 175)."""
+    m = (1 << r) - 1
+    while True:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = ripple | (((m ^ ripple) >> 2) // low)
 
 
 @dataclass
 class KappaTable:
     """kappa and kappa_star tabulated on 0..upper_m at one level r.
 
-    Built by walking the level in squashed order: appending the rank-m set
-    grows the segment's shadow by exactly that set's new-shadow size, so the
-    kappa column comes from an explicit incremental construction and stays
-    an independent route against the cascade formula.
+    Built by walking the level in squashed order with Gosper's next-colex
+    step: appending the rank-m set grows the segment's shadow by exactly that
+    set's new-shadow size, which the kernel derives from the set itself, so
+    the kappa column comes from an explicit incremental construction and
+    stays an independent route against the cascade formula.
     """
 
     level_r: int
@@ -65,21 +68,21 @@ class KappaTable:
         if r < 1 or upper_m < 0:
             raise ValueError(f"KappaTable: need r >= 1 and upper_m >= 0, "
                              f"got r={r}, upper_m={upper_m}")
-        kappa_col = []
-        star_col = []
+        kappa_col = [0]
+        star_col = [0]
         shadow_size = 0
         running_min = 0
-        for m in range(upper_m + 1):
+        for m, mask in zip(range(1, upper_m + 1), _squashed_walk(r)):
+            # the rank-(m-1) set; its largest element is the least ground set
+            n = mask.bit_length()
+            # The compiled kernels hold masks in a machine word; for the
+            # wide ground sets small r forces here, use the pure kernel.
+            kernels = _backend if n < 64 else _pure
+            shadow_size += len(kernels.new_shadow_masks([mask], n))
             value = shadow_size - m
             kappa_col.append(value)
             running_min = min(running_min, value)
             star_col.append(running_min)
-            if m < upper_m:
-                mask, n = _rank_set_mask(m, r)
-                # The compiled kernels hold masks in a machine word; for the
-                # wide ground sets small r forces here, use the pure kernel.
-                kernels = _backend if n < 64 else _pure
-                shadow_size += len(kernels.new_shadow_masks([mask], n))
         return cls(r, upper_m, kappa_col, star_col)
 
     def star_clamped(self, m: int) -> int:

@@ -38,15 +38,6 @@ class VerificationReport:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    def to_grid_json(self) -> dict:
-        """Compact form keyed by the parameter grid (elapsed in seconds)."""
-        return {
-            "check_name": self.check,
-            "parameter_grid": self.params,
-            "violations": self.violations,
-            "elapsed": self.elapsed_ms / 1000.0,
-        }
-
     def summary(self) -> str:
         verdict = "PASS" if self.passed else f"FAIL ({len(self.violations)} violations)"
         return (f"{self.check}: {verdict} "

@@ -138,31 +138,34 @@ def format_subset(s: Subset) -> str:
     return "{" + ",".join(str(e) for e in s.elements) + "}"
 
 
-def parse_subset(text: str, ground_n: int) -> Subset:
-    """Parse either text form (digit string or braces-with-commas)."""
+def parse_elements(text: str) -> tuple[int, ...]:
+    """The elements written in either subset text form (digit string or
+    braces-with-commas), unchecked against any ground set."""
     t = text.strip()
-    if t in ("", "{}"):
-        return Subset((), ground_n)
     if t.startswith("{"):
         if not t.endswith("}"):
             raise ValueError(f"unbalanced braces in subset text {text!r}")
-        inner = t[1:-1].strip()
-        if not inner:
-            return Subset((), ground_n)
-        try:
-            elems = tuple(int(p) for p in inner.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse subset text {text!r}") from None
-        return Subset(elems, ground_n)
-    if "," in t or " " in t:
-        try:
-            elems = tuple(int(p) for p in t.replace(",", " ").split())
-        except ValueError:
-            raise ValueError(f"cannot parse subset text {text!r}") from None
-        return Subset(elems, ground_n)
-    if not t.isdigit():
+        t = t[1:-1].strip()
+        if not t:
+            return ()
+        parts = t.split(",")
+    elif not t:
+        return ()
+    elif "," in t or " " in t:
+        parts = t.replace(",", " ").split()
+    elif t.isdigit():
+        parts = list(t)
+    else:
         raise ValueError(f"cannot parse subset text {text!r}")
-    return Subset(tuple(int(ch) for ch in t), ground_n)
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"cannot parse subset text {text!r}") from None
+
+
+def parse_subset(text: str, ground_n: int) -> Subset:
+    """Parse either text form (digit string or braces-with-commas)."""
+    return Subset(parse_elements(text), ground_n)
 
 
 def compare_squashed(a: Subset, b: Subset) -> int:

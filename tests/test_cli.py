@@ -54,6 +54,15 @@ def test_rank_accepts_all_subset_forms(capsys):
         assert "rank 2, position 3 of 10" in out
 
 
+def test_rank_without_ground_set_uses_largest_element(capsys):
+    code, out, _ = run_cli(capsys, "rank", "--set", "{1,40}")
+    assert code == 0
+    assert out.strip() == "rank 741, position 742 of 780: {1,40}"
+    code, out, _ = run_cli(capsys, "rank", "--set", "134")
+    assert code == 0
+    assert out.strip() == "rank 2, position 3 of 4: 134"
+
+
 def test_unrank_command(capsys):
     code, out, _ = run_cli(capsys, "unrank", "--m", "7", "--n", "5", "--k", "3")
     assert code == 0
@@ -139,6 +148,15 @@ def test_json_reports_are_deterministic(capsys):
         return payload
 
     assert grab() == grab()
+
+
+def test_merged_clements_report_carries_elapsed_time(capsys):
+    code, out, _ = run_cli(capsys, "verify", "clements", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["elapsed_ms"] > 0
+    code, out, _ = run_cli(capsys, "verify", "clements", "--format", "tsv")
+    assert code == 0
+    assert float(out.strip().splitlines()[1].split("\t")[-1]) > 0
 
 
 def test_verify_all_small(capsys):
