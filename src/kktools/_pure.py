@@ -105,51 +105,48 @@ def scan_pairs(families, k: int, exact: bool, require_side: bool,
     families: list of tuples of masks.  The outer index runs over
     [i_start, i_end) so callers can partition the scan.  In exact mode the
     side condition k <= min(|A|, |B|) applies; require_side imposes it in
-    the at-most mode too.  Returns (best_total, [(i, j), ...]) with -1 and
-    an empty list when no pair qualifies.
+    the at-most mode too.  Returns (best_total, [(i, j), ...]) with the
+    pairs in row-major order, and -1 with an empty list when no pair
+    qualifies.
+
+    Branch and bound: both loops visit families by descending size, so once
+    |A|+|B| falls below the best total found (or a family falls below the
+    side condition), every later family of that loop fails as well.
     """
+    side = exact or require_side
+    order = sorted(range(len(families)), key=lambda j: -len(families[j]))
+    largest = len(families[order[0]]) if order else 0
     best = -1
     hits: list[tuple[int, int]] = []
-    nf = len(families)
-    for i in range(i_start, i_end):
+    for i in order:
+        if not i_start <= i < i_end:
+            continue
         fa = families[i]
         la = len(fa)
-        for j in range(nf):
+        if (side and k > la) or la + largest < best:
+            break
+        for j in order:
             fb = families[j]
             lb = len(fb)
-            if (exact or require_side) and (k > la or k > lb):
-                continue
             total = la + lb
-            if total < best:
-                continue
-            used = [False] * lb
-            count = 0
+            if total < best or (side and k > lb):
+                break
+            used = set()
             ok = True
             for a in fa:
-                partner = -1
-                for bi in range(lb):
-                    if a & fb[bi] == 0:
-                        if partner >= 0:
-                            ok = False
-                            break
-                        partner = bi
-                if not ok:
+                partners = [b for b in fb if not a & b]
+                if not partners:
+                    continue
+                if len(partners) > 1 or partners[0] in used \
+                        or len(used) == k:
+                    ok = False
                     break
-                if partner >= 0:
-                    if used[partner]:
-                        ok = False
-                        break
-                    used[partner] = True
-                    count += 1
-                    if count > k:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            if exact and count != k:
+                used.add(partners[0])
+            if not ok or (exact and len(used) != k):
                 continue
             if total > best:
                 best = total
                 hits = []
             hits.append((i, j))
+    hits.sort()
     return best, hits

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from . import _backend
 from .binomials import binom
@@ -24,13 +25,18 @@ DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 
 
 def is_antichain(fam: SetFamily) -> bool:
-    """True iff no member contains another."""
-    ms = fam.masks()
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            # canonical order sorts by size, so only a subset-of b can occur
-            if a & b == a:
-                return False
+    """True iff no member contains another.
+
+    Two distinct sets of one size never nest, so each member is compared
+    with the larger members only (canonical order sorts by size).
+    """
+    levels = [[s.mask for s in grp] for _, grp in groupby(fam, key=len)]
+    for i, lower in enumerate(levels):
+        above = [b for level in levels[i + 1:] for b in level]
+        for a in lower:
+            for b in above:
+                if a & b == a:
+                    return False
     return True
 
 
@@ -178,18 +184,13 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     if a.ground_n != b.ground_n:
         raise ValueError("families must share a ground set")
     pairs = []
-    left_deg: dict[int, int] = {}
-    right_deg: dict[int, int] = {}
-    right = [(y, y.mask) for y in b]
+    right = [(y.mask, y) for y in b]
     for x in a:
         xm = x.mask
-        for y, ym in right:
-            if xm & ym == 0:
-                pairs.append((x, y))
-                left_deg[xm] = left_deg.get(xm, 0) + 1
-                right_deg[ym] = right_deg.get(ym, 0) + 1
-    ok = all(v <= 1 for v in left_deg.values()) and \
-        all(v <= 1 for v in right_deg.values())
+        pairs += [(x, y) for ym, y in right if not xm & ym]
+    # members are distinct: a matching names each set in one pair at most
+    ok = len({x.mask for x, _ in pairs}) == len(pairs) == \
+        len({y.mask for _, y in pairs})
     return DisjointPairReport(tuple(pairs), len(pairs), ok)
 
 
@@ -303,26 +304,7 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _scan_chunk(args):
-    families, k, exact, require_side, lo, hi = args
-    return _backend.scan_pairs(families, k, exact, require_side, lo, hi)
-
-
-def _scan_all(families, k: int, exact: bool, require_side: bool, jobs: int):
-    if jobs <= 1:
-        return _backend.scan_pairs(families, k, exact, require_side,
-                                   0, len(families))
-    from .parallel import run_chunked
-    bounds = [round(i * len(families) / jobs) for i in range(jobs + 1)]
-    chunks = [(families, k, exact, require_side, bounds[c], bounds[c + 1])
-              for c in range(jobs) if bounds[c] < bounds[c + 1]]
-    results = run_chunked(_scan_chunk, chunks, jobs)
-    best = max(b for b, _ in results)
-    hits = [pair for b, pairs in results if b == best for pair in pairs]
-    return best, hits
-
-
-def brute_force_max(n: int, k: int, exact: bool = False, jobs: int = 1,
+def brute_force_max(n: int, k: int, exact: bool = False,
                     require_side: bool = False):
     """Maximum |A|+|B| over ordered antichain pairs with a disjointness
     matching of size <= k, by full enumeration (n <= 5).
@@ -335,7 +317,8 @@ def brute_force_max(n: int, k: int, exact: bool = False, jobs: int = 1,
     if k < 0:
         raise ValueError(f"brute_force_max: need k >= 0, got {k}")
     families = list(enumerate_antichains(n))
-    best, hits = _scan_all(families, k, exact, require_side, jobs)
+    best, hits = _backend.scan_pairs(families, k, exact, require_side,
+                                     0, len(families))
     witnesses = [(SetFamily.from_masks(families[i], n),
                   SetFamily.from_masks(families[j], n)) for i, j in hits]
     return best, witnesses
@@ -352,7 +335,7 @@ def _witness_json(a: SetFamily, b: SetFamily) -> dict:
 
 
 @timed
-def verify_thm25_brute(n: int = 4, k: int | None = None, jobs: int = 1,
+def verify_thm25_brute(n: int = 4, k: int | None = None,
                        exact: bool = False) -> VerificationReport:
     """Brute-force confirmation that the cross-intersecting maximum equals
     theorem25_bound.
@@ -370,8 +353,8 @@ def verify_thm25_brute(n: int = 4, k: int | None = None, jobs: int = 1,
     ks = [k] if k is not None else list(range(binom(n, n // 2) + 1))
     for kk in ks:
         bound = theorem25_bound(n, kk)
-        best, wits = brute_force_max(n, kk, exact, jobs)
-        best_side, _ = brute_force_max(n, kk, exact, jobs, require_side=True)
+        best, wits = brute_force_max(n, kk, exact)
+        best_side, _ = brute_force_max(n, kk, exact, require_side=True)
         rep.checks_run += 1
         if exact:
             failed = best > bound
@@ -390,8 +373,8 @@ def verify_thm25_brute(n: int = 4, k: int | None = None, jobs: int = 1,
 
 
 @timed
-def verify_thm26_structure(n: int = 4, k: int | None = None,
-                           jobs: int = 1) -> VerificationReport:
+def verify_thm26_structure(n: int = 4,
+                           k: int | None = None) -> VerificationReport:
     """Structure of every brute-force maximizer: both families live in the
     two middle levels; the upper part is exactly the upper level minus the
     shade of the half-size part; and that shade is as small as the last
@@ -404,7 +387,7 @@ def verify_thm26_structure(n: int = 4, k: int | None = None,
     upper_level = set(level_masks(n, r + 1))
     ks = [k] if k is not None else list(range(binom(n, n // 2) + 1))
     for kk in ks:
-        _, wits = brute_force_max(n, kk, False, jobs)
+        _, wits = brute_force_max(n, kk)
         for a_fam, b_fam in wits:
             for side, fam in (("A", a_fam), ("B", b_fam)):
                 rep.checks_run += 1

@@ -28,7 +28,6 @@ class SweepConfig:
     command: str
     parameters: dict = field(default_factory=dict)
     output_format: str = "pretty"
-    parallelism: int = 1
     out_path: str | None = None
 
 
@@ -40,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("pretty", "json", "tsv"),
                         default="pretty", help="output format")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the heavy sweeps")
     common.add_argument("--out", metavar="FILE",
                         help="write the result to FILE instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -237,7 +234,6 @@ def _cmd_extremal(cfg: SweepConfig) -> int:
 def _verify_dispatch(which: str, cfg: SweepConfig) -> VerificationReport:
     par = cfg.parameters
     n, r, m, k = par.get("n"), par.get("r"), par.get("m"), par.get("k")
-    jobs = cfg.parallelism
     if which == "d-identities":
         return binomials.verify_d_identities(n if n is not None else 24,
                                              r if r is not None else 20)
@@ -248,10 +244,10 @@ def _verify_dispatch(which: str, cfg: SweepConfig) -> VerificationReport:
     if which == "clements":
         nn = n if n is not None else 6
         if k is not None:
-            return shadows.verify_clements_minimality(nn, k, jobs=jobs)
+            return shadows.verify_clements_minimality(nn, k)
         merged = VerificationReport("clements", {"n": nn, "k": "1..n-1"})
         for kk in range(1, nn):
-            part = shadows.verify_clements_minimality(nn, kk, jobs=jobs)
+            part = shadows.verify_clements_minimality(nn, kk)
             merged.checks_run += part.checks_run
             merged.elapsed_ms += part.elapsed_ms
             merged.violations.extend(
@@ -272,11 +268,9 @@ def _verify_dispatch(which: str, cfg: SweepConfig) -> VerificationReport:
         return verify_lemma38(n if n is not None else 8)
     if which == "thm25-brute":
         return antichains.verify_thm25_brute(n if n is not None else 4, k,
-                                             jobs=jobs,
                                              exact=bool(par.get("exact")))
     if which == "thm26":
-        return antichains.verify_thm26_structure(n if n is not None else 4, k,
-                                                 jobs=jobs)
+        return antichains.verify_thm26_structure(n if n is not None else 4, k)
     if which == "sperner":
         return antichains.sperner_max_check(n if n is not None else 4)
     if which == "conjecture51":
@@ -284,7 +278,7 @@ def _verify_dispatch(which: str, cfg: SweepConfig) -> VerificationReport:
     raise ValueError(f"unknown verification {which!r}")
 
 
-def run_all(n_max: int = 8, r_max: int = 6, jobs: int = 1):
+def run_all(n_max: int = 8, r_max: int = 6):
     """The full verification suite at desk scale.
 
     Returns a list of (name, report): the identity grid at (n_max, r_max),
@@ -303,8 +297,7 @@ def run_all(n_max: int = 8, r_max: int = 6, jobs: int = 1):
         log(f"lieby n={n}", shadows.verify_lieby_duality(n))
     for n in range(2, n_max + 1):
         for k in range(1, n):
-            log(f"clements n={n} k={k}",
-                shadows.verify_clements_minimality(n, k, jobs=jobs))
+            log(f"clements n={n} k={k}", shadows.verify_clements_minimality(n, k))
     for r in range(1, r_max + 1):
         m_max = binomials.binom(2 * r, r) + 2 * r
         log(f"prop22 r={r}", verify_prop22(r, m_max))
@@ -316,8 +309,8 @@ def run_all(n_max: int = 8, r_max: int = 6, jobs: int = 1):
         log(f"conjecture51 n={n}", verify_conjecture51(n))
         log(f"extremal n={n}", antichains.verify_extremal_constructions(n))
     if n_max >= 4:
-        log("thm25-brute n=4", antichains.verify_thm25_brute(4, jobs=jobs))
-        log("thm26 n=4", antichains.verify_thm26_structure(4, jobs=jobs))
+        log("thm25-brute n=4", antichains.verify_thm25_brute(4))
+        log("thm26 n=4", antichains.verify_thm26_structure(4))
     for n in range(1, min(n_max, 5) + 1):
         log(f"sperner n={n}", antichains.sperner_max_check(n))
     return out
@@ -327,7 +320,7 @@ def _cmd_verify(cfg: SweepConfig) -> int:
     which = cfg.parameters["which"]
     if which == "all":
         par = cfg.parameters
-        results = run_all(par.get("n") or 8, par.get("r") or 6, cfg.parallelism)
+        results = run_all(par.get("n") or 8, par.get("r") or 6)
         all_passed = all(rep.passed for _, rep in results)
         if cfg.output_format == "json":
             payload = {
@@ -389,12 +382,11 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    skip = {"command", "format", "jobs", "out"}
+    skip = {"command", "format", "out"}
     cfg = SweepConfig(
         command=ns.command,
         parameters={key: val for key, val in vars(ns).items() if key not in skip},
         output_format=ns.format,
-        parallelism=ns.jobs,
         out_path=ns.out,
     )
     return run(cfg)

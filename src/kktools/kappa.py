@@ -14,6 +14,7 @@ from . import _backend, _pure
 from .binomials import binom
 from .report import VerificationReport, timed
 from .shadows import cascade_rep, kk_shadow_min
+from .squashed import _squashed_walk
 
 
 def kappa(r: int, m: int) -> int:
@@ -33,18 +34,6 @@ def negativity_threshold(r: int) -> int:
     if r < 1:
         raise ValueError(f"negativity_threshold: need r >= 1, got {r}")
     return 1 + sum(binom(2 * i - 1, i) for i in range(1, r + 1))
-
-
-def _squashed_walk(r: int):
-    """Every r-set mask in squashed order, without end: the walk starts at
-    {1..r} and steps to the next mask of the same popcount in numeric order
-    (Gosper's hack, HAKMEM item 175)."""
-    m = (1 << r) - 1
-    while True:
-        yield m
-        low = m & -m
-        ripple = m + low
-        m = ripple | (((m ^ ripple) >> 2) // low)
 
 
 @dataclass
@@ -72,7 +61,7 @@ class KappaTable:
         star_col = [0]
         shadow_size = 0
         running_min = 0
-        for m, mask in zip(range(1, upper_m + 1), _squashed_walk(r)):
+        for m, mask in zip(range(1, upper_m + 1), _squashed_walk((1 << r) - 1)):
             # the rank-(m-1) set; its largest element is the least ground set
             n = mask.bit_length()
             # The compiled kernels hold masks in a machine word; for the

@@ -123,7 +123,10 @@ def cascade_rep(m: int, r: int) -> CascadeRep:
 
     Greedily taking the largest C(a, i) <= remainder at each level i = r,
     r-1, ... yields the unique representation: the remainder after C(a_i, i)
-    is below C(a_i, i-1)'s gap, which forces strict decrease.
+    is below C(a_i + 1, i) - C(a_i, i) = C(a_i, i-1), which forces strict
+    decrease.  So each a_i is found by bisection on [i-1, a_{i+1}), and the
+    top one on a bracket found by doubling; the work is polynomial in
+    log m and r.
     """
     if r < 1:
         raise ValueError(f"cascade level must be positive, got {r}")
@@ -132,12 +135,23 @@ def cascade_rep(m: int, r: int) -> CascadeRep:
     terms = []
     rem = m
     i = r
+    hi = None
     while rem > 0:
-        a = i - 1
-        while binom(a + 1, i) <= rem:
-            a += 1
-        terms.append((a, i))
-        rem -= binom(a, i)
+        lo = i - 1
+        if hi is None:
+            hi = i
+            while binom(hi, i) <= rem:
+                lo, hi = hi, 2 * hi
+        # invariant: C(lo, i) <= rem < C(hi, i)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if binom(mid, i) <= rem:
+                lo = mid
+            else:
+                hi = mid
+        terms.append((lo, i))
+        rem -= binom(lo, i)
+        hi = lo
         i -= 1
     return CascadeRep(m, r, tuple(terms))
 
@@ -207,30 +221,8 @@ def verify_lieby_duality(n: int) -> VerificationReport:
     return rep
 
 
-def _clements_chunk(args):
-    level, n, m_values = args
-    total = len(level)
-    violations = []
-    checks = 0
-    for m in m_values:
-        base_nsh = len(_backend.new_shadow_masks(level[total - m:], n))
-        base_nse = len(_backend.new_shade_masks(level[:m], n))
-        for r in range(total - m + 1):
-            window = level[r:r + m]
-            checks += 2
-            got_nsh = len(_backend.new_shadow_masks(window, n))
-            got_nse = len(_backend.new_shade_masks(window, n))
-            if got_nsh < base_nsh:
-                violations.append({"part": "new-shadow", "m": m, "r": r,
-                                   "window": got_nsh, "last-segment": base_nsh})
-            if got_nse < base_nse:
-                violations.append({"part": "new-shade", "m": m, "r": r,
-                                   "window": got_nse, "first-segment": base_nse})
-    return violations, checks
-
-
 @timed
-def verify_clements_minimality(n: int, k: int, jobs: int = 1) -> VerificationReport:
+def verify_clements_minimality(n: int, k: int) -> VerificationReport:
     """Among all windows of m consecutive k-sets in squashed order, the last
     window minimizes the new-shadow size and the first window minimizes the
     new-shade size; checked for every window of every length (each window
@@ -240,15 +232,18 @@ def verify_clements_minimality(n: int, k: int, jobs: int = 1) -> VerificationRep
     rep = VerificationReport("clements", {"n": n, "k": k})
     level = level_masks(n, k)
     total = len(level)
-    m_values = list(range(total + 1))
-    if jobs > 1 and total > 1:
-        from .parallel import run_chunked
-        chunks = [(level, n, m_values[c::jobs]) for c in range(jobs)]
-        results = run_chunked(_clements_chunk, chunks, jobs)
-    else:
-        results = [_clements_chunk((level, n, m_values))]
-    for violations, checks in results:
-        rep.violations.extend(violations)
-        rep.checks_run += checks
-    rep.violations.sort(key=lambda v: (v["m"], v["r"], v["part"]))
+    for m in range(total + 1):
+        base_nsh = len(_backend.new_shadow_masks(level[total - m:], n))
+        base_nse = len(_backend.new_shade_masks(level[:m], n))
+        for r in range(total - m + 1):
+            window = level[r:r + m]
+            rep.checks_run += 2
+            got_nsh = len(_backend.new_shadow_masks(window, n))
+            got_nse = len(_backend.new_shade_masks(window, n))
+            if got_nse < base_nse:
+                rep.violations.append({"part": "new-shade", "m": m, "r": r,
+                                       "window": got_nse, "first-segment": base_nse})
+            if got_nsh < base_nsh:
+                rep.violations.append({"part": "new-shadow", "m": m, "r": r,
+                                       "window": got_nsh, "last-segment": base_nsh})
     return rep

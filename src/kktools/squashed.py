@@ -10,8 +10,8 @@ definition-level comparator.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 
 from .binomials import binom
 
@@ -24,13 +24,13 @@ def mask_of(elements) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"a subset mask must be nonnegative, got {mask}")
     out = []
-    e = 1
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -40,6 +40,9 @@ class Subset:
 
     elements: tuple[int, ...]
     ground_n: int
+    # mask_of(elements), filled on the first read of .mask (or by from_mask)
+    _mask: int | None = field(default=None, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         elems = tuple(sorted(set(self.elements)))
@@ -53,11 +56,17 @@ class Subset:
 
     @classmethod
     def from_mask(cls, mask: int, ground_n: int) -> "Subset":
-        return cls(elements_of(mask), ground_n)
+        s = cls(elements_of(mask), ground_n)
+        object.__setattr__(s, "_mask", mask)
+        return s
 
     @property
     def mask(self) -> int:
-        return mask_of(self.elements)
+        m = self._mask
+        if m is None:
+            m = mask_of(self.elements)
+            object.__setattr__(self, "_mask", m)
+        return m
 
     @property
     def size(self) -> int:
@@ -87,7 +96,8 @@ class SetFamily:
                 raise ValueError(
                     f"member {s.elements} has ground set size {s.ground_n}, "
                     f"family has {self.ground_n}")
-        canon = tuple(sorted(set(self.members), key=lambda s: (s.size, s.mask)))
+        canon = tuple(sorted(set(self.members),
+                           key=lambda s: (len(s.elements), s.mask)))
         if canon != tuple(self.members):
             object.__setattr__(self, "members", canon)
 
@@ -191,14 +201,18 @@ def rank(s: Subset) -> int:
     return sum(binom(e - 1, i) for i, e in enumerate(s.elements, start=1))
 
 
+def _check_level(op: str, n: int, k: int) -> None:
+    if not 0 <= k <= n:
+        raise ValueError(f"{op}: need 0 <= k <= n, got k={k}, n={n}")
+
+
 def unrank(m: int, n: int, k: int) -> Subset:
     """The rank-m k-subset of {1..n} in squashed order (0-based rank).
 
     Greedy: the largest element is a+1 for the largest a with C(a, k) <= m,
     and the process recurses on the remainder at size k-1.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"unrank: need 0 <= k <= n, got k={k}, n={n}")
+    _check_level("unrank", n, k)
     total = binom(n, k)
     if not 0 <= m < total:
         raise ValueError(f"unrank: rank {m} out of range [0, {total}) for n={n}, k={k}")
@@ -213,27 +227,44 @@ def unrank(m: int, n: int, k: int) -> Subset:
     return Subset(tuple(reversed(elements)), n)
 
 
+def _squashed_walk(first: int):
+    """The masks of first's size in squashed order from first on, without
+    end: each step goes to the next mask of the same popcount in numeric
+    order (Gosper's hack, HAKMEM item 175).  The empty set's level has one
+    member, so a walk from 0 must not be advanced past it."""
+    m = first
+    while True:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = ripple | (((m ^ ripple) >> 2) // low)
+
+
 def first_segment(n: int, k: int, m: int) -> SetFamily:
     """The first m k-subsets of {1..n} in squashed order."""
+    _check_level("first_segment", n, k)
     total = binom(n, k)
-    if not 0 <= k <= n:
-        raise ValueError(f"first_segment: need 0 <= k <= n, got k={k}, n={n}")
     if not 0 <= m <= total:
         raise ValueError(f"first_segment: need 0 <= m <= {total}, got {m}")
-    return SetFamily(tuple(unrank(i, n, k) for i in range(m)), n)
+    return segment_after(n, k, 0, m)
 
 
 def segment_after(n: int, k: int, r: int, m: int) -> SetFamily:
     """m consecutive k-subsets starting at rank r in squashed order."""
+    _check_level("segment_after", n, k)
     total = binom(n, k)
     if r < 0 or m < 0 or r + m > total:
         raise ValueError(
             f"segment_after: need 0 <= r, 0 <= m, r + m <= {total}, got r={r}, m={m}")
-    return SetFamily(tuple(unrank(i, n, k) for i in range(r, r + m)), n)
+    if m == 0:
+        return SetFamily((), n)
+    walk = _squashed_walk(unrank(r, n, k).mask)
+    return SetFamily.from_masks(islice(walk, m), n)
 
 
 def last_segment(n: int, k: int, m: int) -> SetFamily:
     """The last m k-subsets of {1..n} in squashed order."""
+    _check_level("last_segment", n, k)
     total = binom(n, k)
     if not 0 <= m <= total:
         raise ValueError(f"last_segment: need 0 <= m <= {total}, got {m}")
@@ -242,9 +273,5 @@ def last_segment(n: int, k: int, m: int) -> SetFamily:
 
 def level_masks(n: int, k: int) -> list[int]:
     """All k-subsets of {1..n} as bitmasks, ascending (= squashed order)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"level_masks: need 0 <= k <= n, got k={k}, n={n}")
-    masks = [sum(1 << b for b in combo)
-             for combo in itertools.combinations(range(n), k)]
-    masks.sort()
-    return masks
+    _check_level("level_masks", n, k)
+    return list(islice(_squashed_walk((1 << k) - 1), binom(n, k)))

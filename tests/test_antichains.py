@@ -1,5 +1,7 @@
 """Antichain operations, pair matching, extremal constructions, brute force."""
 
+import random
+
 import pytest
 
 from kktools import (
@@ -37,6 +39,20 @@ def test_is_antichain():
     assert is_antichain(SetFamily.of([()], 4))
     assert not is_antichain(SetFamily.of([(1,), (1, 2)], 4))
     assert not is_antichain(SetFamily.of([(), (3,)], 4))
+
+
+def test_is_antichain_matches_all_pairs_definition():
+    # enumerated antichains span several levels; one more set may nest
+    # into any of them
+    rng = random.Random(26)
+    pool = enumerate_antichains(5)
+    outcomes = set()
+    for _ in range(400):
+        masks = set(rng.choice(pool)) | {rng.getrandbits(5)}
+        want = not any(a != b and a & b == a for a in masks for b in masks)
+        assert is_antichain(SetFamily.from_masks(masks, 5)) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_sperner_down_drops_top_level():

@@ -1,11 +1,12 @@
-"""The closed-form kernels and the Gosper table walk against definition-level
-oracles.
+"""The closed-form kernels, the branch-and-bound pair scan and the Gosper
+table walk against definition-level oracles.
 
 The oracles below derive new shadows and new shades by the literal ownership
 rule: a (k-1)-set belongs to the new shadow of the squashed-least k-set that
 extends it, and a (k+1)-set to the new shade of the squashed-greatest k-set
 it extends.  For sets of equal size squashed order is numeric order of
-masks, so least and greatest are min and max.  These tests never skip.
+masks, so least and greatest are min and max.  The pair-scan oracle visits
+every ordered pair in row-major order.  These tests never skip.
 """
 
 import random
@@ -13,8 +14,9 @@ from itertools import accumulate, islice
 
 import pytest
 
-from kktools import KappaTable, _backend, _pure, binom, kappa, level_masks, unrank
-from kktools.kappa import _squashed_walk
+from kktools import (KappaTable, _backend, _pure, binom, enumerate_antichains,
+                     kappa, level_masks, unrank)
+from kktools.squashed import _squashed_walk
 
 
 def least_superset(sub: int, n: int) -> int:
@@ -43,6 +45,52 @@ def oracle_new_shade(masks, n: int) -> list[int]:
             if not m >> b & 1 and greatest_subset(m | (1 << b)) == m:
                 out.append(m | (1 << b))
     return sorted(out)
+
+
+def oracle_scan_pairs(families, k, exact, require_side, i_start, i_end):
+    """The row-major scan: rows i in [i_start, i_end), every column j, each
+    pair tested unless its total is already below the best one found."""
+    best = -1
+    hits = []
+    for i in range(i_start, i_end):
+        fa = families[i]
+        la = len(fa)
+        for j, fb in enumerate(families):
+            lb = len(fb)
+            if (exact or require_side) and (k > la or k > lb):
+                continue
+            total = la + lb
+            if total < best:
+                continue
+            used = [False] * lb
+            count = 0
+            ok = True
+            for a in fa:
+                partner = -1
+                for bi in range(lb):
+                    if a & fb[bi] == 0:
+                        if partner >= 0:
+                            ok = False
+                            break
+                        partner = bi
+                if not ok:
+                    break
+                if partner >= 0:
+                    if used[partner]:
+                        ok = False
+                        break
+                    used[partner] = True
+                    count += 1
+                    if count > k:
+                        ok = False
+                        break
+            if not ok or (exact and count != k):
+                continue
+            if total > best:
+                best = total
+                hits = []
+            hits.append((i, j))
+    return best, hits
 
 
 def _random_level_family(rng, n: int, k: int, size: int) -> list[int]:
@@ -84,9 +132,46 @@ def test_squashed_walk_and_table_match_unrank_and_cascade(r):
     n = r
     while binom(n, r) < upper:
         n += 1
-    walk = list(islice(_squashed_walk(r), upper))
+    walk = list(islice(_squashed_walk((1 << r) - 1), upper))
     assert walk == [unrank(m, n, r).mask for m in range(upper)]
     table = KappaTable.build(r, upper)
     want = [kappa(r, m) for m in range(upper + 1)]
     assert table.kappa == want
     assert table.kappa_star == list(accumulate(want, min))
+
+
+# (exact, require_side): at most k, at most k with the side condition, exact
+# (which implies the side condition, with or without the flag)
+SCAN_MODES = [(False, False), (False, True), (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_pair_scan_matches_row_major_oracle_at_four(kernels):
+    families = list(enumerate_antichains(4))
+    nf = len(families)
+    partitions = [(0, nf), (0, nf // 2), (nf // 2, nf), (0, 1), (37, 101),
+                  (nf - 1, nf), (5, 5)]
+    for k in range(8):
+        for exact, side in SCAN_MODES:
+            for lo, hi in partitions:
+                want = oracle_scan_pairs(families, k, exact, side, lo, hi)
+                got = kernels.scan_pairs(families, k, exact, side, lo, hi)
+                assert (got[0], list(got[1])) == want, (k, exact, side, lo, hi)
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_pair_scan_matches_oracle_on_random_antichain_lists(kernels):
+    # unsorted lists with repeated sizes, always holding () and (0,)
+    pool = list(enumerate_antichains(5))
+    rng = random.Random(55)
+    for _ in range(5):
+        families = rng.sample(pool, rng.randint(10, 90)) + [(), (0,)]
+        rng.shuffle(families)
+        nf = len(families)
+        cut = rng.randint(0, nf)
+        for k in (0, 1, 2, rng.randint(3, 12)):
+            for exact, side in SCAN_MODES:
+                for lo, hi in ((0, nf), (0, cut), (cut, nf)):
+                    want = oracle_scan_pairs(families, k, exact, side, lo, hi)
+                    got = kernels.scan_pairs(families, k, exact, side, lo, hi)
+                    assert (got[0], list(got[1])) == want, (k, exact, side, lo, hi)

@@ -1,5 +1,7 @@
 """Shadows, shades, their new- variants, and cascade representations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +110,21 @@ def test_cascade_rep_reconstructs_and_is_strictly_decreasing(m, r):
     if rep.terms:
         a_t, t = rep.terms[-1]
         assert a_t >= t >= 1
+
+
+@pytest.mark.parametrize("m, r", [
+    (10**7, 1), (10**14, 2), (10**24, 3), (10**100, 12), (binom(200, 100) - 1, 100),
+    *((random.Random(r).randrange(binom(40, r) + 1), r) for r in range(1, 13))])
+def test_cascade_rep_is_greedy_for_huge_m(m, r):
+    # CascadeRep checks the sum and the strict decrease on construction
+    rep = cascade_rep(m, r)
+    rem = m
+    for a, i in rep.terms:
+        assert binom(a, i) <= rem < binom(a + 1, i)
+        rem -= binom(a, i)
+    assert rem == 0
+    if r == 1:
+        assert kk_shadow_min(m, 1) == 1
 
 
 def test_cascade_rep_validation():

@@ -1,5 +1,8 @@
 """Squashed (colex) order: comparison, ranking, segments, text forms."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +94,31 @@ def test_segment_bounds_checked():
         first_segment(4, 2, 7)
     with pytest.raises(ValueError):
         segment_after(4, 2, 3, 5)
+    # k outside 0..n raises on every segment, not only on first_segment
+    for bad in (lambda: segment_after(3, 5, 0, 0), lambda: last_segment(3, -1, 0),
+                lambda: first_segment(3, 4, 0), lambda: level_masks(3, -1)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def test_level_masks_match_combinations():
+    for n in range(11):
+        for k in range(n + 1):
+            want = sorted(sum(1 << b for b in c) for c in combinations(range(n), k))
+            assert level_masks(n, k) == want
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_segments_match_unrank_at_every_rank(n):
+    for k in range(n + 1):
+        total = binom(n, k)
+        ranked = [unrank(i, n, k).mask for i in range(total)]
+        for m in range(total + 1):
+            assert first_segment(n, k, m).masks() == ranked[:m]
+            assert last_segment(n, k, m).masks() == ranked[total - m:]
+        for r in range(total + 1):
+            for m in range(total - r + 1):
+                assert segment_after(n, k, r, m).masks() == ranked[r:r + m]
 
 
 def test_subset_canonicalization_and_errors():
@@ -102,6 +130,25 @@ def test_subset_canonicalization_and_errors():
         Subset((0, 2), 5)
     with pytest.raises(ValueError):
         Subset((2, 6), 5)
+    with pytest.raises(ValueError):
+        Subset.from_mask(-1, 3)
+    with pytest.raises(ValueError):
+        SetFamily.from_masks([1, -2], 3)
+    with pytest.raises(ValueError):
+        Subset.from_mask(0b1000, 3)
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130])
+def test_from_mask_round_trip_equality_and_hash(n):
+    rng = random.Random(n)
+    for m in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(30)]:
+        s = Subset.from_mask(m, n)
+        t = Subset(tuple(e for e in range(n, 0, -1) if m >> (e - 1) & 1), n)
+        # t has not computed its mask yet; the cache must not matter
+        assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+        assert s.mask == m and t.mask == m
+        assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+        assert "_mask" not in repr(s)
 
 
 def test_text_forms():
