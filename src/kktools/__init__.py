@@ -3,7 +3,6 @@ cross-intersecting antichain maximum, with brute-force verification at desk
 scale.  All computations are over exact integers; no floating point enters
 any result."""
 
-from ._backend import backend_name
 from .binomials import binom, d_value, hockey_stick, verify_d_identities
 from .squashed import (Subset, SetFamily, compare_squashed, first_segment,
                        format_subset, last_segment, level_masks, parse_subset,
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CascadeRep", "DisjointPairReport", "ExtremalConstruction", "KappaTable",
-    "SetFamily", "Subset", "SweepConfig", "VerificationReport", "backend_name",
+    "SetFamily", "Subset", "SweepConfig", "VerificationReport",
     "binom", "brute_force_max", "cascade_rep", "check_conjecture51",
     "compare_squashed", "construct_extremal", "d_value", "disjoint_pairs",
     "enumerate_antichains", "first_segment", "format_subset", "hockey_stick",

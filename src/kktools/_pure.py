@@ -1,12 +1,11 @@
-"""Pure-Python mask kernels.
+"""The mask kernels: shadow, shade, new shadow, new shade, prefix-shadow and
+suffix-shade sizes, and the antichain pair scan.
 
-The compiled module `_speedups` mirrors every signature here; `_backend`
-picks one at import time.  Masks are plain ints with bit e-1 for element e.
-The new-shadow/new-shade kernels use the same closed forms as the compiled
-ones: a k-set owns the deletions of the elements of its initial run 1, 2, ...
-and the insertions of the elements below its minimum.  The tests keep the
-literal ownership rule (squashed-least extension, squashed-greatest deletion)
-as an oracle against both.
+Masks are plain ints with bit e-1 for element e, so ground sets of any size
+work.  The new-shadow/new-shade kernels use closed forms: a k-set owns the
+deletions of the elements of its initial run 1, 2, ... and the insertions of
+the elements below its minimum.  The tests keep the literal ownership rule
+(squashed-least extension, squashed-greatest deletion) as an oracle.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
-from . import _backend
+from . import _pure
 from .binomials import binom
 from .kappa import KappaTable, kappa_star, negativity_threshold
 from .report import VerificationReport, timed
@@ -118,9 +118,9 @@ def replace_up_map(fam: SetFamily, level: int) -> dict[int, int]:
     if level != min(fam.sizes()):
         raise ValueError(f"level {level} is not the bottom level of the family")
     lefts = sorted(s.mask for s in fam if s.size == level)
-    rights = _backend.shade_masks(lefts, n)
+    rights = _pure.shade_masks(lefts, n)
     right_index = {m: i for i, m in enumerate(rights)}
-    adj = [[right_index[sup] for sup in _backend.shade_masks([m], n)] for m in lefts]
+    adj = [[right_index[sup] for sup in _pure.shade_masks([m], n)] for m in lefts]
 
     chosen: dict[int, int] = {}
     used: set = set()
@@ -259,7 +259,7 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     target = table.kappa_star[k]
     m = next(i for i in range(k + 1) if table.kappa[i] == target)
     bottom = last_segment(n, r, m)
-    shaded = set(_backend.shade_masks(bottom.masks(), n))
+    shaded = set(_pure.shade_masks(bottom.masks(), n))
     upper = [mm for mm in level_masks(n, r + 1) if mm not in shaded]
     b_fam = SetFamily(bottom.members
                       + tuple(Subset.from_mask(mm, n) for mm in upper), n)
@@ -317,8 +317,8 @@ def brute_force_max(n: int, k: int, exact: bool = False,
     if k < 0:
         raise ValueError(f"brute_force_max: need k >= 0, got {k}")
     families = list(enumerate_antichains(n))
-    best, hits = _backend.scan_pairs(families, k, exact, require_side,
-                                     0, len(families))
+    best, hits = _pure.scan_pairs(families, k, exact, require_side,
+                                  0, len(families))
     witnesses = [(SetFamily.from_masks(families[i], n),
                   SetFamily.from_masks(families[j], n)) for i, j in hits]
     return best, witnesses
@@ -398,11 +398,11 @@ def verify_thm26_structure(n: int = 4,
                     continue
                 half = [s.mask for s in fam if s.size == r]
                 rest = {s.mask for s in fam if s.size == r + 1}
-                shade_of_half = set(_backend.shade_masks(half, n))
+                shade_of_half = set(_pure.shade_masks(half, n))
                 if rest != upper_level - shade_of_half:
                     rep.violations.append({**record, "part": "upper-complement"})
                 segment = last_segment(n, r, len(half)).masks()
-                if len(shade_of_half) != len(set(_backend.shade_masks(segment, n))):
+                if len(shade_of_half) != len(set(_pure.shade_masks(segment, n))):
                     rep.violations.append({**record, "part": "minimal-shade"})
     return rep
 

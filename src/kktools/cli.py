@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from . import antichains, binomials, shadows, squashed
 from .kappa import (KappaTable, kappa, kappa_star, verify_conjecture51,
                     verify_lemma38, verify_prop22, verify_prop24, verify_thm23)
-from ._backend import backend_name
 from .report import VerificationReport
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _backend, _pure
+from . import _pure
 from .binomials import binom
 from .report import VerificationReport, timed
 from .shadows import cascade_rep, kk_shadow_min
@@ -64,10 +64,7 @@ class KappaTable:
         for m, mask in zip(range(1, upper_m + 1), _squashed_walk((1 << r) - 1)):
             # the rank-(m-1) set; its largest element is the least ground set
             n = mask.bit_length()
-            # The compiled kernels hold masks in a machine word; for the
-            # wide ground sets small r forces here, use the pure kernel.
-            kernels = _backend if n < 64 else _pure
-            shadow_size += len(kernels.new_shadow_masks([mask], n))
+            shadow_size += len(_pure.new_shadow_masks([mask], n))
             value = shadow_size - m
             kappa_col.append(value)
             running_min = min(running_min, value)
@@ -132,6 +129,23 @@ def verify_thm23(r: int, m_max: int) -> VerificationReport:
     return rep
 
 
+def _exchange_violations(table: KappaTable, a_range, k_range):
+    """Yield (a, k, lhs, rhs) for every cell of a_range x k_range, k-major,
+    where lhs = kappa(M) + kappa*(k) exceeds rhs = kappa(a) + kappa*(k + M - a),
+    with M = table.upper_m and kappa* saturating at M."""
+    big_m = table.upper_m
+    kappa_col = table.kappa
+    star = table.kappa_star
+    lhs_base = kappa_col[big_m]
+    for k in k_range:
+        lhs = lhs_base + star[k]
+        for a in a_range:
+            # star_clamped inlined: k + M - a exceeds M exactly when k > a
+            rhs = kappa_col[a] + (star[k + big_m - a] if k <= a else star[big_m])
+            if lhs > rhs:
+                yield a, k, lhs, rhs
+
+
 @timed
 def verify_prop24(n: int, a_only: int | None = None,
                   k_only: int | None = None) -> VerificationReport:
@@ -152,17 +166,11 @@ def verify_prop24(n: int, a_only: int | None = None,
         if value is not None and not 0 <= value <= big_m:
             raise ValueError(f"verify_prop24: need 0 <= {name} <= {big_m}, got {value}")
     table = KappaTable.build(r, big_m)
-    lhs_base = table.kappa[big_m]
     a_range = range(big_m + 1) if a_only is None else (a_only,)
     k_range = range(big_m + 1) if k_only is None else (k_only,)
-    for k in k_range:
-        lhs = lhs_base + table.kappa_star[k]
-        for a in a_range:
-            rhs = table.kappa[a] + table.star_clamped(k + big_m - a)
-            rep.checks_run += 1
-            if lhs > rhs:
-                rep.violations.append({"n": n, "a": a, "k": k,
-                                       "lhs": lhs, "rhs": rhs})
+    rep.checks_run = len(a_range) * len(k_range)
+    for a, k, lhs, rhs in _exchange_violations(table, a_range, k_range):
+        rep.violations.append({"n": n, "a": a, "k": k, "lhs": lhs, "rhs": rhs})
     return rep
 
 
@@ -207,14 +215,8 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
     r = n // 2
     big_m = binom(n, r)
     table = KappaTable.build(r, big_m)
-    lhs_base = table.kappa[big_m]
-    out = []
-    for k in range(big_m + 1):
-        lhs = lhs_base + table.kappa_star[k]
-        for a in range(big_m + 1):
-            if lhs > table.kappa[a] + table.star_clamped(k + big_m - a):
-                out.append((a, k))
-    return out
+    grid = range(big_m + 1)
+    return [(a, k) for a, k, _, _ in _exchange_violations(table, grid, grid)]
 
 
 @timed

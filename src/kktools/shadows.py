@@ -13,14 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import _backend
+from . import _pure
 from .binomials import binom
 from .report import VerificationReport, timed
-from .squashed import SetFamily, Subset, level_masks
-
-
-def _family(masks, n: int) -> SetFamily:
-    return SetFamily(tuple(Subset.from_mask(m, n) for m in masks), n)
+from .squashed import SetFamily, level_masks
 
 
 def _uniform_size(fam: SetFamily, op: str):
@@ -42,7 +38,7 @@ def shadow(fam: SetFamily) -> SetFamily:
         return SetFamily((), fam.ground_n)
     if k < 1:
         raise ValueError("shadow requires member size >= 1")
-    return _family(_backend.shadow_masks(fam.masks()), fam.ground_n)
+    return SetFamily.from_masks(_pure.shadow_masks(fam.masks()), fam.ground_n)
 
 
 def shade(fam: SetFamily) -> SetFamily:
@@ -55,7 +51,7 @@ def shade(fam: SetFamily) -> SetFamily:
         return SetFamily((), fam.ground_n)
     if k >= fam.ground_n:
         raise ValueError("shade requires member size < ground set size")
-    return _family(_backend.shade_masks(fam.masks(), fam.ground_n), fam.ground_n)
+    return SetFamily.from_masks(_pure.shade_masks(fam.masks(), fam.ground_n), fam.ground_n)
 
 
 def new_shadow(fam: SetFamily) -> SetFamily:
@@ -66,7 +62,7 @@ def new_shadow(fam: SetFamily) -> SetFamily:
         return SetFamily((), fam.ground_n)
     if k < 1:
         raise ValueError("new_shadow requires member size >= 1")
-    return _family(_backend.new_shadow_masks(fam.masks(), fam.ground_n), fam.ground_n)
+    return SetFamily.from_masks(_pure.new_shadow_masks(fam.masks(), fam.ground_n), fam.ground_n)
 
 
 def new_shade(fam: SetFamily) -> SetFamily:
@@ -77,7 +73,7 @@ def new_shade(fam: SetFamily) -> SetFamily:
         return SetFamily((), fam.ground_n)
     if k >= fam.ground_n:
         raise ValueError("new_shade requires member size < ground set size")
-    return _family(_backend.new_shade_masks(fam.masks(), fam.ground_n), fam.ground_n)
+    return SetFamily.from_masks(_pure.new_shade_masks(fam.masks(), fam.ground_n), fam.ground_n)
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
                                      "seed": seed, "sample_n_max": sample_n_max})
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            sizes = _backend.prefix_shadow_sizes(level_masks(n, k))
+            sizes = _pure.prefix_shadow_sizes(level_masks(n, k))
             for m, got in enumerate(sizes):
                 want = kk_shadow_min(m, k)
                 rep.checks_run += 1
@@ -191,7 +187,7 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
         level = level_masks(n, k)
         m = rng.randint(0, len(level))
         fam = rng.sample(level, m)
-        got = len(_backend.shadow_masks(fam))
+        got = len(_pure.shadow_masks(fam))
         rep.checks_run += 1
         if got < kk_shadow_min(m, k):
             rep.violations.append(
@@ -211,8 +207,8 @@ def verify_lieby_duality(n: int) -> VerificationReport:
         raise ValueError(f"need n >= 1, got {n}")
     rep = VerificationReport("lieby", {"n": n})
     for k in range(1, n + 1):
-        down = _backend.prefix_shadow_sizes(level_masks(n, k))
-        up = _backend.suffix_shade_sizes(level_masks(n, n - k), n)
+        down = _pure.prefix_shadow_sizes(level_masks(n, k))
+        up = _pure.suffix_shade_sizes(level_masks(n, n - k), n)
         for m, (a, b) in enumerate(zip(down, up)):
             rep.checks_run += 1
             if a != b:
@@ -233,13 +229,13 @@ def verify_clements_minimality(n: int, k: int) -> VerificationReport:
     level = level_masks(n, k)
     total = len(level)
     for m in range(total + 1):
-        base_nsh = len(_backend.new_shadow_masks(level[total - m:], n))
-        base_nse = len(_backend.new_shade_masks(level[:m], n))
+        base_nsh = len(_pure.new_shadow_masks(level[total - m:], n))
+        base_nse = len(_pure.new_shade_masks(level[:m], n))
         for r in range(total - m + 1):
             window = level[r:r + m]
             rep.checks_run += 2
-            got_nsh = len(_backend.new_shadow_masks(window, n))
-            got_nse = len(_backend.new_shade_masks(window, n))
+            got_nsh = len(_pure.new_shadow_masks(window, n))
+            got_nse = len(_pure.new_shade_masks(window, n))
             if got_nse < base_nse:
                 rep.violations.append({"part": "new-shade", "m": m, "r": r,
                                        "window": got_nse, "first-segment": base_nse})

@@ -28,7 +28,7 @@ from kktools import (
     verify_thm23,
     verify_thm26_structure,
 )
-from kktools._backend import prefix_shadow_sizes
+from kktools._pure import prefix_shadow_sizes
 
 SQUASHED_LISTING_5_3 = ["123", "124", "134", "234", "125",
                         "135", "235", "145", "245", "345"]

@@ -1,5 +1,8 @@
 """The shadow-deficit function, its running minimum, and their verifiers."""
 
+import random
+from itertools import accumulate
+
 import pytest
 
 from kktools import (
@@ -20,6 +23,7 @@ from kktools import (
     verify_prop24,
     verify_thm23,
 )
+from kktools.kappa import _exchange_violations
 
 # deficit of the first m 2-sets, m = 0..10
 KAPPA_2 = [0, 1, 1, 0, 0, -1, -2, -2, -3, -4, -5]
@@ -129,6 +133,35 @@ def test_exchange_inequality_grids():
         assert rep.passed, rep.violations[:3]
         big_m = binom(n, (n + 1) // 2)
         assert rep.checks_run == (big_m + 1) ** 2
+    big_m = binom(7, 4)
+    assert verify_prop24(7, a_only=3).checks_run == big_m + 1
+    assert verify_prop24(7, k_only=big_m).checks_run == big_m + 1
+    assert verify_prop24(7, a_only=0, k_only=5).checks_run == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exchange_grid_loop_matches_cell_by_cell_definition(seed):
+    # The real tables satisfy the inequality everywhere, so the shared grid
+    # loop is also run on made-up tables that violate it in many cells.
+    rng = random.Random(seed)
+    upper = rng.randint(1, 15)
+    kap = [0] + [rng.randint(-5, 5) for _ in range(upper)]
+    table = KappaTable(3, upper, kap, list(accumulate(kap, min)))
+    grid = range(upper + 1)
+    want = []
+    for k in grid:
+        lhs = kap[upper] + table.kappa_star[k]
+        for a in grid:
+            rhs = kap[a] + table.star_clamped(k + upper - a)
+            if lhs > rhs:
+                want.append((a, k, lhs, rhs))
+    assert want
+    assert list(_exchange_violations(table, grid, grid)) == want
+    a, k = rng.choice(grid), rng.choice(grid)
+    assert list(_exchange_violations(table, (a,), grid)) == \
+        [cell for cell in want if cell[0] == a]
+    assert list(_exchange_violations(table, grid, (k,))) == \
+        [cell for cell in want if cell[1] == k]
 
 
 def test_minimum_location_sweep():

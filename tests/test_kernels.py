@@ -1,7 +1,8 @@
-"""The closed-form kernels, the branch-and-bound pair scan and the Gosper
-table walk against definition-level oracles.
+"""The mask kernels of `kktools._pure`, the branch-and-bound pair scan and
+the Gosper table walk against definition-level oracles.
 
-The oracles below derive new shadows and new shades by the literal ownership
+Shadows and shades are sets of masks with one element deleted or added.  The
+oracles below derive new shadows and new shades by the literal ownership
 rule: a (k-1)-set belongs to the new shadow of the squashed-least k-set that
 extends it, and a (k+1)-set to the new shade of the squashed-greatest k-set
 it extends.  For sets of equal size squashed order is numeric order of
@@ -14,9 +15,18 @@ from itertools import accumulate, islice
 
 import pytest
 
-from kktools import (KappaTable, _backend, _pure, binom, enumerate_antichains,
-                     kappa, level_masks, unrank)
+from kktools import (KappaTable, _pure, binom, enumerate_antichains, kappa,
+                     level_masks, unrank)
 from kktools.squashed import _squashed_walk
+
+
+def oracle_shadow(masks) -> set[int]:
+    return {m ^ (1 << b) for m in masks for b in range(m.bit_length())
+            if m >> b & 1}
+
+
+def oracle_shade(masks, n: int) -> set[int]:
+    return {m | (1 << b) for m in masks for b in range(n) if not m >> b & 1}
 
 
 def least_superset(sub: int, n: int) -> int:
@@ -101,7 +111,7 @@ def _random_level_family(rng, n: int, k: int, size: int) -> list[int]:
     return sorted(fam)
 
 
-KERNELS = [pytest.param(_pure, id="pure"), pytest.param(_backend, id="active")]
+KERNELS = [pytest.param(_pure, id="pure")]
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
@@ -124,6 +134,13 @@ def test_pure_closed_forms_match_ownership_rule_on_random_families(n):
             fam = _random_level_family(rng, n, k, rng.randint(0, 8))
             assert _pure.new_shadow_masks(fam, n) == oracle_new_shadow(fam, n)
             assert _pure.new_shade_masks(fam, n) == oracle_new_shade(fam, n)
+            assert _pure.shadow_masks(fam) == sorted(oracle_shadow(fam))
+            assert _pure.shade_masks(fam, n) == sorted(oracle_shade(fam, n))
+            assert _pure.prefix_shadow_sizes(fam) == \
+                [len(oracle_shadow(fam[:i])) for i in range(len(fam) + 1)]
+            assert _pure.suffix_shade_sizes(fam, n) == \
+                [len(oracle_shade(fam[len(fam) - i:], n))
+                 for i in range(len(fam) + 1)]
 
 
 @pytest.mark.parametrize("r", range(1, 9))

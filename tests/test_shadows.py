@@ -61,6 +61,20 @@ def test_new_shade_inserts_below_the_minimum():
     assert new_shade(fam).masks() == []
 
 
+@pytest.mark.parametrize("n", [64, 65])
+def test_shade_and_new_shade_past_a_machine_word(n):
+    # n = 64 and 65 need masks wider than a machine word; a kernel that
+    # held one set per 64-bit word lost every set here.
+    low = shade(SetFamily.of([(1,)], n))
+    assert len(low) == n - 1
+    assert [s.elements for s in low] == [(1, x) for x in range(2, n + 1)]
+    # {1, x} belongs to the new shade of {x}, so {1} owns none of its shade
+    assert len(new_shade(SetFamily.of([(1,)], n))) == 0
+    top = new_shade(SetFamily.of([(n,)], n))
+    assert len(top) == n - 1
+    assert [s.elements for s in top] == [(x, n) for x in range(1, n)]
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=1, max_value=7), st.data())
 def test_new_shadows_partition_the_prefix_shadow(n, data):
