@@ -39,7 +39,9 @@ def shade_masks(masks, n: int) -> list[int]:
 def new_shadow_masks(masks, n: int) -> list[int]:
     """Shadow sets owned by a member: the deletions of one element of its
     initial run, the trailing ones (m ^ (m + 1)) >> 1.  Ownership classes of
-    distinct sets never overlap."""
+    distinct sets never overlap, so for distinct members the sorted result
+    has no duplicates and is the concatenation of the per-member lists; the
+    window sweep of verify_clements_minimality sums per-member lengths."""
     out = []
     for m in masks:
         run = (m ^ (m + 1)) >> 1
@@ -53,7 +55,9 @@ def new_shadow_masks(masks, n: int) -> list[int]:
 
 def new_shade_masks(masks, n: int) -> list[int]:
     """Shade sets owned by a member: the insertions of one element below its
-    minimum, the bits of ((m & -m) - 1) & full; every singleton for m = 0."""
+    minimum, the bits of ((m & -m) - 1) & full; every singleton for m = 0.
+    As for new_shadow_masks, distinct members give a sorted result with no
+    duplicates that concatenates the per-member lists."""
     out = []
     full = (1 << n) - 1
     for m in masks:
@@ -96,17 +100,14 @@ def suffix_shade_sizes(masks, n: int) -> list[int]:
     return sizes
 
 
-def scan_pairs(families, k: int, exact: bool, require_side: bool,
-               i_start: int, i_end: int):
+def scan_pairs(families, k: int, exact: bool, require_side: bool):
     """Maximize |A|+|B| over ordered pairs of families whose disjointness
     relation is a partial matching of size <= k (== k in exact mode).
 
-    families: list of tuples of masks.  The outer index runs over
-    [i_start, i_end) so callers can partition the scan.  In exact mode the
-    side condition k <= min(|A|, |B|) applies; require_side imposes it in
-    the at-most mode too.  Returns (best_total, [(i, j), ...]) with the
-    pairs in row-major order, and -1 with an empty list when no pair
-    qualifies.
+    families: list of tuples of masks.  In exact mode the side condition
+    k <= min(|A|, |B|) applies; require_side imposes it in the at-most mode
+    too.  Returns (best_total, [(i, j), ...]) with the pairs in row-major
+    order, and -1 with an empty list when no pair qualifies.
 
     Branch and bound: both loops visit families by descending size, so once
     |A|+|B| falls below the best total found (or a family falls below the
@@ -118,8 +119,6 @@ def scan_pairs(families, k: int, exact: bool, require_side: bool,
     best = -1
     hits: list[tuple[int, int]] = []
     for i in order:
-        if not i_start <= i < i_end:
-            continue
         fa = families[i]
         la = len(fa)
         if (side and k > la) or la + largest < best:

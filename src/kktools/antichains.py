@@ -16,7 +16,7 @@ from itertools import groupby
 
 from . import _pure
 from .binomials import binom
-from .kappa import KappaTable, kappa_star, negativity_threshold
+from .kappa import KappaTable, kappa, kappa_star, negativity_threshold
 from .report import VerificationReport, timed
 from .shadows import shade, shadow
 from .squashed import SetFamily, Subset, format_subset, last_segment, level_masks
@@ -24,13 +24,14 @@ from .squashed import SetFamily, Subset, format_subset, last_segment, level_mask
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 
 
-def is_antichain(fam: SetFamily) -> bool:
-    """True iff no member contains another.
+def _is_antichain_masks(masks) -> bool:
+    """True iff no mask is a proper subset of another.
 
-    Two distinct sets of one size never nest, so each member is compared
-    with the larger members only (canonical order sorts by size).
+    Two distinct sets of one size never nest, so each mask is compared
+    with the masks of larger size only.
     """
-    levels = [[s.mask for s in grp] for _, grp in groupby(fam, key=len)]
+    levels = [list(grp) for _, grp in
+              groupby(sorted(masks, key=int.bit_count), key=int.bit_count)]
     for i, lower in enumerate(levels):
         above = [b for level in levels[i + 1:] for b in level]
         for a in lower:
@@ -38,6 +39,11 @@ def is_antichain(fam: SetFamily) -> bool:
                 if a & b == a:
                     return False
     return True
+
+
+def is_antichain(fam: SetFamily) -> bool:
+    """True iff no member contains another."""
+    return _is_antichain_masks(fam.masks())
 
 
 def _require_antichain(fam: SetFamily, op: str) -> None:
@@ -236,6 +242,24 @@ class ExtremalConstruction:
         }
 
 
+def _extremal_masks(n: int, k: int, table: KappaTable | None = None):
+    """The masks of construct_extremal(n, k) as (a_masks, b_masks, case, m),
+    with n and k already checked.  table, if given, is a KappaTable at level
+    n/2 with upper_m >= k."""
+    r = n // 2
+    a_masks = level_masks(n, r)
+    if k < negativity_threshold(r):
+        return a_masks, level_masks(n, r + 1), "i", None
+    if table is None:
+        table = KappaTable.build(r, k)
+    target = table.kappa_star[k]
+    m = next(i for i in range(k + 1) if table.kappa[i] == target)
+    bottom = a_masks[len(a_masks) - m:]
+    shaded = set(_pure.shade_masks(bottom, n))
+    upper = [mm for mm in level_masks(n, r + 1) if mm not in shaded]
+    return a_masks, bottom + upper, "ii", m
+
+
 def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     """An explicit pair of antichains attaining theorem25_bound(n, k).
 
@@ -247,23 +271,12 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     """
     if n < 4 or n % 2 != 0:
         raise ValueError(f"construct_extremal: need even n >= 4, got {n}")
-    r = n // 2
-    half = binom(n, r)
+    half = binom(n, n // 2)
     if not 0 <= k <= half:
         raise ValueError(f"construct_extremal: need 0 <= k <= {half}, got {k}")
-    a_fam = SetFamily.from_masks(level_masks(n, r), n)
-    if k < negativity_threshold(r):
-        b_fam = SetFamily.from_masks(level_masks(n, r + 1), n)
-        return ExtremalConstruction(n, k, a_fam, b_fam, "i", None)
-    table = KappaTable.build(r, k)
-    target = table.kappa_star[k]
-    m = next(i for i in range(k + 1) if table.kappa[i] == target)
-    bottom = last_segment(n, r, m)
-    shaded = set(_pure.shade_masks(bottom.masks(), n))
-    upper = [mm for mm in level_masks(n, r + 1) if mm not in shaded]
-    b_fam = SetFamily(bottom.members
-                      + tuple(Subset.from_mask(mm, n) for mm in upper), n)
-    return ExtremalConstruction(n, k, a_fam, b_fam, "ii", m)
+    a_masks, b_masks, case, m = _extremal_masks(n, k)
+    return ExtremalConstruction(n, k, SetFamily.from_masks(a_masks, n),
+                                SetFamily.from_masks(b_masks, n), case, m)
 
 
 @lru_cache(maxsize=None)
@@ -317,8 +330,7 @@ def brute_force_max(n: int, k: int, exact: bool = False,
     if k < 0:
         raise ValueError(f"brute_force_max: need k >= 0, got {k}")
     families = list(enumerate_antichains(n))
-    best, hits = _pure.scan_pairs(families, k, exact, require_side,
-                                  0, len(families))
+    best, hits = _pure.scan_pairs(families, k, exact, require_side)
     witnesses = [(SetFamily.from_masks(families[i], n),
                   SetFamily.from_masks(families[j], n)) for i, j in hits]
     return best, witnesses
@@ -411,28 +423,40 @@ def verify_thm26_structure(n: int = 4,
 def verify_extremal_constructions(n: int) -> VerificationReport:
     """construct_extremal meets the bound for every k: both families are
     antichains, the disjointness relation is a matching of size <= k, and
-    the total equals theorem25_bound(n, k)."""
+    the total equals theorem25_bound(n, k).
+
+    The sweep checks the masks construct_extremal wraps, with one KappaTable
+    for all k, and takes the bound's kappa* as the running minimum of the
+    cascade formula, a route independent of the table.
+    """
     if n < 4 or n % 2 != 0:
         raise ValueError(f"need even n >= 4, got {n}")
     rep = VerificationReport("thm25-extremal", {"n": n})
-    for k in range(binom(n, n // 2) + 1):
-        built = construct_extremal(n, k)
-        report = disjoint_pairs(built.family_a, built.family_b)
+    r = n // 2
+    half = binom(n, r)
+    middle = half + binom(n, r + 1)
+    table = KappaTable.build(r, half)
+    star = 0
+    for k in range(half + 1):
+        star = min(star, kappa(r, k))
+        a_masks, b_masks, case, m = _extremal_masks(n, k, table)
+        pairs = [(x, y) for x in a_masks for y in b_masks if not x & y]
         rep.checks_run += 1
         problems = []
-        if not is_antichain(built.family_a):
+        if not _is_antichain_masks(a_masks):
             problems.append("family_a not an antichain")
-        if not is_antichain(built.family_b):
+        if not _is_antichain_masks(b_masks):
             problems.append("family_b not an antichain")
-        if not report.is_matching:
+        if not len({x for x, _ in pairs}) == len(pairs) == len({y for _, y in pairs}):
             problems.append("disjoint pairs not a matching")
-        if report.pair_count > k:
-            problems.append(f"{report.pair_count} pairs exceeds k")
-        if built.total != theorem25_bound(n, k):
-            problems.append(f"total {built.total} misses the bound")
+        if len(pairs) > k:
+            problems.append(f"{len(pairs)} pairs exceeds k")
+        total = len(a_masks) + len(b_masks)
+        if total != middle - star:
+            problems.append(f"total {total} misses the bound")
         if problems:
-            rep.violations.append({"n": n, "k": k, "case": built.case,
-                                   "m": built.chosen_m, "problems": problems})
+            rep.violations.append({"n": n, "k": k, "case": case,
+                                   "m": m, "problems": problems})
     return rep
 
 

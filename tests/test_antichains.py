@@ -5,8 +5,11 @@ import random
 import pytest
 
 from kktools import (
+    KappaTable,
     SetFamily,
     Subset,
+    _pure,
+    antichains,
     binom,
     brute_force_max,
     construct_extremal,
@@ -17,6 +20,7 @@ from kktools import (
     is_antichain,
     kappa,
     kappa_star,
+    last_segment,
     level_masks,
     negativity_threshold,
     replace_up_map,
@@ -51,6 +55,9 @@ def test_is_antichain_matches_all_pairs_definition():
         masks = set(rng.choice(pool)) | {rng.getrandbits(5)}
         want = not any(a != b and a & b == a for a in masks for b in masks)
         assert is_antichain(SetFamily.from_masks(masks, 5)) == want
+        shuffled = list(masks)
+        rng.shuffle(shuffled)
+        assert antichains._is_antichain_masks(shuffled) == want
         outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -234,3 +241,90 @@ def test_sperner_maximum():
     masks = level_masks(4, 2)
     counts = [m for m in enumerate_antichains(4) if len(m) == binom(4, 2)]
     assert counts == [tuple(masks)]
+
+
+def oracle_extremal(n, k):
+    """construct_extremal as a last_segment plus a KappaTable.build(r, k)
+    of its own: (family_a, family_b, case, m)."""
+    r = n // 2
+    a_fam = SetFamily.from_masks(level_masks(n, r), n)
+    if k < negativity_threshold(r):
+        return a_fam, SetFamily.from_masks(level_masks(n, r + 1), n), "i", None
+    table = KappaTable.build(r, k)
+    m = next(i for i in range(k + 1) if table.kappa[i] == table.kappa_star[k])
+    bottom = last_segment(n, r, m)
+    shaded = set(_pure.shade_masks(bottom.masks(), n))
+    upper = [x for x in level_masks(n, r + 1) if x not in shaded]
+    b_fam = SetFamily(bottom.members
+                      + tuple(Subset.from_mask(x, n) for x in upper), n)
+    return a_fam, b_fam, "ii", m
+
+
+def oracle_extremal_report(n):
+    """The per-k sweep on the public objects: construct_extremal,
+    disjoint_pairs, is_antichain and theorem25_bound.  Returns
+    (checks_run, violations)."""
+    checks, violations = 0, []
+    for k in range(binom(n, n // 2) + 1):
+        built = construct_extremal(n, k)
+        report = disjoint_pairs(built.family_a, built.family_b)
+        checks += 1
+        problems = []
+        if not is_antichain(built.family_a):
+            problems.append("family_a not an antichain")
+        if not is_antichain(built.family_b):
+            problems.append("family_b not an antichain")
+        if not report.is_matching:
+            problems.append("disjoint pairs not a matching")
+        if report.pair_count > k:
+            problems.append(f"{report.pair_count} pairs exceeds k")
+        if built.total != theorem25_bound(n, k):
+            problems.append(f"total {built.total} misses the bound")
+        if problems:
+            violations.append({"n": n, "k": k, "case": built.case,
+                               "m": built.chosen_m, "problems": problems})
+    return checks, violations
+
+
+def test_construct_extremal_matches_segment_rebuild():
+    for n in (4, 6, 8):
+        for k in range(binom(n, n // 2) + 1):
+            c = construct_extremal(n, k)
+            a_fam, b_fam, case, m = oracle_extremal(n, k)
+            assert (c.family_a, c.family_b, c.case, c.chosen_m) == \
+                (a_fam, b_fam, case, m), (n, k)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_extremal_sweep_matches_per_k_oracle(n):
+    rep = verify_extremal_constructions(n)
+    assert rep.passed
+    assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
+
+
+@pytest.mark.parametrize("fault", ["m + 1", "shade kept", "empty set added",
+                                   "top set dropped"])
+def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
+    real = antichains._extremal_masks
+
+    def faulty(n, k, table=None):
+        a_masks, b_masks, case, m = real(n, k, table)
+        upper = level_masks(n, n // 2 + 1)
+        if fault == "m + 1" and case == "ii" and m < len(a_masks):
+            m += 1
+            bottom = a_masks[len(a_masks) - m:]
+            shaded = set(_pure.shade_masks(bottom, n))
+            b_masks = bottom + [x for x in upper if x not in shaded]
+        elif fault == "shade kept" and case == "ii":
+            b_masks = b_masks[:m] + upper
+        elif fault == "empty set added":
+            b_masks = [0] + b_masks
+        elif fault == "top set dropped":
+            b_masks = b_masks[:-1]
+        return a_masks, b_masks, case, m
+
+    monkeypatch.setattr(antichains, "_extremal_masks", faulty)
+    for n in (4, 6):
+        rep = verify_extremal_constructions(n)
+        assert rep.violations, n
+        assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)

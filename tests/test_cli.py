@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,17 @@ def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--n", "4", "--r", "2")
     assert code == 0
     assert out.strip().splitlines()[-1] == "ALL PASS"
+
+
+def test_verify_all_json_matches_golden_file(capsys):
+    # tests/data/verify_all.json: `kktools verify all --format json` with
+    # elapsed_ms removed; a faster sweep must leave every byte else alone
+    code, out, _ = run_cli(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("elapsed_ms")
+    golden = Path(__file__).parent / "data" / "verify_all.json"
+    assert json.dumps(payload, indent=2) + "\n" == golden.read_text()
 
 
 def test_help_exits_zero(capsys):

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from kktools import (
     CascadeRep,
+    _pure,
     SetFamily,
+    Subset,
     binom,
     cascade_rep,
     first_segment,
@@ -216,3 +218,70 @@ def test_clements_spot_window():
         win = segment_after(n, k, start, m)
         assert len(new_shadow(win)) >= last
         assert len(new_shade(win)) >= first
+
+
+def oracle_clements(n, k):
+    """The per-window sweep: one kernel call per window and direction.
+    Returns (checks_run, violations) in the sweep's order."""
+    level = level_masks(n, k)
+    total = len(level)
+    checks, violations = 0, []
+    for m in range(total + 1):
+        base_nsh = len(_pure.new_shadow_masks(level[total - m:], n))
+        base_nse = len(_pure.new_shade_masks(level[:m], n))
+        for r in range(total - m + 1):
+            window = level[r:r + m]
+            checks += 2
+            got_nsh = len(_pure.new_shadow_masks(window, n))
+            got_nse = len(_pure.new_shade_masks(window, n))
+            if got_nse < base_nse:
+                violations.append({"part": "new-shade", "m": m, "r": r,
+                                   "window": got_nse, "first-segment": base_nse})
+            if got_nsh < base_nsh:
+                violations.append({"part": "new-shadow", "m": m, "r": r,
+                                   "window": got_nsh, "last-segment": base_nsh})
+    return checks, violations
+
+
+def test_clements_prefix_sums_match_per_window_oracle():
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            rep = verify_clements_minimality(n, k)
+            assert (rep.checks_run, rep.violations) == oracle_clements(n, k), (n, k)
+
+
+# {1,4,5} and {2,3,6} sit in the middle of the 20 3-subsets of {1..6}
+# (ranks 7 and 12) and each owns one set that a boundary window of the same
+# length needs to tie
+@pytest.mark.parametrize("kernel, part, elements", [
+    pytest.param("new_shadow_masks", "new-shadow", (1, 4, 5), id="new-shadow"),
+    pytest.param("new_shade_masks", "new-shade", (2, 3, 6), id="new-shade")])
+def test_clements_sweep_and_oracle_agree_on_a_faulty_kernel(monkeypatch, kernel,
+                                                            part, elements):
+    # a kernel that loses one owned set of a middle mask makes windows
+    # through that mask look smaller than the boundary segment
+    n, k = 6, 3
+    real = getattr(_pure, kernel)
+    target = Subset(elements, n).mask
+    assert real([target], n)
+
+    def drops_one(masks, n):
+        out = []
+        for mask in masks:
+            owned = real([mask], n)
+            out += owned[1:] if mask == target else owned
+        return sorted(out)
+
+    monkeypatch.setattr(_pure, kernel, drops_one)
+    rep = verify_clements_minimality(n, k)
+    assert rep.violations
+    assert {v["part"] for v in rep.violations} == {part}
+    assert (rep.checks_run, rep.violations) == oracle_clements(n, k)
+
+
+def test_lieby_duality_rejects_a_short_size_list(monkeypatch):
+    real = _pure.suffix_shade_sizes
+    monkeypatch.setattr(_pure, "suffix_shade_sizes",
+                        lambda masks, n: real(masks, n)[:10])
+    with pytest.raises(ValueError):
+        verify_lieby_duality(6)
