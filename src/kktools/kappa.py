@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import _pure
 from .binomials import binom
 from .report import VerificationReport, timed
-from .shadows import cascade_rep, kk_shadow_min
+from .shadows import kk_shadow_min
 from .squashed import _squashed_walk
 
 
@@ -74,6 +74,8 @@ class KappaTable:
     def star_clamped(self, m: int) -> int:
         """kappa_star with arguments beyond the table saturating at upper_m
         (the level-size cap in the inequality sweeps below)."""
+        if m < 0:
+            raise ValueError(f"star_clamped: need m >= 0, got {m}")
         return self.kappa_star[min(m, self.upper_m)]
 
     def to_tsv(self) -> str:
@@ -110,6 +112,24 @@ def verify_prop22(r: int, m_max: int) -> VerificationReport:
     return rep
 
 
+def _coefficients_large(mask: int) -> bool:
+    """Thm 2.3's condition on the cascade of m, read off the rank-m r-set.
+
+    The cascade terms are C(e_i - 1, i) for the elements e_i that lie past
+    the set's initial run 1..t-1, so every a_i >= 2i - 1 exactly when every
+    such e_i >= 2i.
+    """
+    i = (mask & ~(mask + 1)).bit_length()  # length of the initial run
+    rest = mask & (mask + 1)
+    while rest:
+        i += 1
+        low = rest & -rest
+        if low.bit_length() < 2 * i:
+            return False
+        rest ^= low
+    return True
+
+
 @timed
 def verify_thm23(r: int, m_max: int) -> VerificationReport:
     """kappa_r(m) = kappa*_r(m) exactly when every cascade coefficient
@@ -118,8 +138,8 @@ def verify_thm23(r: int, m_max: int) -> VerificationReport:
         raise ValueError(f"verify_thm23: need r >= 1, m_max >= 0, got {r}, {m_max}")
     rep = VerificationReport("thm23", {"r": r, "m_max": m_max})
     table = KappaTable.build(r, m_max)
-    for m in range(m_max + 1):
-        cond = all(a >= 2 * i - 1 for a, i in cascade_rep(m, r).terms)
+    for m, mask in zip(range(m_max + 1), _squashed_walk((1 << r) - 1)):
+        cond = _coefficients_large(mask)
         eq = table.kappa[m] == table.kappa_star[m]
         rep.checks_run += 1
         if cond != eq:
@@ -146,6 +166,78 @@ def _exchange_violations(table: KappaTable, a_range, k_range):
                 yield a, k, lhs, rhs
 
 
+def _range_min_table(col: list[int]) -> list[list[int]]:
+    """Sparse table of col: level j holds the minima of its windows of
+    length 2**j, so any range minimum is the smaller of two entries
+    (Bender and Farach-Colton, LATIN 2000)."""
+    levels = [col]
+    width = 1
+    while 2 * width <= len(col):
+        prev = levels[-1]
+        levels.append(list(map(min, prev, prev[width:])))
+        width *= 2
+    return levels
+
+
+def _violating_steps(table: KappaTable):
+    """Yield, ascending, the steps (s, e) of constant kappa* whose rows k in
+    s..e of the full exchange grid cannot be certified free of violations.
+
+    The reductions need only kappa* nonincreasing.  Within a step the left
+    side is constant and the right side can only shrink as k grows, so row
+    e decides the step.  In row e the cells a <= e are clamped, with right
+    side kappa(a) + kappa*(M).  For a > e, each step of kappa* that
+    j = e + M - a meets is one run of a, and the right-side minimum over a
+    run is a range minimum of the kappa column.  Consecutive runs form one
+    run of a on which kappa* is at least its value on the last of them, so
+    a block of runs is bisected only while that bound falls below the left
+    side.  With S steps that is at most O(S^2) range minima, each O(1).
+    """
+    big_m = table.upper_m
+    star = table.kappa_star
+    if any(later > earlier for earlier, later in zip(star, star[1:])):
+        raise RuntimeError("exchange grid: kappa_star is not nonincreasing")
+    ends = [m for m in range(big_m) if star[m + 1] != star[m]] + [big_m]
+    starts = [0] + [e + 1 for e in ends[:-1]]
+    # j = M is the clamp, so each step's run of j stops at M - 1; a last
+    # step [M, M] has no run
+    tops = [min(e, big_m - 1) for e in ends]
+    runs = len(ends) if starts[-1] < big_m else len(ends) - 1
+    sparse = _range_min_table(table.kappa)
+
+    def range_min(lo, hi):
+        level = (hi - lo + 1).bit_length() - 1
+        row = sparse[level]
+        return min(row[lo], row[hi + 1 - (1 << level)])
+
+    lhs_base = table.kappa[big_m]
+    for step, (s, e) in enumerate(zip(starts, ends)):
+        lhs = lhs_base + star[e]
+        if range_min(0, e) + star[big_m] < lhs:
+            yield s, e
+            continue
+        # the row's own step meets j only at a = M, whose right side is lhs
+        d = e + big_m
+        blocks = [(step + 1, runs - 1)] if step + 1 < runs else []
+        while blocks:
+            first, last = blocks.pop()
+            if range_min(d - tops[last], d - starts[first]) + star[starts[last]] >= lhs:
+                continue
+            if first == last:
+                yield s, e
+                break
+            mid = (first + last) // 2
+            blocks += [(mid + 1, last), (first, mid)]
+
+
+def _full_grid_violations(table: KappaTable):
+    """_exchange_violations on the full grid, k-major, run only on the rows
+    of the steps that _violating_steps cannot certify."""
+    grid = range(table.upper_m + 1)
+    for s, e in _violating_steps(table):
+        yield from _exchange_violations(table, grid, range(s, e + 1))
+
+
 @timed
 def verify_prop24(n: int, a_only: int | None = None,
                   k_only: int | None = None) -> VerificationReport:
@@ -169,7 +261,11 @@ def verify_prop24(n: int, a_only: int | None = None,
     a_range = range(big_m + 1) if a_only is None else (a_only,)
     k_range = range(big_m + 1) if k_only is None else (k_only,)
     rep.checks_run = len(a_range) * len(k_range)
-    for a, k, lhs, rhs in _exchange_violations(table, a_range, k_range):
+    if a_only is None and k_only is None:
+        cells = _full_grid_violations(table)
+    else:
+        cells = _exchange_violations(table, a_range, k_range)
+    for a, k, lhs, rhs in cells:
         rep.violations.append({"n": n, "a": a, "k": k, "lhs": lhs, "rhs": rhs})
     return rep
 
@@ -208,15 +304,16 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
     where the instance collapses to kappa(k) <= kappa*(k) -- impossible
     strictly, because kappa* is the running minimum of kappa (k = 1 gives
     kappa_r(1) = r - 1 > 0 = kappa*_r(1) for every r >= 2).  Counterexamples
-    are reported rather than asserted, and the search is exhaustive.
+    are reported rather than asserted, and the search is exhaustive: rows
+    are certified in bulk by range minima (_violating_steps), and the rows
+    it cannot certify are scanned cell by cell.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError(f"check_conjecture51: need even n >= 2, got {n}")
     r = n // 2
     big_m = binom(n, r)
     table = KappaTable.build(r, big_m)
-    grid = range(big_m + 1)
-    return [(a, k) for a, k, _, _ in _exchange_violations(table, grid, grid)]
+    return [(a, k) for a, k, _, _ in _full_grid_violations(table)]
 
 
 @timed

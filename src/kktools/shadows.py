@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 from . import _pure
@@ -169,6 +170,10 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     every m.  Lower bound: `samples` random uniform families (fixed seed,
     ground sets up to sample_n_max) have shadow at least the formula value.
     """
+    for name, value, least in (("n_max", n_max, 1), ("samples", samples, 0),
+                               ("sample_n_max", sample_n_max, 2)):
+        if value < least:
+            raise ValueError(f"verify_kkt: need {name} >= {least}, got {value}")
     rep = VerificationReport("kkt", {"n_max": n_max, "samples": samples,
                                      "seed": seed, "sample_n_max": sample_n_max})
     for n in range(1, n_max + 1):
@@ -182,10 +187,11 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
                         {"part": "tightness", "n": n, "k": k, "m": m,
                          "shadow": got, "formula": want})
     rng = random.Random(seed)
+    level_of = cache(level_masks)  # one build per sampled (n, k)
     for _ in range(samples):
         n = rng.randint(2, sample_n_max)
         k = rng.randint(1, n)
-        level = level_masks(n, k)
+        level = level_of(n, k)
         m = rng.randint(0, len(level))
         fam = rng.sample(level, m)
         got = len(_pure.shadow_masks(fam))

@@ -106,6 +106,15 @@ def test_verify_exchange_grid(capsys):
     assert "PASS" in out
 
 
+def test_verify_exchange_grid_at_fourteen(capsys):
+    code, out, _ = run_cli(capsys, "verify", "conjecture51", "--n", "14",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] and payload["violations"] == []
+    assert payload["checks_run"] == 3433 ** 2
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     failing = VerificationReport("stub", {"n": 1})
     failing.violations.append({"n": 1, "reason": "forced"})

@@ -1,9 +1,12 @@
 """The shadow-deficit function, its running minimum, and their verifiers."""
 
+import importlib
 import random
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
+
+import kktools
 
 from kktools import (
     KappaTable,
@@ -23,7 +26,9 @@ from kktools import (
     verify_prop24,
     verify_thm23,
 )
-from kktools.kappa import _exchange_violations
+from kktools.kappa import (_coefficients_large, _exchange_violations,
+                           _full_grid_violations, _violating_steps)
+from kktools.squashed import _squashed_walk
 
 # deficit of the first m 2-sets, m = 0..10
 KAPPA_2 = [0, 1, 1, 0, 0, -1, -2, -2, -3, -4, -5]
@@ -84,6 +89,20 @@ def test_table_matches_point_functions():
     assert t.star_clamped(10_000) == t.kappa_star[10]
 
 
+def test_star_clamped_rejects_negative_arguments():
+    t = KappaTable.build(2, 10)
+    assert t.star_clamped(0) == 0
+    with pytest.raises(ValueError, match="m >= 0"):
+        t.star_clamped(-1)
+
+
+def test_kappa_name_is_the_function_and_the_module_stays_importable():
+    # the package attribute shadows the submodule of the same name
+    assert kktools.kappa is kappa
+    assert kktools.kappa(2, 5) == -1
+    assert importlib.import_module("kktools.kappa").KappaTable is KappaTable
+
+
 def test_table_tsv_form():
     t = KappaTable.build(2, 3)
     lines = t.to_tsv().splitlines()
@@ -116,6 +135,48 @@ def test_running_minimum_characterization():
         assert rep.passed, rep.violations[:3]
 
 
+def oracle_thm23(table, r, m_max):
+    """The per-m cascade loop verify_thm23 used before reading the
+    condition off the squashed walk."""
+    out = []
+    for m in range(m_max + 1):
+        cond = all(a >= 2 * i - 1 for a, i in cascade_rep(m, r).terms)
+        if cond != (table.kappa[m] == table.kappa_star[m]):
+            out.append({"r": r, "m": m, "kappa": table.kappa[m],
+                        "kappa_star": table.kappa_star[m],
+                        "coefficients_large": cond})
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_mask_condition_matches_cascade_condition(r):
+    upper = binom(2 * r, r) + 50
+    walk = islice(_squashed_walk((1 << r) - 1), upper + 1)
+    for m, mask in enumerate(walk):
+        want = all(a >= 2 * i - 1 for a, i in cascade_rep(m, r).terms)
+        assert _coefficients_large(mask) == want, (r, m, bin(mask))
+
+
+@pytest.mark.parametrize("r, m, delta", [(3, 12, -1), (3, 10, 1), (4, 48, 2),
+                                         (5, 160, -1)])
+def test_thm23_sweep_and_cascade_oracle_agree_on_a_faulty_table(
+        monkeypatch, r, m, delta):
+    build = KappaTable.build.__func__
+
+    def faulty(cls, level, upper):
+        table = build(cls, level, upper)
+        table.kappa[m] += delta
+        return table
+
+    monkeypatch.setattr(KappaTable, "build", classmethod(faulty))
+    m_max = binom(2 * r, r) + 2 * r
+    rep = verify_thm23(r, m_max)
+    want = oracle_thm23(KappaTable.build(r, m_max), r, m_max)
+    assert want
+    assert rep.violations == want
+    assert rep.checks_run == m_max + 1
+
+
 def test_large_coefficients_give_monotone_suffix():
     # if every cascade coefficient has a_i >= 2i-1, the deficit at m is no
     # larger than at any earlier point
@@ -139,22 +200,38 @@ def test_exchange_inequality_grids():
     assert verify_prop24(7, a_only=0, k_only=5).checks_run == 1
 
 
+def cell_by_cell(table):
+    """Every violating cell (a, k, lhs, rhs) of the full grid, k-major, by
+    the definition with star_clamped per cell."""
+    big_m = table.upper_m
+    grid = range(big_m + 1)
+    want = []
+    for k in grid:
+        lhs = table.kappa[big_m] + table.kappa_star[k]
+        for a in grid:
+            rhs = table.kappa[a] + table.star_clamped(k + big_m - a)
+            if lhs > rhs:
+                want.append((a, k, lhs, rhs))
+    return want
+
+
+def made_up_table(rng, upper, shape):
+    if shape == "uniform":
+        kap = [0] + [rng.randint(-5, 5) for _ in range(upper)]
+    else:  # a walk with steps -1, 0, +1, as the real kappa columns move
+        kap = list(accumulate([0] + [rng.choice((-1, 0, 1)) for _ in range(upper)]))
+    return KappaTable(3, upper, kap, list(accumulate(kap, min)))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_exchange_grid_loop_matches_cell_by_cell_definition(seed):
     # The real tables satisfy the inequality everywhere, so the shared grid
     # loop is also run on made-up tables that violate it in many cells.
     rng = random.Random(seed)
     upper = rng.randint(1, 15)
-    kap = [0] + [rng.randint(-5, 5) for _ in range(upper)]
-    table = KappaTable(3, upper, kap, list(accumulate(kap, min)))
+    table = made_up_table(rng, upper, "uniform")
     grid = range(upper + 1)
-    want = []
-    for k in grid:
-        lhs = kap[upper] + table.kappa_star[k]
-        for a in grid:
-            rhs = kap[a] + table.star_clamped(k + upper - a)
-            if lhs > rhs:
-                want.append((a, k, lhs, rhs))
+    want = cell_by_cell(table)
     assert want
     assert list(_exchange_violations(table, grid, grid)) == want
     a, k = rng.choice(grid), rng.choice(grid)
@@ -162,6 +239,72 @@ def test_exchange_grid_loop_matches_cell_by_cell_definition(seed):
         [cell for cell in want if cell[0] == a]
     assert list(_exchange_violations(table, grid, (k,))) == \
         [cell for cell in want if cell[1] == k]
+
+
+@pytest.mark.parametrize("shape", ["uniform", "walk"])
+def test_full_grid_path_matches_cell_by_cell_definition(shape):
+    rng = random.Random(2024)
+    violating = 0
+    for _ in range(400):
+        table = made_up_table(rng, rng.randint(0, 30), shape)
+        want = cell_by_cell(table)
+        assert list(_full_grid_violations(table)) == want
+        violating += bool(want)
+    assert violating >= 100
+
+
+def test_full_grid_path_needs_only_a_nonincreasing_star():
+    # kappa* here is no running minimum of the kappa column
+    rng = random.Random(7)
+    for _ in range(300):
+        upper = rng.randint(0, 25)
+        kap = [rng.randint(-5, 5) for _ in range(upper + 1)]
+        star = sorted((rng.randint(-6, 3) for _ in range(upper + 1)), reverse=True)
+        table = KappaTable(3, upper, kap, star)
+        assert list(_full_grid_violations(table)) == cell_by_cell(table)
+
+
+def test_violating_steps_rejects_a_star_that_rises():
+    table = KappaTable(3, 3, [0, -1, 0, -2], [0, -1, 0, -2])
+    with pytest.raises(RuntimeError, match="nonincreasing"):
+        list(_violating_steps(table))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_reduced_grid_matches_full_grid_on_real_tables(n):
+    r = (n + 1) // 2
+    big_m = binom(n, r)
+    grid = range(big_m + 1)
+    full = list(_exchange_violations(KappaTable.build(r, big_m), grid, grid))
+    rep = verify_prop24(n)
+    assert rep.violations == [{"n": n, "a": a, "k": k, "lhs": lhs, "rhs": rhs}
+                              for a, k, lhs, rhs in full]
+    assert rep.checks_run == (big_m + 1) ** 2
+    if n % 2 == 0:
+        assert check_conjecture51(n) == [(a, k) for a, k, _, _ in full]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_sweeps_report_every_violation_of_a_made_up_table(monkeypatch, seed):
+    rng = random.Random(seed)
+    n, big_m = 6, binom(6, 3)
+    table = made_up_table(rng, big_m, "walk")
+    monkeypatch.setattr(KappaTable, "build", classmethod(lambda cls, r, upper: table))
+    want = cell_by_cell(table)
+    assert want
+    assert check_conjecture51(n) == [(a, k) for a, k, _, _ in want]
+    assert verify_prop24(n).violations == \
+        [{"n": n, "a": a, "k": k, "lhs": lhs, "rhs": rhs} for a, k, lhs, rhs in want]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_kappa_star_has_catalan_many_steps(n):
+    # the O(S^2) bound of the reduced grid: S = Catalan(n/2) + 1 for even n,
+    # and kappa* = 0 on the whole odd-n grid
+    r = (n + 1) // 2
+    star = KappaTable.build(r, binom(n, r)).kappa_star
+    steps = 1 + sum(a != b for a, b in zip(star, star[1:]))
+    assert steps == (binom(n, r) // (r + 1) + 1 if n % 2 == 0 else 1)
 
 
 def test_minimum_location_sweep():

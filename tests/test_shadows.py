@@ -26,6 +26,7 @@ from kktools import (
     verify_kkt,
     verify_lieby_duality,
 )
+from kktools import shadows as shadows_module
 
 
 def test_shadow_of_triangle():
@@ -170,6 +171,43 @@ def test_kk_shadow_min_examples():
 def test_kkt_sweep_passes():
     rep = verify_kkt(n_max=8, samples=120, seed=7)
     assert rep.passed
+
+
+@pytest.mark.parametrize("kwargs, name", [({"n_max": 0}, "n_max"),
+                                          ({"samples": -1}, "samples"),
+                                          ({"sample_n_max": 1}, "sample_n_max")])
+def test_kkt_sweep_rejects_bad_arguments(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        verify_kkt(**kwargs)
+
+
+def test_kkt_sweep_builds_each_sampled_level_once(monkeypatch):
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return level_masks(n, k)
+
+    monkeypatch.setattr(shadows_module, "level_masks", counting)
+    rep = verify_kkt(n_max=1, samples=200, seed=3, sample_n_max=4)
+    assert rep.passed
+    assert len(calls) == len(set(calls)) <= 1 + 2 + 3 + 4
+    # no sample: only the tightness cells m = 0, 1 of the one level {1}
+    assert verify_kkt(n_max=1, samples=0).checks_run == 2
+
+
+def test_kkt_lower_bound_reports_the_sampled_families(monkeypatch):
+    # an empty shadow kernel fails every nonempty sample; each reported
+    # family must still be m distinct k-subsets of {1..n}
+    monkeypatch.setattr(_pure, "shadow_masks", lambda masks: [])
+    rep = verify_kkt(n_max=1, samples=60, seed=5, sample_n_max=6)
+    found = [v for v in rep.violations if v["part"] == "lower-bound"]
+    assert len(found) >= 30
+    for v in found:
+        fam = v["family"]
+        assert len(set(fam)) == len(fam) == v["m"] >= 1
+        assert all(0 < mask < 1 << v["n"] and mask.bit_count() == v["k"]
+                   for mask in fam)
 
 
 def test_kkt_randomized_families_respect_bound_direct():
