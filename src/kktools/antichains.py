@@ -19,7 +19,7 @@ from .binomials import binom
 from .kappa import KappaTable, kappa, kappa_star, negativity_threshold
 from .report import VerificationReport, timed
 from .shadows import shade, shadow
-from .squashed import SetFamily, Subset, format_subset, last_segment, level_masks
+from .squashed import SetFamily, Subset, format_subset, level_masks
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 
@@ -284,37 +284,43 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     """Every antichain of subsets of {1..n}, each as a tuple of masks in
     canonical (size, squashed) order; includes the empty family and {∅}.
 
-    Subsets are visited level by level; a chosen subset bans all its
-    comparables from the rest of the branch.  The total count is checked
-    against the known values (168 at n = 4, 7581 at n = 5).
+    Subsets are visited level by level, by a DFS over the bitset of the
+    subsets still allowed: each branch takes the lowest allowed subset and
+    clears its comparables from the rest of the branch.  The total count is
+    checked against the known values (168 at n = 4, 7581 at n = 5).
     """
     if not 1 <= n <= 5:
         raise ValueError(f"antichain enumeration is limited to 1 <= n <= 5, got {n}")
-    order = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
-    count = 1 << n
-    comparable = [0] * count
-    for i in range(count):
-        a = order[i]
-        for j in range(count):
-            b = order[j]
-            if i != j and (a & b == a or a & b == b):
-                comparable[i] |= 1 << j
+    order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    # comparable[i]: bit j set iff order[j] is a proper subset or superset
+    comparable = [sum(1 << j for j, b in enumerate(order)
+                      if a != b and a & b in (a, b)) for a in order]
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
 
-    def visit(start: int, banned: int) -> None:
-        out.append(tuple(order[i] for i in chosen))
-        for i in range(start, count):
-            if not (banned >> i) & 1:
-                chosen.append(i)
-                visit(i + 1, banned | comparable[i])
-                chosen.pop()
+    def visit(prefix: tuple[int, ...], allowed: int) -> None:
+        out.append(prefix)
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            visit(prefix + (order[i],), allowed & ~comparable[i])
 
-    visit(0, 0)
+    visit((), (1 << len(order)) - 1)
     if len(out) != DEDEKIND_COUNTS[n]:
         raise RuntimeError(f"enumerated {len(out)} antichains at n={n}, "
                            f"expected {DEDEKIND_COUNTS[n]}")
     return tuple(out)
+
+
+def _brute_force_masks(n: int, k: int, exact: bool = False,
+                       require_side: bool = False):
+    """brute_force_max on masks: (max_total, [(masks_a, masks_b), ...]),
+    each family the tuple enumerate_antichains gives, in canonical order."""
+    if k < 0:
+        raise ValueError(f"brute_force_max: need k >= 0, got {k}")
+    families = enumerate_antichains(n)
+    best, hits = _pure.scan_pairs(families, k, exact, require_side)
+    return best, [(families[i], families[j]) for i, j in hits]
 
 
 def brute_force_max(n: int, k: int, exact: bool = False,
@@ -327,13 +333,9 @@ def brute_force_max(n: int, k: int, exact: bool = False,
     Returns (max_total, witnesses) with every maximizing pair as
     (SetFamily, SetFamily); (-1, []) if no pair qualifies.
     """
-    if k < 0:
-        raise ValueError(f"brute_force_max: need k >= 0, got {k}")
-    families = list(enumerate_antichains(n))
-    best, hits = _pure.scan_pairs(families, k, exact, require_side)
-    witnesses = [(SetFamily.from_masks(families[i], n),
-                  SetFamily.from_masks(families[j], n)) for i, j in hits]
-    return best, witnesses
+    best, hits = _brute_force_masks(n, k, exact, require_side)
+    return best, [(SetFamily.from_masks(a, n), SetFamily.from_masks(b, n))
+                  for a, b in hits]
 
 
 def _witness_json(a: SetFamily, b: SetFamily) -> dict:
@@ -365,8 +367,8 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     ks = [k] if k is not None else list(range(binom(n, n // 2) + 1))
     for kk in ks:
         bound = theorem25_bound(n, kk)
-        best, wits = brute_force_max(n, kk, exact)
-        best_side, _ = brute_force_max(n, kk, exact, require_side=True)
+        best, wits = _brute_force_masks(n, kk, exact)
+        best_side, _ = _brute_force_masks(n, kk, exact, require_side=True)
         rep.checks_run += 1
         if exact:
             failed = best > bound
@@ -379,7 +381,9 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
             "k": kk, "bound": bound, "max_total": best,
             "max_total_side_condition": best_side,
             "maximizer_count": len(wits),
-            "maximizers": [_witness_json(a, b) for a, b in wits[:8]],
+            "maximizers": [_witness_json(SetFamily.from_masks(a, n),
+                                         SetFamily.from_masks(b, n))
+                           for a, b in wits[:8]],
         })
     return rep
 
@@ -390,32 +394,44 @@ def verify_thm26_structure(n: int = 4,
     """Structure of every brute-force maximizer: both families live in the
     two middle levels; the upper part is exactly the upper level minus the
     shade of the half-size part; and that shade is as small as the last
-    segment's of the same length."""
+    segment's of the same length.
+
+    The checks run on masks; a family is rendered only when it is reported.
+    """
     if n % 2 != 0 or not 4 <= n <= 5:
         raise ValueError("structure checks need even n with enumeration, "
                          f"got n={n}")
-    rep = VerificationReport("thm26", {"n": n, "k": k})
     r = n // 2
+    half_level = level_masks(n, r)
+    if k is not None and not 0 <= k <= len(half_level):
+        raise ValueError(f"verify_thm26_structure: need 0 <= k <= "
+                         f"{len(half_level)}, got {k}")
+    rep = VerificationReport("thm26", {"n": n, "k": k})
     upper_level = set(level_masks(n, r + 1))
-    ks = [k] if k is not None else list(range(binom(n, n // 2) + 1))
+    ks = [k] if k is not None else list(range(len(half_level) + 1))
     for kk in ks:
-        _, wits = brute_force_max(n, kk)
-        for a_fam, b_fam in wits:
-            for side, fam in (("A", a_fam), ("B", b_fam)):
+        _, wits = _brute_force_masks(n, kk)
+        for masks_a, masks_b in wits:
+            for side, masks in (("A", masks_a), ("B", masks_b)):
                 rep.checks_run += 1
-                record = {"k": kk, "side": side,
-                          "family": [format_subset(s) for s in fam]}
-                if not fam.sizes() <= {r, r + 1}:
-                    rep.violations.append({**record, "part": "levels"})
-                    continue
-                half = [s.mask for s in fam if s.size == r]
-                rest = {s.mask for s in fam if s.size == r + 1}
-                shade_of_half = set(_pure.shade_masks(half, n))
-                if rest != upper_level - shade_of_half:
-                    rep.violations.append({**record, "part": "upper-complement"})
-                segment = last_segment(n, r, len(half)).masks()
-                if len(shade_of_half) != len(set(_pure.shade_masks(segment, n))):
-                    rep.violations.append({**record, "part": "minimal-shade"})
+                half = [m for m in masks if m.bit_count() == r]
+                rest = {m for m in masks if m.bit_count() == r + 1}
+                parts = []
+                if len(half) + len(rest) != len(masks):
+                    parts = ["levels"]
+                else:
+                    shade_of_half = set(_pure.shade_masks(half, n))
+                    if rest != upper_level - shade_of_half:
+                        parts.append("upper-complement")
+                    segment = half_level[len(half_level) - len(half):]
+                    if len(shade_of_half) != len(_pure.shade_masks(segment, n)):
+                        parts.append("minimal-shade")
+                if parts:
+                    family = [format_subset(Subset.from_mask(m, n))
+                              for m in masks]
+                    rep.violations += [{"k": kk, "side": side,
+                                        "family": family, "part": part}
+                                       for part in parts]
     return rep
 
 
@@ -427,7 +443,9 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
 
     The sweep checks the masks construct_extremal wraps, with one KappaTable
     for all k, and takes the bound's kappa* as the running minimum of the
-    cascade formula, a route independent of the table.
+    cascade formula, a route independent of the table.  A is the full
+    half level for every k, so the A members disjoint from each B member are
+    found once and reused while A stays the same.
     """
     if n < 4 or n % 2 != 0:
         raise ValueError(f"need even n >= 4, got {n}")
@@ -437,20 +455,29 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
     middle = half + binom(n, r + 1)
     table = KappaTable.build(r, half)
     star = 0
+    seen_a = None
+    partners: dict[int, tuple[int, ...]] = {}  # B member -> its disjoint A members
     for k in range(half + 1):
         star = min(star, kappa(r, k))
         a_masks, b_masks, case, m = _extremal_masks(n, k, table)
-        pairs = [(x, y) for x in a_masks for y in b_masks if not x & y]
+        if a_masks != seen_a:
+            seen_a, partners = a_masks, {}
+        for y in b_masks:
+            if y not in partners:
+                partners[y] = tuple(x for x in a_masks if not x & y)
+        pair_count = sum(len(partners[y]) for y in b_masks)
+        paired_a = {x for y in b_masks for x in partners[y]}
+        paired_b = {y for y in b_masks if partners[y]}
         rep.checks_run += 1
         problems = []
         if not _is_antichain_masks(a_masks):
             problems.append("family_a not an antichain")
         if not _is_antichain_masks(b_masks):
             problems.append("family_b not an antichain")
-        if not len({x for x, _ in pairs}) == len(pairs) == len({y for _, y in pairs}):
+        if not len(paired_a) == pair_count == len(paired_b):
             problems.append("disjoint pairs not a matching")
-        if len(pairs) > k:
-            problems.append(f"{len(pairs)} pairs exceeds k")
+        if pair_count > k:
+            problems.append(f"{pair_count} pairs exceeds k")
         total = len(a_masks) + len(b_masks)
         if total != middle - star:
             problems.append(f"total {total} misses the bound")

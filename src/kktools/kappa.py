@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _pure
 from .binomials import binom
 from .report import VerificationReport, timed
 from .shadows import kk_shadow_min
@@ -42,9 +41,11 @@ class KappaTable:
 
     Built by walking the level in squashed order with Gosper's next-colex
     step: appending the rank-m set grows the segment's shadow by exactly that
-    set's new-shadow size, which the kernel derives from the set itself, so
-    the kappa column comes from an explicit incremental construction and
-    stays an independent route against the cascade formula.
+    set's new-shadow size, the length of its initial run 1, 2, ... (the
+    trailing ones of its mask, the closed form of
+    _pure.new_shadow_masks).  That size is read off the set itself, so the
+    kappa column comes from an explicit incremental construction and stays
+    an independent route against the cascade formula.
     """
 
     level_r: int
@@ -62,9 +63,8 @@ class KappaTable:
         shadow_size = 0
         running_min = 0
         for m, mask in zip(range(1, upper_m + 1), _squashed_walk((1 << r) - 1)):
-            # the rank-(m-1) set; its largest element is the least ground set
-            n = mask.bit_length()
-            shadow_size += len(_pure.new_shadow_masks([mask], n))
+            # the rank-(m-1) set owns one deletion per trailing one of its mask
+            shadow_size += ((mask ^ (mask + 1)) >> 1).bit_length()
             value = shadow_size - m
             kappa_col.append(value)
             running_min = min(running_min, value)
@@ -319,6 +319,8 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
 @timed
 def verify_conjecture51(n: int) -> VerificationReport:
     """Report wrapper around check_conjecture51 over the full grid."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"verify_conjecture51: need even n >= 2, got {n}")
     r = n // 2
     big_m = binom(n, r)
     rep = VerificationReport("conjecture51", {"n": n, "r": r, "M": big_m})

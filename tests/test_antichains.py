@@ -191,6 +191,45 @@ def test_construct_extremal_validates_everywhere_small():
     assert rep.passed, rep.violations[:3]
 
 
+def oracle_enumerate_antichains(n):
+    """Recursive DFS over subset indices with a banned bitset: every
+    antichain of subsets of {1..n} as a tuple of masks, in the library's
+    enumeration order."""
+    order = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+    count = 1 << n
+    comparable = [0] * count
+    for i in range(count):
+        a = order[i]
+        for j in range(count):
+            b = order[j]
+            if i != j and (a & b == a or a & b == b):
+                comparable[i] |= 1 << j
+    out = []
+    chosen = []
+
+    def visit(start, banned):
+        out.append(tuple(order[i] for i in chosen))
+        for i in range(start, count):
+            if not (banned >> i) & 1:
+                chosen.append(i)
+                visit(i + 1, banned | comparable[i])
+                chosen.pop()
+
+    visit(0, 0)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumeration_matches_recursive_oracle(n):
+    assert enumerate_antichains(n) == oracle_enumerate_antichains(n)
+
+
+def test_enumeration_rejects_n_outside_one_to_five():
+    for n in (0, 6):
+        with pytest.raises(ValueError):
+            enumerate_antichains(n)
+
+
 def test_enumerate_antichain_counts():
     for n, count in DEDEKIND.items():
         assert len(enumerate_antichains(n)) == count
@@ -231,6 +270,124 @@ def test_brute_force_bound_agreement():
 def test_structure_of_maximizers():
     rep = verify_thm26_structure(4)
     assert rep.passed, rep.violations[:3]
+
+
+def test_structure_sweep_rejects_k_outside_the_half_level():
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match="0 <= k <= 6"):
+            verify_thm26_structure(4, k)
+    assert verify_thm26_structure(4, 6).passed
+
+
+def canonical(masks):
+    return tuple(sorted(set(masks), key=lambda m: (m.bit_count(), m)))
+
+
+def oracle_thm25_report(n, exact=False):
+    """verify_thm25_brute's checks on the public SetFamily witnesses:
+    (checks_run, violations, witnesses)."""
+    checks, violations, witnesses = 0, [], []
+    for k in range(binom(n, n // 2) + 1):
+        bound = theorem25_bound(n, k)
+        best, wits = brute_force_max(n, k, exact)
+        best_side, _ = brute_force_max(n, k, exact, require_side=True)
+        checks += 1
+        failed = best > bound if exact else best != bound or best_side > bound
+        if failed:
+            violations.append({"k": k, "bound": bound, "max_total": best,
+                               "max_total_side_condition": best_side})
+        witnesses.append({
+            "k": k, "bound": bound, "max_total": best,
+            "max_total_side_condition": best_side,
+            "maximizer_count": len(wits),
+            "maximizers": [antichains._witness_json(a, b) for a, b in wits[:8]],
+        })
+    return checks, violations, witnesses
+
+
+def oracle_thm26_report(n):
+    """verify_thm26_structure's checks on the public SetFamily witnesses:
+    (checks_run, violations)."""
+    r = n // 2
+    upper_level = set(level_masks(n, r + 1))
+    checks, violations = 0, []
+    for k in range(binom(n, r) + 1):
+        for a_fam, b_fam in brute_force_max(n, k)[1]:
+            for side, fam in (("A", a_fam), ("B", b_fam)):
+                checks += 1
+                record = {"k": k, "side": side,
+                          "family": [format_subset(s) for s in fam]}
+                if not fam.sizes() <= {r, r + 1}:
+                    violations.append({**record, "part": "levels"})
+                    continue
+                half = [s.mask for s in fam if s.size == r]
+                rest = {s.mask for s in fam if s.size == r + 1}
+                shade_of_half = set(_pure.shade_masks(half, n))
+                if rest != upper_level - shade_of_half:
+                    violations.append({**record, "part": "upper-complement"})
+                segment = last_segment(n, r, len(half)).masks()
+                if len(shade_of_half) != len(set(_pure.shade_masks(segment, n))):
+                    violations.append({**record, "part": "minimal-shade"})
+    return checks, violations
+
+
+def faulty_witness(fault, n, a, b):
+    """One maximizer made wrong: a set off the middle levels added to A, an
+    upper member dropped from B, or B's half part moved off the last
+    segment with the upper part kept as the upper level minus its shade."""
+    r = n // 2
+    if fault == "non-middle witness":
+        return canonical(a + (1,)), b
+    if fault == "wrong upper part":
+        upper = [m for m in b if m.bit_count() == r + 1]
+        return a, canonical([m for m in b if m != upper[-1]]) if upper else b
+    half = [m for m in b if m.bit_count() == r]
+    if not half:
+        return a, b
+    moved = level_masks(n, r)[:len(half)]
+    shaded = set(_pure.shade_masks(moved, n))
+    return a, canonical(moved + [m for m in level_masks(n, r + 1)
+                                 if m not in shaded])
+
+
+@pytest.mark.parametrize("fault", ["non-middle witness", "wrong upper part",
+                                   "half part off the segment"])
+def test_brute_force_sweeps_and_oracles_agree_on_faulty_witnesses(
+        monkeypatch, fault):
+    real = antichains._brute_force_masks
+
+    def faulty(n, k, exact=False, require_side=False):
+        best, wits = real(n, k, exact, require_side)
+        return best, [faulty_witness(fault, n, a, b) for a, b in wits]
+
+    monkeypatch.setattr(antichains, "_brute_force_masks", faulty)
+    rep = verify_thm26_structure(4)
+    checks, violations = oracle_thm26_report(4)
+    assert violations
+    assert {v["part"] for v in violations} >= {
+        "non-middle witness": {"levels"},
+        "wrong upper part": {"upper-complement"},
+        "half part off the segment": {"minimal-shade"}}[fault]
+    assert (rep.checks_run, rep.violations) == (checks, violations)
+    for exact in (False, True):
+        rep = verify_thm25_brute(4, exact=exact)
+        assert (rep.checks_run, rep.violations, rep.witnesses) == \
+            oracle_thm25_report(4, exact)
+
+
+def test_brute_force_sweeps_and_oracles_agree_on_a_wrong_maximum(monkeypatch):
+    real = antichains._brute_force_masks
+
+    def faulty(n, k, exact=False, require_side=False):
+        best, wits = real(n, k, exact, require_side)
+        return (best + 1 if k == 3 and not require_side else best), wits
+
+    monkeypatch.setattr(antichains, "_brute_force_masks", faulty)
+    for exact in (False, True):
+        rep = verify_thm25_brute(4, exact=exact)
+        want = oracle_thm25_report(4, exact)
+        assert [v["k"] for v in want[1]] == [3]
+        assert (rep.checks_run, rep.violations, rep.witnesses) == want
 
 
 def test_sperner_maximum():
@@ -303,7 +460,7 @@ def test_extremal_sweep_matches_per_k_oracle(n):
 
 
 @pytest.mark.parametrize("fault", ["m + 1", "shade kept", "empty set added",
-                                   "top set dropped"])
+                                   "top set dropped", "A changes with k"])
 def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
     real = antichains._extremal_masks
 
@@ -321,6 +478,12 @@ def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
             b_masks = [0] + b_masks
         elif fault == "top set dropped":
             b_masks = b_masks[:-1]
+        elif fault == "A changes with k" and case == "ii" and k % 2:
+            # a second A set disjoint from the last half-size B set breaks
+            # the matching at odd k only: the sweep must not reuse the
+            # partners it found for another A
+            spare = (1 << n) - 1 - b_masks[m - 1]
+            a_masks = a_masks + [spare & (spare - 1)]
         return a_masks, b_masks, case, m
 
     monkeypatch.setattr(antichains, "_extremal_masks", faulty)

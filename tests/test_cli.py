@@ -186,6 +186,28 @@ def test_verify_all_json_matches_golden_file(capsys):
     assert json.dumps(payload, indent=2) + "\n" == golden.read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("thm25-brute", "--n", "4"), "verify_thm25_brute_n4.json"),
+    (("thm25-brute", "--n", "4", "--exact"), "verify_thm25_brute_n4_exact.json"),
+    (("thm26", "--n", "4"), "verify_thm26_n4.json"),
+])
+def test_brute_force_reports_match_golden_files(capsys, argv, golden):
+    # recorded from the SetFamily-based sweeps, elapsed_ms removed: the
+    # mask-level sweeps must render the same witnesses byte for byte
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("elapsed_ms")
+    path = Path(__file__).parent / "data" / golden
+    assert json.dumps(payload, indent=2) + "\n" == path.read_text()
+
+
+def test_structure_sweep_rejects_k_past_the_half_level(capsys):
+    code, out, err = run_cli(capsys, "verify", "thm26", "--n", "4", "--k", "99")
+    assert code == 2
+    assert out == "" and "0 <= k <= 6" in err
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["--help"])

@@ -332,3 +332,9 @@ def test_conjecture_checker_wants_even_n():
         check_conjecture51(5)
     with pytest.raises(ValueError):
         check_conjecture51(0)
+
+
+@pytest.mark.parametrize("n", [-2, 0, 5])
+def test_exchange_grid_report_names_itself_on_bad_n(n):
+    with pytest.raises(ValueError, match="verify_conjecture51: need even n >= 2"):
+        verify_conjecture51(n)

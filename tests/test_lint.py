@@ -17,3 +17,33 @@ def test_library_has_no_bare_asserts():
                   if isinstance(node, ast.Assert)]
     assert found == []
 
+
+
+def _names_a_cache(node) -> bool:
+    """True for `cache`, `lru_cache`, `functools.cache`, ... and calls of them."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_enumeration_holds_the_only_cross_call_cache():
+    # the benchmark clears the enumerate_antichains cache before each
+    # repetition, as a CLI process starts cold; any other cache that
+    # outlives a call would make repetitions warm.  Caches built inside a
+    # function (one per call) are fine.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for scope in scopes:
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if any(_names_a_cache(d) for d in node.decorator_list):
+                        found.append(f"{path.name}:{node.name}")
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                        node.value is not None and \
+                        any(isinstance(sub, ast.Call) and _names_a_cache(sub)
+                            for sub in ast.walk(node.value)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == ["antichains.py:enumerate_antichains"]

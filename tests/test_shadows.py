@@ -196,6 +196,50 @@ def test_kkt_sweep_builds_each_sampled_level_once(monkeypatch):
     assert verify_kkt(n_max=1, samples=0).checks_run == 2
 
 
+def test_kkt_sweep_takes_one_cascade_per_cell(monkeypatch):
+    calls = []
+
+    def counting(m, k):
+        calls.append((m, k))
+        return kk_shadow_min(m, k)
+
+    monkeypatch.setattr(shadows_module, "kk_shadow_min", counting)
+    rep = verify_kkt(n_max=9, samples=300, seed=11)
+    assert rep.passed
+    # the tightness cells (m, k) with m <= C(9, k) are every distinct cell
+    # the samples can draw
+    assert len(calls) == len(set(calls)) == sum(binom(9, k) + 1
+                                               for k in range(1, 10))
+
+
+def test_kkt_reports_a_wrong_formula_at_every_cell_that_uses_it(monkeypatch):
+    # the formula is off at one (m, k) = (3, 2); every level with three
+    # 2-sets has a tightness cell there, and every sample drawn there with
+    # shadow 3 (a triangle) is a lower-bound violation
+    def off_by_one(m, k):
+        return kk_shadow_min(m, k) + ((m, k) == (3, 2))
+
+    monkeypatch.setattr(shadows_module, "kk_shadow_min", off_by_one)
+    rep = verify_kkt(n_max=7, samples=400, seed=13, sample_n_max=5)
+    tight = [v for v in rep.violations if v["part"] == "tightness"]
+    assert tight == [{"part": "tightness", "n": n, "k": 2, "m": 3,
+                      "shadow": 3, "formula": 4} for n in range(3, 8)]
+    lower = [v for v in rep.violations if v["part"] == "lower-bound"]
+    rng = random.Random(13)
+    want = []
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        k = rng.randint(1, n)
+        level = level_masks(n, k)
+        m = rng.randint(0, len(level))
+        fam = rng.sample(level, m)
+        if (m, k) == (3, 2) and len(_pure.shadow_masks(fam)) == 3:
+            want.append({"part": "lower-bound", "n": n, "k": 2, "m": 3,
+                         "shadow": 3, "formula": 4, "family": sorted(fam)})
+    assert want
+    assert lower == want
+
+
 def test_kkt_lower_bound_reports_the_sampled_families(monkeypatch):
     # an empty shadow kernel fails every nonempty sample; each reported
     # family must still be m distinct k-subsets of {1..n}
