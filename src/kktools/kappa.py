@@ -9,11 +9,12 @@ Both take and return exact integers only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import eq, lt, ne
 
 from .binomials import binom
 from .report import VerificationReport, timed
 from .shadows import kk_shadow_min
-from .squashed import _squashed_walk
 
 
 def kappa(r: int, m: int) -> int:
@@ -35,17 +36,101 @@ def negativity_threshold(r: int) -> int:
     return 1 + sum(binom(2 * i - 1, i) for i in range(1, r + 1))
 
 
+def _level_blocks(j: int, count: int) -> list[tuple[int, int]]:
+    """(a, size) for the blocks that hold ranks 1..count-1 of level j in
+    squashed order.  After the rank-0 set [j], block a = j+1, j+2, ... holds
+    the first C(a-1, j-1) sets of level j-1, each with a added; the last
+    block is cut at count."""
+    blocks = []
+    total, size, a = 1, j, j + 1
+    while total < count:
+        take = min(size, count - total)
+        blocks.append((a, take))
+        total += take
+        size = size * a // (a - j + 1)  # C(a, j-1) from C(a-1, j-1)
+        a += 1
+    return blocks
+
+
+def _block_plan(r: int, count: int, reads):
+    """The levels r, r-1, ... that the first `count` ranks of level r are
+    built from, top down: (j, blocks) per level, then the level where the
+    recursion is seeded and the prefix length read there.  Block a of level
+    j reads level j-1 only when reads(j, a); the recursion stops at level 1
+    or at the first prefix of at most j+1 ranks."""
+    plan = []
+    j = r
+    while j > 1 and count > j + 1:
+        blocks = _level_blocks(j, count)
+        plan.append((j, blocks))
+        count = max((size for a, size in blocks if reads(j, a)), default=0)
+        j -= 1
+    return plan, j, count
+
+
+def _run_column(r: int, count: int) -> list[int]:
+    """Initial-run length minus one of each of the first `count` r-sets in
+    squashed order: that set's new-shadow size minus one.  Adding a > r
+    leaves a set's initial run unchanged, so level r is [r-1] followed by
+    prefixes of level r-1."""
+    plan, j, count = _block_plan(r, count, lambda j, a: True)
+    # The rank-m set of level j is [j+1] minus {j+1-m} for m <= j, with run
+    # j-m; level 1 continues {3}, {4}, ... with run 0.
+    col = list(range(j - 1, max(j - 1 - count, -2), -1))
+    col += [-1] * (count - len(col))
+    for j, blocks in reversed(plan):
+        sizes = [size for _, size in blocks]
+        # one block reads all of col: keep col as that block and move the
+        # others in around it, so the longest block is never copied
+        whole = sizes.index(len(col))
+        head = [j - 1]
+        for size in sizes[:whole]:
+            head += col[:size]
+        tail = []
+        for size in sizes[whole + 1:]:
+            tail += col[:size]
+        col[:0] = head
+        col += tail
+    return col
+
+
+def _condition_column(r: int, count: int) -> list[bool]:
+    """Thm 2.3's condition (every cascade coefficient a_i >= 2i - 1) for
+    ranks 0..count-1 of level r.
+
+    The cascade terms of the rank-m set are C(e_i - 1, i) for the elements
+    e_i past its initial run, so the condition says e_i >= 2i for each.  For
+    a set S + {a} of block a the largest element is e_r = a, and S keeps its
+    run and its other e_i: the block is S's condition prefix when a >= 2r
+    and all False otherwise.  [r] has no terms past its run.
+    """
+    plan, j, count = _block_plan(r, count, lambda j, a: a >= 2 * j)
+    # Level 1 is {1}, {2}, ..., all True; past rank 0, the ranks m <= j of a
+    # level j >= 2 put j+1 at index j.
+    if j == 1:
+        col = [True] * count
+    else:
+        col = [True] * min(count, 1) + [False] * (count - 1)
+    for j, blocks in reversed(plan):
+        out = [True]
+        for a, size in blocks:
+            out += col[:size] if a >= 2 * j else [False] * size
+        col = out
+    return col
+
+
 @dataclass
 class KappaTable:
     """kappa and kappa_star tabulated on 0..upper_m at one level r.
 
-    Built by walking the level in squashed order with Gosper's next-colex
-    step: appending the rank-m set grows the segment's shadow by exactly that
-    set's new-shadow size, the length of its initial run 1, 2, ... (the
-    trailing ones of its mask, the closed form of
-    _pure.new_shadow_masks).  That size is read off the set itself, so the
-    kappa column comes from an explicit incremental construction and stays
-    an independent route against the cascade formula.
+    Appending the rank-m set to a segment of the squashed order grows the
+    segment's shadow by that set's new-shadow size, the length of its
+    initial run 1, 2, ... (the closed form of _pure.new_shadow_masks).  So
+    the kappa column is the running sum of run length minus one over the
+    level, and that column follows the level's block recursion
+    (_run_column): list slices and one accumulate, no walk over the sets.
+    It stays an independent route against the cascade formula, and kappa_star
+    is its running minimum.
     """
 
     level_r: int
@@ -58,17 +143,10 @@ class KappaTable:
         if r < 1 or upper_m < 0:
             raise ValueError(f"KappaTable: need r >= 1 and upper_m >= 0, "
                              f"got r={r}, upper_m={upper_m}")
-        kappa_col = [0]
-        star_col = [0]
-        shadow_size = 0
-        running_min = 0
-        for m, mask in zip(range(1, upper_m + 1), _squashed_walk((1 << r) - 1)):
-            # the rank-(m-1) set owns one deletion per trailing one of its mask
-            shadow_size += ((mask ^ (mask + 1)) >> 1).bit_length()
-            value = shadow_size - m
-            kappa_col.append(value)
-            running_min = min(running_min, value)
-            star_col.append(running_min)
+        kappa_col = list(accumulate(_run_column(r, upper_m), initial=0))
+        low = 0
+        # a compare, not min(): the builtin call costs several times more
+        star_col = [(low := value) if value < low else low for value in kappa_col]
         return cls(r, upper_m, kappa_col, star_col)
 
     def star_clamped(self, m: int) -> int:
@@ -112,24 +190,6 @@ def verify_prop22(r: int, m_max: int) -> VerificationReport:
     return rep
 
 
-def _coefficients_large(mask: int) -> bool:
-    """Thm 2.3's condition on the cascade of m, read off the rank-m r-set.
-
-    The cascade terms are C(e_i - 1, i) for the elements e_i that lie past
-    the set's initial run 1..t-1, so every a_i >= 2i - 1 exactly when every
-    such e_i >= 2i.
-    """
-    i = (mask & ~(mask + 1)).bit_length()  # length of the initial run
-    rest = mask & (mask + 1)
-    while rest:
-        i += 1
-        low = rest & -rest
-        if low.bit_length() < 2 * i:
-            return False
-        rest ^= low
-    return True
-
-
 @timed
 def verify_thm23(r: int, m_max: int) -> VerificationReport:
     """kappa_r(m) = kappa*_r(m) exactly when every cascade coefficient
@@ -138,14 +198,13 @@ def verify_thm23(r: int, m_max: int) -> VerificationReport:
         raise ValueError(f"verify_thm23: need r >= 1, m_max >= 0, got {r}, {m_max}")
     rep = VerificationReport("thm23", {"r": r, "m_max": m_max})
     table = KappaTable.build(r, m_max)
-    for m, mask in zip(range(m_max + 1), _squashed_walk((1 << r) - 1)):
-        cond = _coefficients_large(mask)
-        eq = table.kappa[m] == table.kappa_star[m]
-        rep.checks_run += 1
-        if cond != eq:
-            rep.violations.append({"r": r, "m": m, "kappa": table.kappa[m],
-                                   "kappa_star": table.kappa_star[m],
-                                   "coefficients_large": cond})
+    cond = _condition_column(r, m_max + 1)
+    at_minimum = map(eq, table.kappa, table.kappa_star)
+    for m in compress(range(m_max + 1), map(ne, cond, at_minimum)):
+        rep.violations.append({"r": r, "m": m, "kappa": table.kappa[m],
+                               "kappa_star": table.kappa_star[m],
+                               "coefficients_large": cond[m]})
+    rep.checks_run = m_max + 1
     return rep
 
 
@@ -174,7 +233,7 @@ def _range_min_table(col: list[int]) -> list[list[int]]:
     width = 1
     while 2 * width <= len(col):
         prev = levels[-1]
-        levels.append(list(map(min, prev, prev[width:])))
+        levels.append([x if x < y else y for x, y in zip(prev, prev[width:])])
         width *= 2
     return levels
 
@@ -195,20 +254,22 @@ def _violating_steps(table: KappaTable):
     """
     big_m = table.upper_m
     star = table.kappa_star
-    if any(later > earlier for earlier, later in zip(star, star[1:])):
+    later = star[1:]
+    if any(map(lt, star, later)):
         raise RuntimeError("exchange grid: kappa_star is not nonincreasing")
-    ends = [m for m in range(big_m) if star[m + 1] != star[m]] + [big_m]
+    ends = list(compress(range(big_m), map(ne, star, later))) + [big_m]
     starts = [0] + [e + 1 for e in ends[:-1]]
     # j = M is the clamp, so each step's run of j stops at M - 1; a last
     # step [M, M] has no run
-    tops = [min(e, big_m - 1) for e in ends]
+    tops = ends[:-1] + [big_m - 1]
     runs = len(ends) if starts[-1] < big_m else len(ends) - 1
     sparse = _range_min_table(table.kappa)
 
     def range_min(lo, hi):
         level = (hi - lo + 1).bit_length() - 1
         row = sparse[level]
-        return min(row[lo], row[hi + 1 - (1 << level)])
+        x, y = row[lo], row[hi + 1 - (1 << level)]
+        return x if x < y else y
 
     lhs_base = table.kappa[big_m]
     for step, (s, e) in enumerate(zip(starts, ends)):

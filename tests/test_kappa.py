@@ -10,6 +10,7 @@ import kktools
 
 from kktools import (
     KappaTable,
+    VerificationReport,
     binom,
     cascade_rep,
     check_conjecture51,
@@ -26,7 +27,7 @@ from kktools import (
     verify_prop24,
     verify_thm23,
 )
-from kktools.kappa import (_coefficients_large, _exchange_violations,
+from kktools.kappa import (_condition_column, _exchange_violations,
                            _full_grid_violations, _violating_steps)
 from kktools.squashed import _squashed_walk
 
@@ -148,13 +149,71 @@ def oracle_thm23(table, r, m_max):
     return out
 
 
+def oracle_coefficients_large(mask):
+    """Thm 2.3's condition read off the rank-m r-set itself, the per-row
+    form verify_thm23 used before the block recursion: every element e_i
+    past the initial run has e_i >= 2i."""
+    i = (mask & ~(mask + 1)).bit_length()  # length of the initial run
+    rest = mask & (mask + 1)
+    while rest:
+        i += 1
+        low = rest & -rest
+        if low.bit_length() < 2 * i:
+            return False
+        rest ^= low
+    return True
+
+
+def oracle_walk_table(r, upper_m):
+    """The per-row build KappaTable used before the block recursion: walk
+    the level in squashed order and add each set's new-shadow size, the
+    trailing ones of its mask."""
+    kappa_col = [0]
+    star_col = [0]
+    shadow_size = 0
+    running_min = 0
+    for m, mask in zip(range(1, upper_m + 1), _squashed_walk((1 << r) - 1)):
+        shadow_size += ((mask ^ (mask + 1)) >> 1).bit_length()
+        value = shadow_size - m
+        kappa_col.append(value)
+        running_min = min(running_min, value)
+        star_col.append(running_min)
+    return kappa_col, star_col
+
+
+def oracle_condition_column(r, upper_m):
+    walk = islice(_squashed_walk((1 << r) - 1), upper_m + 1)
+    return [oracle_coefficients_large(mask) for mask in walk]
+
+
 @pytest.mark.parametrize("r", range(1, 9))
 def test_mask_condition_matches_cascade_condition(r):
     upper = binom(2 * r, r) + 50
     walk = islice(_squashed_walk((1 << r) - 1), upper + 1)
-    for m, mask in enumerate(walk):
-        want = all(a >= 2 * i - 1 for a, i in cascade_rep(m, r).terms)
-        assert _coefficients_large(mask) == want, (r, m, bin(mask))
+    want = [all(a >= 2 * i - 1 for a, i in cascade_rep(m, r).terms)
+            for m in range(upper + 1)]
+    assert [oracle_coefficients_large(mask) for mask in walk] == want
+    assert _condition_column(r, upper + 1) == want
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_block_build_matches_the_walk_build(r):
+    for upper in sorted({0, 1, r, r + 1, binom(2 * r, r) + 50}):
+        table = KappaTable.build(r, upper)
+        assert (table.kappa, table.kappa_star) == oracle_walk_table(r, upper), upper
+        assert len(table.kappa) == upper + 1
+        assert _condition_column(r, upper + 1) == \
+            oracle_condition_column(r, upper), upper
+
+
+@pytest.mark.parametrize("r, upper", [(10**5, 3), (2000, 2000), (3, 10**5),
+                                      (300, 45_000)])
+def test_block_build_matches_the_walk_build_at_extreme_shapes(r, upper):
+    # seeded at level r itself (ranks m <= r), many short blocks, and a
+    # chain of about 150 levels with two blocks each
+    table = KappaTable.build(r, upper)
+    assert (table.kappa, table.kappa_star) == oracle_walk_table(r, upper)
+    assert _condition_column(r, upper + 1) == oracle_condition_column(r, upper)
 
 
 @pytest.mark.parametrize("r, m, delta", [(3, 12, -1), (3, 10, 1), (4, 48, 2),
@@ -338,3 +397,79 @@ def test_conjecture_checker_wants_even_n():
 def test_exchange_grid_report_names_itself_on_bad_n(n):
     with pytest.raises(ValueError, match="verify_conjecture51: need even n >= 2"):
         verify_conjecture51(n)
+
+
+_TABLE = KappaTable.build(2, 6)
+# (call, arguments, value or ValueError): zero, negative and past-level-size
+# arguments across the public surface of kktools.kappa.  A report stands
+# for its `passed` flag and a table for its kappa_star column.
+EDGE_CASES = [
+    (kappa, (0, 0), ValueError),
+    (kappa, (-1, 2), ValueError),
+    (kappa, (2, -1), ValueError),
+    (kappa, (2, 0), 0),
+    (kappa, (2, binom(4, 2) + 1), -2),
+    (kappa, (1, 10**30), 1 - 10**30),
+    (kappa_star, (0, 3), ValueError),
+    (kappa_star, (-1, 2), ValueError),
+    (kappa_star, (2, -1), ValueError),
+    (kappa_star, (2, 0), 0),
+    (kappa_star, (2, binom(4, 2) + 1), -2),
+    (negativity_threshold, (0,), ValueError),
+    (negativity_threshold, (-1,), ValueError),
+    (negativity_threshold, (1,), 2),
+    (KappaTable.build, (0, 0), ValueError),
+    (KappaTable.build, (-1, 3), ValueError),
+    (KappaTable.build, (1, -1), ValueError),
+    (KappaTable.build, (2, 0), [0]),
+    (KappaTable.build, (2, binom(4, 2) + 1), [0, 0, 0, 0, 0, -1, -2, -2]),
+    (_TABLE.star_clamped, (-1,), ValueError),
+    (_TABLE.star_clamped, (0,), 0),
+    (_TABLE.star_clamped, (7,), -2),
+    (_TABLE.star_clamped, (10**20,), -2),
+    (verify_prop22, (0, 5), ValueError),
+    (verify_prop22, (-1, 5), ValueError),
+    (verify_prop22, (2, -1), ValueError),
+    (verify_prop22, (2, 0), True),
+    (verify_prop22, (2, 100), True),
+    (verify_thm23, (0, 5), ValueError),
+    (verify_thm23, (-1, 5), ValueError),
+    (verify_thm23, (2, -1), ValueError),
+    (verify_thm23, (2, 0), True),
+    (verify_thm23, (2, 100), True),
+    (verify_prop24, (0,), ValueError),
+    (verify_prop24, (-1,), ValueError),
+    (verify_prop24, (1,), ValueError),
+    (verify_prop24, (2,), True),
+    (verify_prop24, (4, -1, None), ValueError),
+    (verify_prop24, (4, None, -1), ValueError),
+    (verify_prop24, (4, 7, None), ValueError),
+    (verify_prop24, (4, None, 7), ValueError),
+    (verify_prop24, (4, 0, 6), True),
+    (verify_lemma38, (0,), ValueError),
+    (verify_lemma38, (-2,), ValueError),
+    (verify_lemma38, (1,), ValueError),
+    (verify_lemma38, (2,), True),
+    (check_conjecture51, (0,), ValueError),
+    (check_conjecture51, (-2,), ValueError),
+    (check_conjecture51, (3,), ValueError),
+    (check_conjecture51, (2,), []),
+    (verify_conjecture51, (0,), ValueError),
+    (verify_conjecture51, (-2,), ValueError),
+    (verify_conjecture51, (1,), ValueError),
+    (verify_conjecture51, (2,), True),
+]
+
+
+def test_edge_arguments_give_a_value_or_a_value_error():
+    # any other exception type escapes and fails the test
+    for call, args, want in EDGE_CASES:
+        try:
+            got = call(*args)
+        except ValueError:
+            got = ValueError
+        if isinstance(got, VerificationReport):
+            got = got.passed
+        elif isinstance(got, KappaTable):
+            got = got.kappa_star
+        assert got == want, (call.__name__, args, got)
