@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import groupby
 
 from . import _pure
-from .binomials import binom
+from .binomials import binom, _check_int
 from .kappa import KappaTable, kappa, kappa_star, negativity_threshold
 from .report import VerificationReport, timed
 from .shadows import shade, shadow
@@ -203,6 +203,7 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
 def theorem25_bound(n: int, k: int) -> int:
     """C(n, n/2) + C(n, n/2+1) - kappa*_{n/2}(k) for even n >= 4 and
     0 <= k <= C(n, n/2)."""
+    _check_int("theorem25_bound", n=n, k=k)
     if n < 4 or n % 2 != 0:
         raise ValueError(f"theorem25_bound: need even n >= 4, got {n}")
     half = binom(n, n // 2)
@@ -269,6 +270,7 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     half-size sets together with the upper middle level minus their shade,
     paired to A (the full half-size level) through the m complements.
     """
+    _check_int("construct_extremal", n=n, k=k)
     if n < 4 or n % 2 != 0:
         raise ValueError(f"construct_extremal: need even n >= 4, got {n}")
     half = binom(n, n // 2)
@@ -279,7 +281,7 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
                                 SetFamily.from_masks(b_masks, n), case, m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
 def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     """Every antichain of subsets of {1..n}, each as a tuple of masks in
     canonical (size, squashed) order; includes the empty family and {∅}.
@@ -289,6 +291,7 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     clears its comparables from the rest of the branch.  The total count is
     checked against the known values (168 at n = 4, 7581 at n = 5).
     """
+    _check_int("enumerate_antichains", n=n)
     if not 1 <= n <= 5:
         raise ValueError(f"antichain enumeration is limited to 1 <= n <= 5, got {n}")
     order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
@@ -316,6 +319,7 @@ def _brute_force_masks(n: int, k: int, exact: bool = False,
                        require_side: bool = False):
     """brute_force_max on masks: (max_total, [(masks_a, masks_b), ...]),
     each family the tuple enumerate_antichains gives, in canonical order."""
+    _check_int("brute_force_max", k=k)
     if k < 0:
         raise ValueError(f"brute_force_max: need k >= 0, got {k}")
     families = enumerate_antichains(n)
@@ -360,6 +364,7 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     exact mode (matching size exactly k) only the no-excess direction is
     asserted, as the equality there is conjectural.
     """
+    _check_int("verify_thm25_brute", n=n)
     if n % 2 != 0 or not 4 <= n <= 5:
         raise ValueError("the bound needs even n and enumeration needs n <= 5; "
                          f"got n={n}")
@@ -398,6 +403,9 @@ def verify_thm26_structure(n: int = 4,
 
     The checks run on masks; a family is rendered only when it is reported.
     """
+    _check_int("verify_thm26_structure", n=n)
+    if k is not None:
+        _check_int("verify_thm26_structure", k=k)
     if n % 2 != 0 or not 4 <= n <= 5:
         raise ValueError("structure checks need even n with enumeration, "
                          f"got n={n}")
@@ -447,6 +455,7 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
     half level for every k, so the A members disjoint from each B member are
     found once and reused while A stays the same.
     """
+    _check_int("verify_extremal_constructions", n=n)
     if n < 4 or n % 2 != 0:
         raise ValueError(f"need even n >= 4, got {n}")
     rep = VerificationReport("thm25-extremal", {"n": n})

@@ -7,6 +7,14 @@ import math
 from .report import VerificationReport, timed
 
 
+def _check_int(op: str, **args) -> None:
+    """Raise a ValueError naming the first argument that is not an int, so
+    a float such as 2.5 is neither truncated nor passed on to fail later."""
+    for name, value in args.items():
+        if not isinstance(value, int):
+            raise ValueError(f"{op}: {name} must be an integer, got {value!r}")
+
+
 def binom(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k < 0 or k > n.  Requires n >= 0."""
     if n < 0:

@@ -8,11 +8,12 @@ Both take and return exact integers only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import eq, lt, ne
 
-from .binomials import binom
+from .binomials import binom, _check_int
 from .report import VerificationReport, timed
 from .shadows import kk_shadow_min
 
@@ -24,13 +25,15 @@ def kappa(r: int, m: int) -> int:
 
 def kappa_star(r: int, m: int) -> int:
     """min of kappa_r over 0..m; never positive beyond m = 0, nonincreasing."""
+    _check_int("kappa_star", r=r, m=m)
     if m < 0:
         raise ValueError(f"kappa_star: need m >= 0, got {m}")
-    return min(kappa(r, j) for j in range(m + 1))
+    return min(kk_shadow_min(j, r) - j for j in range(m + 1))  # kappa(r, j), one call less
 
 
 def negativity_threshold(r: int) -> int:
     """Least m with kappa_r(m) < 0, namely 1 + sum of C(2i-1, i) for i <= r."""
+    _check_int("negativity_threshold", r=r)
     if r < 1:
         raise ValueError(f"negativity_threshold: need r >= 1, got {r}")
     return 1 + sum(binom(2 * i - 1, i) for i in range(1, r + 1))
@@ -140,6 +143,7 @@ class KappaTable:
 
     @classmethod
     def build(cls, r: int, upper_m: int) -> "KappaTable":
+        _check_int("KappaTable", r=r, upper_m=upper_m)
         if r < 1 or upper_m < 0:
             raise ValueError(f"KappaTable: need r >= 1 and upper_m >= 0, "
                              f"got r={r}, upper_m={upper_m}")
@@ -152,6 +156,7 @@ class KappaTable:
     def star_clamped(self, m: int) -> int:
         """kappa_star with arguments beyond the table saturating at upper_m
         (the level-size cap in the inequality sweeps below)."""
+        _check_int("star_clamped", m=m)
         if m < 0:
             raise ValueError(f"star_clamped: need m >= 0, got {m}")
         return self.kappa_star[min(m, self.upper_m)]
@@ -170,6 +175,7 @@ def verify_prop22(r: int, m_max: int) -> VerificationReport:
     kappa_r(m) is negative exactly from the negativity threshold on, and
     zero exactly on {0} together with the suffix sums of C(2i-1, i).
     """
+    _check_int("verify_prop22", r=r, m_max=m_max)
     if r < 1 or m_max < 0:
         raise ValueError(f"verify_prop22: need r >= 1, m_max >= 0, got {r}, {m_max}")
     rep = VerificationReport("prop22", {"r": r, "m_max": m_max})
@@ -194,6 +200,7 @@ def verify_prop22(r: int, m_max: int) -> VerificationReport:
 def verify_thm23(r: int, m_max: int) -> VerificationReport:
     """kappa_r(m) = kappa*_r(m) exactly when every cascade coefficient
     satisfies a_i >= 2i - 1."""
+    _check_int("verify_thm23", r=r, m_max=m_max)
     if r < 1 or m_max < 0:
         raise ValueError(f"verify_thm23: need r >= 1, m_max >= 0, got {r}, {m_max}")
     rep = VerificationReport("thm23", {"r": r, "m_max": m_max})
@@ -225,32 +232,28 @@ def _exchange_violations(table: KappaTable, a_range, k_range):
                 yield a, k, lhs, rhs
 
 
-def _range_min_table(col: list[int]) -> list[list[int]]:
-    """Sparse table of col: level j holds the minima of its windows of
-    length 2**j, so any range minimum is the smaller of two entries
-    (Bender and Farach-Colton, LATIN 2000)."""
-    levels = [col]
-    width = 1
-    while 2 * width <= len(col):
-        prev = levels[-1]
-        levels.append([x if x < y else y for x, y in zip(prev, prev[width:])])
-        width *= 2
-    return levels
-
-
 def _violating_steps(table: KappaTable):
     """Yield, ascending, the steps (s, e) of constant kappa* whose rows k in
-    s..e of the full exchange grid cannot be certified free of violations.
+    s..e of the full exchange grid are not all free of violations.
 
-    The reductions need only kappa* nonincreasing.  Within a step the left
-    side is constant and the right side can only shrink as k grows, so row
-    e decides the step.  In row e the cells a <= e are clamped, with right
-    side kappa(a) + kappa*(M).  For a > e, each step of kappa* that
-    j = e + M - a meets is one run of a, and the right-side minimum over a
-    run is a range minimum of the kappa column.  Consecutive runs form one
-    run of a on which kappa* is at least its value on the last of them, so
-    a block of runs is bisected only while that bound falls below the left
-    side.  With S steps that is at most O(S^2) range minima, each O(1).
+    Only a nonincreasing kappa* is assumed.  On a step the left side is
+    constant and the right side shrinks as k grows, so row e decides it.
+    With d = M - a, cell (a, k) holds iff kappa*(k) - kappa*(min(k+d, M))
+    <= kappa(a) - kappa(M); the left side sums the drops of kappa* at the
+    step starts in (k, k+d].  With low the prefix minima of kappa, and step
+    t running from s_t to e_t at value v_t, the grid holds iff
+    low[M-1] >= kappa(M) (else every row fails) and, for all t < u,
+    kappa(M) + v_t <= v_u + low[M + e_t - s_u]: the cells of row e_t that
+    see the drops up to s_u are a <= M + e_t - s_u, and the least kappa
+    among them binds.  A block of steps first..last is bounded below by
+    v_last + low[M + e_t - s_first] and bisected only while that bound
+    falls below the left side.
+
+    When low == kappa* (as KappaTable.build makes it), the right side is
+    F(s_u) with F(x) = kappa*(x) + kappa*(M + e_t - x), symmetric about
+    (M + e_t)/2, and F(e_t) is the left side.  The mirror of a violating
+    start past the middle lies in a later step whose start violates too,
+    so only the starts s_u <= (M + e_t)/2 are checked.
     """
     big_m = table.upper_m
     star = table.kappa_star
@@ -259,30 +262,21 @@ def _violating_steps(table: KappaTable):
         raise RuntimeError("exchange grid: kappa_star is not nonincreasing")
     ends = list(compress(range(big_m), map(ne, star, later))) + [big_m]
     starts = [0] + [e + 1 for e in ends[:-1]]
-    # j = M is the clamp, so each step's run of j stops at M - 1; a last
-    # step [M, M] has no run
-    tops = ends[:-1] + [big_m - 1]
-    runs = len(ends) if starts[-1] < big_m else len(ends) - 1
-    sparse = _range_min_table(table.kappa)
-
-    def range_min(lo, hi):
-        level = (hi - lo + 1).bit_length() - 1
-        row = sparse[level]
-        x, y = row[lo], row[hi + 1 - (1 << level)]
-        return x if x < y else y
-
+    values = [star[e] for e in ends]
+    low = list(accumulate(table.kappa, min))
     lhs_base = table.kappa[big_m]
+    if low[big_m] < lhs_base:
+        yield from zip(starts, ends)
+        return
+    halved = low == star
     for step, (s, e) in enumerate(zip(starts, ends)):
-        lhs = lhs_base + star[e]
-        if range_min(0, e) + star[big_m] < lhs:
-            yield s, e
-            continue
-        # the row's own step meets j only at a = M, whose right side is lhs
-        d = e + big_m
-        blocks = [(step + 1, runs - 1)] if step + 1 < runs else []
+        lhs = lhs_base + values[step]
+        d = big_m + e
+        top = bisect_right(starts, d // 2) - 1 if halved else len(starts) - 1
+        blocks = [(step + 1, top)] if step < top else []
         while blocks:
             first, last = blocks.pop()
-            if range_min(d - tops[last], d - starts[first]) + star[starts[last]] >= lhs:
+            if values[last] + low[d - starts[first]] >= lhs:
                 continue
             if first == last:
                 yield s, e
@@ -309,6 +303,7 @@ def verify_prop24(n: int, a_only: int | None = None,
     largest segment the level admits.  Optional a_only/k_only restrict the
     grid to one row, column, or cell.
     """
+    _check_int("verify_prop24", n=n)
     if n < 2:
         raise ValueError(f"verify_prop24: need n >= 2, got {n}")
     r = (n + 1) // 2
@@ -316,8 +311,9 @@ def verify_prop24(n: int, a_only: int | None = None,
     rep = VerificationReport("prop24", {"n": n, "r": r, "M": big_m,
                                         "a": a_only, "k": k_only})
     for name, value in (("a", a_only), ("k", k_only)):
-        if value is not None and not 0 <= value <= big_m:
-            raise ValueError(f"verify_prop24: need 0 <= {name} <= {big_m}, got {value}")
+        if value is not None and not (isinstance(value, int) and 0 <= value <= big_m):
+            raise ValueError(f"verify_prop24: need an integer {name} in 0..{big_m}, "
+                             f"got {value!r}")
     table = KappaTable.build(r, big_m)
     a_range = range(big_m + 1) if a_only is None else (a_only,)
     k_range = range(big_m + 1) if k_only is None else (k_only,)
@@ -336,6 +332,7 @@ def verify_lemma38(n: int) -> VerificationReport:
     """kappa_r(m) >= kappa_r(C(n, r)) for all 0 <= m <= C(n, r), r = ceil(n/2);
     for even n equality holds only at m = C(n, n/2) itself (and m = 0 gives
     kappa = 0 > the minimum)."""
+    _check_int("verify_lemma38", n=n)
     if n < 2:
         raise ValueError(f"verify_lemma38: need n >= 2, got {n}")
     r = (n + 1) // 2
@@ -365,10 +362,11 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
     where the instance collapses to kappa(k) <= kappa*(k) -- impossible
     strictly, because kappa* is the running minimum of kappa (k = 1 gives
     kappa_r(1) = r - 1 > 0 = kappa*_r(1) for every r >= 2).  Counterexamples
-    are reported rather than asserted, and the search is exhaustive: rows
-    are certified in bulk by range minima (_violating_steps), and the rows
-    it cannot certify are scanned cell by cell.
+    are reported rather than asserted, and the search is exhaustive: whole
+    steps of kappa* are certified from its step list (_violating_steps),
+    and the rows it cannot certify are scanned cell by cell.
     """
+    _check_int("check_conjecture51", n=n)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"check_conjecture51: need even n >= 2, got {n}")
     r = n // 2
@@ -380,6 +378,7 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
 @timed
 def verify_conjecture51(n: int) -> VerificationReport:
     """Report wrapper around check_conjecture51 over the full grid."""
+    _check_int("verify_conjecture51", n=n)
     if n < 2 or n % 2 != 0:
         raise ValueError(f"verify_conjecture51: need even n >= 2, got {n}")
     r = n // 2

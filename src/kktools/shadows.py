@@ -16,7 +16,7 @@ from functools import cache
 from itertools import accumulate
 
 from . import _pure
-from .binomials import binom
+from .binomials import binom, _check_int
 from .report import VerificationReport, timed
 from .squashed import SetFamily, level_masks
 
@@ -126,6 +126,8 @@ def cascade_rep(m: int, r: int) -> CascadeRep:
     top one on a bracket found by doubling; the work is polynomial in
     log m and r.
     """
+    if not (isinstance(m, int) and isinstance(r, int)):  # no call on the hot path
+        _check_int("cascade_rep", m=m, r=r)
     if r < 1:
         raise ValueError(f"cascade level must be positive, got {r}")
     if m < 0:
@@ -172,6 +174,7 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     """
     for name, value, least in (("n_max", n_max, 1), ("samples", samples, 0),
                                ("sample_n_max", sample_n_max, 2)):
+        _check_int("verify_kkt", **{name: value})
         if value < least:
             raise ValueError(f"verify_kkt: need {name} >= {least}, got {value}")
     rep = VerificationReport("kkt", {"n_max": n_max, "samples": samples,
@@ -212,6 +215,7 @@ def verify_lieby_duality(n: int) -> VerificationReport:
 
     Both sides are computed by explicit union, never by formula.
     """
+    _check_int("verify_lieby_duality", n=n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rep = VerificationReport("lieby", {"n": n})
@@ -237,6 +241,7 @@ def verify_clements_minimality(n: int, k: int) -> VerificationReport:
     shadow (new shade) size is the sum of its members' sizes: the kernel runs
     once per set, and each window reads a difference of prefix sums.
     """
+    _check_int("verify_clements_minimality", n=n, k=k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rep = VerificationReport("clements", {"n": n, "k": k})

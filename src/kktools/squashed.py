@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .binomials import binom
+from .binomials import binom, _check_int
 
 
 def mask_of(elements) -> int:
@@ -48,8 +48,9 @@ class Subset:
         elems = tuple(sorted(set(self.elements)))
         if elems != tuple(self.elements):
             object.__setattr__(self, "elements", elems)
-        if self.ground_n < 1:
-            raise ValueError(f"ground set size must be positive, got {self.ground_n}")
+        if not isinstance(self.ground_n, int) or self.ground_n < 1:
+            raise ValueError(f"ground set size must be a positive integer, "
+                             f"got {self.ground_n!r}")
         if elems and not (1 <= elems[0] and elems[-1] <= self.ground_n):
             raise ValueError(
                 f"elements {elems} out of range for ground set {{1..{self.ground_n}}}")
@@ -91,6 +92,9 @@ class SetFamily:
     ground_n: int
 
     def __post_init__(self):
+        if not isinstance(self.ground_n, int) or self.ground_n < 1:
+            raise ValueError(f"SetFamily: ground_n must be a positive integer, "
+                             f"got {self.ground_n!r}")
         for s in self.members:
             if s.ground_n != self.ground_n:
                 raise ValueError(
@@ -202,6 +206,8 @@ def rank(s: Subset) -> int:
 
 
 def _check_level(op: str, n: int, k: int) -> None:
+    if not (isinstance(n, int) and isinstance(k, int)):  # no call on the hot path
+        _check_int(op, n=n, k=k)
     if not 0 <= k <= n:
         raise ValueError(f"{op}: need 0 <= k <= n, got k={k}, n={n}")
 
@@ -214,8 +220,9 @@ def unrank(m: int, n: int, k: int) -> Subset:
     """
     _check_level("unrank", n, k)
     total = binom(n, k)
-    if not 0 <= m < total:
-        raise ValueError(f"unrank: rank {m} out of range [0, {total}) for n={n}, k={k}")
+    if not (isinstance(m, int) and 0 <= m < total):
+        raise ValueError(f"unrank: need an integer rank m in [0, {total}) "
+                         f"for n={n}, k={k}, got {m!r}")
     elements = []
     rem = m
     for i in range(k, 0, -1):
@@ -243,6 +250,7 @@ def _squashed_walk(first: int):
 def first_segment(n: int, k: int, m: int) -> SetFamily:
     """The first m k-subsets of {1..n} in squashed order."""
     _check_level("first_segment", n, k)
+    _check_int("first_segment", m=m)
     total = binom(n, k)
     if not 0 <= m <= total:
         raise ValueError(f"first_segment: need 0 <= m <= {total}, got {m}")
@@ -252,6 +260,7 @@ def first_segment(n: int, k: int, m: int) -> SetFamily:
 def segment_after(n: int, k: int, r: int, m: int) -> SetFamily:
     """m consecutive k-subsets starting at rank r in squashed order."""
     _check_level("segment_after", n, k)
+    _check_int("segment_after", r=r, m=m)
     total = binom(n, k)
     if r < 0 or m < 0 or r + m > total:
         raise ValueError(
@@ -265,6 +274,7 @@ def segment_after(n: int, k: int, r: int, m: int) -> SetFamily:
 def last_segment(n: int, k: int, m: int) -> SetFamily:
     """The last m k-subsets of {1..n} in squashed order."""
     _check_level("last_segment", n, k)
+    _check_int("last_segment", m=m)
     total = binom(n, k)
     if not 0 <= m <= total:
         raise ValueError(f"last_segment: need 0 <= m <= {total}, got {m}")

@@ -491,3 +491,21 @@ def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
         rep = verify_extremal_constructions(n)
         assert rep.violations, n
         assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (construct_extremal, (6, 2.5), "k"),
+    (construct_extremal, (6.0, 2), "n"),
+    (brute_force_max, (4, 2.5), "k"),
+    (verify_thm25_brute, (4.0,), "n"),
+    (verify_thm26_structure, (4, 2.5), "k"),
+    (verify_extremal_constructions, (6.0,), "n"),
+    (sperner_max_check, (3.0,), "n"),
+    (enumerate_antichains, (3.0,), "n"),
+])
+def test_non_integer_arguments_are_named_in_the_error(call, args, name):
+    # they used to return an answer for the truncated or float argument, or
+    # raise TypeError; enumerate_antichains(3.0) must not hit the cache of 3
+    enumerate_antichains(3)
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
+        call(*args)

@@ -5,6 +5,7 @@ import random
 from itertools import accumulate, islice
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import kktools
 
@@ -21,6 +22,7 @@ from kktools import (
     kk_shadow_min,
     negativity_threshold,
     shadow,
+    theorem25_bound,
     verify_conjecture51,
     verify_lemma38,
     verify_prop22,
@@ -356,6 +358,91 @@ def test_grid_sweeps_report_every_violation_of_a_made_up_table(monkeypatch, seed
         [{"n": n, "a": a, "k": k, "lhs": lhs, "rhs": rhs} for a, k, lhs, rhs in want]
 
 
+def oracle_step_pairs(table):
+    """The steps (s, e) of kappa* whose end row fails, by the step-pair
+    inequality of _violating_steps checked for every pair of steps: no
+    bisection and no halving."""
+    big_m, kap, star = table.upper_m, table.kappa, table.kappa_star
+    steps = []
+    for m in range(big_m + 1):
+        if m and star[m] == star[m - 1]:
+            steps[-1] = (steps[-1][0], m)
+        else:
+            steps.append((m, m))
+    low = []
+    for value in kap:
+        low.append(min(low[-1], value) if low else value)
+    if big_m and low[big_m - 1] < kap[big_m]:
+        return steps
+    return [(s, e) for t, (s, e) in enumerate(steps)
+            if any(kap[big_m] + star[e] > star[start] + low[big_m + e - start]
+                   for start, _ in steps[t + 1:])]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_step_certificate_matches_all_step_pairs_on_real_tables(n):
+    r = (n + 1) // 2
+    table = KappaTable.build(r, binom(n, r))
+    assert list(_violating_steps(table)) == oracle_step_pairs(table) == []
+
+
+@st.composite
+def exchange_tables(draw, shape):
+    """Made-up tables for the exchange grid.  "running-min": kappa* is the
+    running minimum of kappa, as KappaTable.build makes it (the halved
+    path); "any-star": kappa* is any nonincreasing column (the general
+    path).  In both, kappa(M) is the least kappa value, so the step pairs
+    decide.  "high-end": kappa(M) lies above an earlier kappa value, so every
+    step fails."""
+    big_m = draw(st.integers(1 if shape == "high-end" else 0, 24))
+    moves = draw(st.lists(st.integers(-2, 2), min_size=big_m, max_size=big_m))
+    kap = list(accumulate(moves, initial=draw(st.integers(-3, 3))))
+    if shape == "high-end":
+        kap[big_m] = min(kap[:big_m]) + draw(st.integers(1, 3))
+        running = draw(st.booleans())
+    else:
+        kap[big_m] = min(kap) - draw(st.integers(0, 1))
+        running = shape == "running-min"
+    if running:
+        star = list(accumulate(kap, min))
+    else:
+        star = sorted(draw(st.lists(st.integers(-8, 3), min_size=big_m + 1,
+                                    max_size=big_m + 1)), reverse=True)
+    return KappaTable(3, big_m, kap, star)
+
+
+def assert_certificate_matches_oracles(table):
+    assert list(_violating_steps(table)) == oracle_step_pairs(table)
+    assert list(_full_grid_violations(table)) == cell_by_cell(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exchange_tables("running-min"))
+@example(KappaTable(3, 0, [0], [0]))
+@example(KappaTable(3, 1, [0, -1], [0, -1]))
+@example(KappaTable(3, 1, [0, 0], [0, 0]))
+def test_halved_certificate_matches_oracles_on_made_up_tables(table):
+    assert_certificate_matches_oracles(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exchange_tables("any-star"))
+@example(KappaTable(3, 0, [2], [-1]))
+@example(KappaTable(3, 1, [2, -1], [1, -3]))
+def test_general_certificate_matches_oracles_on_made_up_tables(table):
+    assert_certificate_matches_oracles(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exchange_tables("high-end"))
+@example(KappaTable(3, 1, [0, 1], [0, 0]))
+def test_every_step_fails_when_kappa_m_is_not_least(table):
+    steps = list(_violating_steps(table))
+    star = table.kappa_star
+    assert len(steps) == 1 + sum(a != b for a, b in zip(star, star[1:]))
+    assert_certificate_matches_oracles(table)
+
+
 @pytest.mark.parametrize("n", range(2, 17))
 def test_kappa_star_has_catalan_many_steps(n):
     # the O(S^2) bound of the reduced grid: S = Catalan(n/2) + 1 for even n,
@@ -400,10 +487,35 @@ def test_exchange_grid_report_names_itself_on_bad_n(n):
 
 
 _TABLE = KappaTable.build(2, 6)
-# (call, arguments, value or ValueError): zero, negative and past-level-size
-# arguments across the public surface of kktools.kappa.  A report stands
-# for its `passed` flag and a table for its kappa_star column.
+# (call, arguments, value or ValueError): zero, negative, past-level-size and
+# non-integer arguments across the public surface of kktools.kappa, and the
+# bound of Thm 2.5 built on kappa*.  A report stands for its `passed` flag
+# and a table for its kappa_star column.
 EDGE_CASES = [
+    (kappa, (2, 2.5), ValueError),
+    (kappa, (2.0, 3), ValueError),
+    (kappa_star, (2, 2.5), ValueError),
+    (kappa_star, (2.0, 3), ValueError),
+    (KappaTable.build, (2, 2.5), ValueError),
+    (KappaTable.build, (2.0, 6), ValueError),
+    (_TABLE.star_clamped, (2.5,), ValueError),
+    (_TABLE.star_clamped, (2.0,), ValueError),
+    (negativity_threshold, (2.0,), ValueError),
+    (verify_prop22, (2, 2.5), ValueError),
+    (verify_thm23, (2.0, 5), ValueError),
+    (verify_prop24, (6.0,), ValueError),
+    (verify_prop24, (4, 1.0, None), ValueError),
+    (verify_prop24, (4, None, 0.5), ValueError),
+    (verify_lemma38, (4.0,), ValueError),
+    (check_conjecture51, (4.0,), ValueError),
+    (verify_conjecture51, (4.0,), ValueError),
+    (theorem25_bound, (6, 2.5), ValueError),
+    (theorem25_bound, (6.0, 2), ValueError),
+    (theorem25_bound, (6, 0), 35),
+    (theorem25_bound, (6, 20), 35 + 5),  # kappa*_3(20) = -5
+    (theorem25_bound, (6, 21), ValueError),
+    (theorem25_bound, (6, -1), ValueError),
+    (theorem25_bound, (5, 0), ValueError),
     (kappa, (0, 0), ValueError),
     (kappa, (-1, 2), ValueError),
     (kappa, (2, -1), ValueError),
@@ -473,3 +585,17 @@ def test_edge_arguments_give_a_value_or_a_value_error():
         elif isinstance(got, KappaTable):
             got = got.kappa_star
         assert got == want, (call.__name__, args, got)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (kappa_star, (2, 2.5), "m"),
+    (KappaTable.build, (2, 2.5), "upper_m"),
+    (theorem25_bound, (6, 2.5), "k"),
+    (verify_prop24, (6.0,), "n"),
+    (verify_prop24, (6, None, 2.0), "k"),
+    (_TABLE.star_clamped, (2.5,), "m"),
+])
+def test_non_integer_arguments_are_named_in_the_error(call, args, name):
+    # a float used to fail inside math.comb or a list index with a TypeError
+    with pytest.raises(ValueError, match=rf"\b{name}\b.*integer|integer {name}\b"):
+        call(*args)

@@ -1,6 +1,10 @@
 """Source-level rules for the library code."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kktools"
@@ -17,6 +21,20 @@ def test_library_has_no_bare_asserts():
                   if isinstance(node, ast.Assert)]
     assert found == []
 
+
+def test_verify_all_gives_the_golden_report_under_optimize():
+    # the run-time side of the rule above: with asserts stripped by -O,
+    # `verify all` still gives tests/data/verify_all.json apart from elapsed_ms
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "kktools", "verify", "all", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    payload.pop("elapsed_ms")
+    golden = Path(__file__).parent / "data" / "verify_all.json"
+    assert json.dumps(payload, indent=2) + "\n" == golden.read_text()
 
 
 def _names_a_cache(node) -> bool:

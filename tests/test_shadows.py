@@ -368,3 +368,83 @@ def test_lieby_duality_rejects_a_short_size_list(monkeypatch):
                         lambda masks, n: real(masks, n)[:10])
     with pytest.raises(ValueError):
         verify_lieby_duality(6)
+
+
+# (call, arguments, value or ValueError): zero, negative, past-level-size and
+# non-integer arguments across the public surface of kktools.shadows.  A
+# family stands for its masks, a cascade for its terms and a report for its
+# `passed` flag.
+EDGE_CASES = [
+    (cascade_rep, (2.5, 2), ValueError),
+    (cascade_rep, (2.0, 2), ValueError),
+    (cascade_rep, (2, 2.0), ValueError),
+    (cascade_rep, (-1, 2), ValueError),
+    (cascade_rep, (5, 0), ValueError),
+    (cascade_rep, (5, -1), ValueError),
+    (cascade_rep, (0, 1), ()),
+    (cascade_rep, (10**30, 1), ((10**30, 1),)),
+    (kk_shadow_min, (2.5, 2), ValueError),
+    (kk_shadow_min, (-1, 3), ValueError),
+    (kk_shadow_min, (4, 0), ValueError),
+    (kk_shadow_min, (0, 3), 0),
+    (kk_shadow_min, (1, 3), 3),
+    (CascadeRep, (0, 0, ()), ValueError),
+    (CascadeRep, (3, 2, ((2, 2),)), ValueError),
+    (CascadeRep, (1, 2, ((1, 2),)), ValueError),
+    (CascadeRep, (3, 2, ((2, 2), (2, 1))), ValueError),
+    (CascadeRep, (2, 2, ((2, 2), (1, 1))), ((2, 2), (1, 1))),
+    (shadow, (SetFamily((), 3),), []),
+    (shadow, (SetFamily.of([()], 3),), ValueError),
+    (shadow, (SetFamily.of([[1], [1, 2]], 3),), ValueError),
+    (shadow, (SetFamily.of([[1, 2]], 3),), [0b1, 0b10]),
+    (shade, (SetFamily((), 3),), []),
+    (shade, (SetFamily.of([[1, 2, 3]], 3),), ValueError),
+    (shade, (SetFamily.of([[1]], 2),), [0b11]),
+    (new_shadow, (SetFamily.of([()], 3),), ValueError),
+    (new_shadow, (SetFamily.of([[1, 3]], 3),), [0b100]),
+    (new_shade, (SetFamily.of([[1, 2, 3]], 3),), ValueError),
+    (new_shade, (SetFamily.of([[3]], 3),), [0b101, 0b110]),
+    (verify_kkt, (2.5,), ValueError),
+    (verify_kkt, (2, 1.0), ValueError),
+    (verify_kkt, (2, 0, 1, 2.0), ValueError),
+    (verify_kkt, (0,), ValueError),
+    (verify_kkt, (2, -1), ValueError),
+    (verify_kkt, (2, 0, 1, 1), ValueError),
+    (verify_kkt, (1, 0), True),
+    (verify_lieby_duality, (2.0,), ValueError),
+    (verify_lieby_duality, (0,), ValueError),
+    (verify_lieby_duality, (-1,), ValueError),
+    (verify_lieby_duality, (1,), True),
+    (verify_clements_minimality, (4.0, 2), ValueError),
+    (verify_clements_minimality, (4, 2.0), ValueError),
+    (verify_clements_minimality, (4, 0), ValueError),
+    (verify_clements_minimality, (4, 5), ValueError),
+    (verify_clements_minimality, (-1, 1), ValueError),
+    (verify_clements_minimality, (1, 1), True),
+]
+
+
+def test_edge_arguments_give_a_value_or_a_value_error():
+    # any other exception type escapes and fails the test
+    for call, args, want in EDGE_CASES:
+        try:
+            got = call(*args)
+        except ValueError:
+            got = ValueError
+        if isinstance(got, SetFamily):
+            got = got.masks()
+        elif isinstance(got, CascadeRep):
+            got = got.terms
+        elif hasattr(got, "passed"):
+            got = got.passed
+        assert got == want, (call.__name__, args, got)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (cascade_rep, (2.5, 2), "m"),
+    (verify_kkt, (2, 1.0), "samples"),
+    (verify_clements_minimality, (4, 2.0), "k"),
+])
+def test_non_integer_arguments_are_named_in_the_error(call, args, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(*args)

@@ -178,3 +178,87 @@ def test_family_mixed_sizes_order_by_size_first():
     assert not fam.is_uniform
     with pytest.raises(ValueError):
         fam.uniform_size()
+
+
+# (call, arguments, value or ValueError): zero, negative, past-level-size and
+# non-integer arguments across the public surface of kktools.squashed.  A
+# Subset stands for its elements and a family for its masks.
+EDGE_CASES = [
+    (unrank, (1.5, 3, 1), ValueError),
+    (unrank, (2.0, 3, 1), ValueError),
+    (unrank, (0, 3.0, 1), ValueError),
+    (unrank, (0, 3, 1.0), ValueError),
+    (unrank, (-1, 3, 1), ValueError),
+    (unrank, (3, 3, 1), ValueError),
+    (unrank, (0, -1, 0), ValueError),
+    (unrank, (0, 3, 4), ValueError),
+    (unrank, (0, 3, -1), ValueError),
+    (unrank, (0, 0, 0), ValueError),  # a Subset needs a ground set
+    (unrank, (0, 3, 0), ()),
+    (unrank, (2, 3, 1), (3,)),
+    (rank, (Subset((), 3),), 0),
+    (rank, (Subset((64, 65), 65),), binom(63, 1) + binom(64, 2)),
+    (level_masks, (3.0, 1), ValueError),
+    (level_masks, (3, 1.0), ValueError),
+    (level_masks, (-1, 0), ValueError),
+    (level_masks, (3, -1), ValueError),
+    (level_masks, (3, 4), ValueError),
+    (level_masks, (0, 0), [0]),
+    (level_masks, (3, 3), [0b111]),
+    (first_segment, (4.0, 2, 1), ValueError),
+    (first_segment, (4, 2, 1.0), ValueError),
+    (first_segment, (4, 2, -1), ValueError),
+    (first_segment, (4, 2, 7), ValueError),
+    (first_segment, (4, 2, 0), []),
+    (first_segment, (4, 2, 2), [0b11, 0b101]),
+    (last_segment, (4, 2, 2.5), ValueError),
+    (last_segment, (4, 2, 7), ValueError),
+    (last_segment, (4, 2, 1), [0b1100]),
+    (segment_after, (4, 2, 1.0, 1), ValueError),
+    (segment_after, (4, 2, 0, 1.0), ValueError),
+    (segment_after, (4, 2, -1, 1), ValueError),
+    (segment_after, (4, 2, 6, 1), ValueError),
+    (segment_after, (4, 2, 6, 0), []),
+    (segment_after, (4, 2, 5, 1), [0b1100]),
+    (Subset, ((), 0), ValueError),
+    (Subset, ((1,), 2.5), ValueError),
+    (Subset, ((1,), -1), ValueError),
+    (Subset, ((0,), 3), ValueError),
+    (Subset, ((4,), 3), ValueError),
+    (Subset, ((), 1), ()),
+    (SetFamily, ((), 2.5), ValueError),
+    (SetFamily, ((), 0), ValueError),
+    (SetFamily, ((Subset((1,), 2),), 3), ValueError),
+    (SetFamily, ((), 1), []),
+    (compare_squashed, (Subset((1,), 3), Subset((1, 2), 3)), ValueError),
+    (compare_squashed, (Subset((3,), 3), Subset((3,), 3)), 0),
+    (parse_subset, ("1.5", 3), ValueError),
+    (parse_subset, ("{1,x}", 3), ValueError),
+    (parse_subset, ("4", 3), ValueError),
+    (parse_subset, ("", 3), ()),
+    (format_subset, (Subset((), 1),), "{}"),
+]
+
+
+def test_edge_arguments_give_a_value_or_a_value_error():
+    # any other exception type escapes and fails the test
+    for call, args, want in EDGE_CASES:
+        try:
+            got = call(*args)
+        except ValueError:
+            got = ValueError
+        if isinstance(got, Subset):
+            got = got.elements
+        elif isinstance(got, SetFamily):
+            got = got.masks()
+        assert got == want, (call.__name__, args, got)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (unrank, (1.5, 3, 1), "m"),
+    (level_masks, (3.0, 1), "n"),
+    (segment_after, (4, 2, 0, 1.0), "m"),
+])
+def test_non_integer_arguments_are_named_in_the_error(call, args, name):
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(*args)
