@@ -10,6 +10,7 @@ that settle the small cases by full enumeration.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -18,7 +19,6 @@ from . import _pure
 from .binomials import binom, _check_int
 from .kappa import KappaTable, kappa, kappa_star, negativity_threshold
 from .report import VerificationReport, timed
-from .shadows import shade, shadow
 from .squashed import SetFamily, Subset, format_subset, level_masks
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
@@ -53,10 +53,23 @@ def _require_antichain(fam: SetFamily, op: str) -> None:
         raise ValueError(f"{op} requires an antichain")
 
 
-def _split_level(fam: SetFamily, size: int):
-    hit = tuple(s for s in fam if s.size == size)
-    rest = tuple(s for s in fam if s.size != size)
-    return hit, rest
+def _sperner_move(fam: SetFamily, op: str, down: bool) -> SetFamily:
+    """sperner_down (down) or sperner_up on the member masks.  The masks
+    come in canonical order, sizes ascending, so the top level is a suffix
+    and the bottom level a prefix."""
+    _require_antichain(fam, op)
+    masks = fam.masks()
+    n = fam.ground_n
+    if masks == [0] or masks == [(1 << n) - 1]:
+        raise ValueError(f"{op} is not defined on the one-member extremes")
+    sizes = list(map(int.bit_count, masks))
+    if down:
+        cut = bisect_left(sizes, sizes[-1])
+        moved = _pure.shadow_masks(masks[cut:])
+        return SetFamily.from_masks(masks[:cut] + moved, n)
+    cut = bisect_right(sizes, sizes[0])
+    moved = _pure.shade_masks(masks[:cut], n)
+    return SetFamily.from_masks(masks[cut:] + moved, n)
 
 
 def sperner_down(fam: SetFamily) -> SetFamily:
@@ -66,27 +79,13 @@ def sperner_down(fam: SetFamily) -> SetFamily:
     two one-member extremes (just the empty set, just the full ground set)
     are rejected, as the operation is used strictly between them.
     """
-    _require_antichain(fam, "sperner_down")
-    n = fam.ground_n
-    if fam.masks() == [0] or fam.masks() == [(1 << n) - 1]:
-        raise ValueError("sperner_down is not defined on the one-member extremes")
-    t = max(fam.sizes())
-    top, rest = _split_level(fam, t)
-    dropped = shadow(SetFamily(top, n))
-    return SetFamily(rest + dropped.members, n)
+    return _sperner_move(fam, "sperner_down", down=True)
 
 
 def sperner_up(fam: SetFamily) -> SetFamily:
     """Replace the bottom level of an antichain by its shade; dual to
     sperner_down, raising the bottom level by one."""
-    _require_antichain(fam, "sperner_up")
-    n = fam.ground_n
-    if fam.masks() == [0] or fam.masks() == [(1 << n) - 1]:
-        raise ValueError("sperner_up is not defined on the one-member extremes")
-    b = min(fam.sizes())
-    bottom, rest = _split_level(fam, b)
-    raised = shade(SetFamily(bottom, n))
-    return SetFamily(rest + raised.members, n)
+    return _sperner_move(fam, "sperner_up", down=False)
 
 
 def _matching_size(adj: list[list[int]], n_right: int) -> int:
@@ -119,11 +118,12 @@ def replace_up_map(fam: SetFamily, level: int) -> dict[int, int]:
     remaining sets, so the overall assignment is the lexicographically least
     perfect matching.  Raises if no perfect matching exists.
     """
+    _check_int("replace_up_map", level=level)
     _require_antichain(fam, "injective_replace_up")
     n = fam.ground_n
     if level != min(fam.sizes()):
         raise ValueError(f"level {level} is not the bottom level of the family")
-    lefts = sorted(s.mask for s in fam if s.size == level)
+    lefts = [m for m in fam.masks() if m.bit_count() == level]
     rights = _pure.shade_masks(lefts, n)
     right_index = {m: i for i, m in enumerate(rights)}
     adj = [[right_index[sup] for sup in _pure.shade_masks([m], n)] for m in lefts]
@@ -156,6 +156,7 @@ def injective_replace_up(fam: SetFamily, level: int) -> SetFamily:
     another family persists because every set only grows.  Identity when the
     bottom level already sits at or above the middle of the ground set.
     """
+    _check_int("injective_replace_up", level=level)
     _require_antichain(fam, "injective_replace_up")
     n = fam.ground_n
     if level != min(fam.sizes()):
@@ -163,9 +164,8 @@ def injective_replace_up(fam: SetFamily, level: int) -> SetFamily:
     if 2 * level >= n:
         return fam
     mapping = replace_up_map(fam, level)
-    members = tuple(s for s in fam if s.size != level)
-    members += tuple(Subset.from_mask(m, n) for m in mapping.values())
-    return SetFamily(members, n)
+    rest = [m for m in fam.masks() if m.bit_count() != level]
+    return SetFamily.from_masks(rest + list(mapping.values()), n)
 
 
 @dataclass(frozen=True)
@@ -189,15 +189,16 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     is_matching records whether no set occurs in two pairs."""
     if a.ground_n != b.ground_n:
         raise ValueError("families must share a ground set")
-    pairs = []
-    right = [(y.mask, y) for y in b]
-    for x in a:
-        xm = x.mask
-        pairs += [(x, y) for ym, y in right if not xm & ym]
+    right = b.masks()
+    hits = [(i, j) for i, x in enumerate(a.masks())
+            for j, y in enumerate(right) if not x & y]
+    pairs = ()
+    if hits:
+        xs, ys = a.members, b.members
+        pairs = tuple((xs[i], ys[j]) for i, j in hits)
     # members are distinct: a matching names each set in one pair at most
-    ok = len({x.mask for x, _ in pairs}) == len(pairs) == \
-        len({y.mask for _, y in pairs})
-    return DisjointPairReport(tuple(pairs), len(pairs), ok)
+    ok = len({i for i, _ in hits}) == len(hits) == len({j for _, j in hits})
+    return DisjointPairReport(pairs, len(hits), ok)
 
 
 def theorem25_bound(n: int, k: int) -> int:
@@ -243,21 +244,25 @@ class ExtremalConstruction:
         }
 
 
-def _extremal_masks(n: int, k: int, table: KappaTable | None = None):
+def _extremal_masks(n: int, k: int, table: KappaTable | None = None,
+                    levels: tuple[list[int], list[int]] | None = None):
     """The masks of construct_extremal(n, k) as (a_masks, b_masks, case, m),
     with n and k already checked.  table, if given, is a KappaTable at level
-    n/2 with upper_m >= k."""
+    n/2 with upper_m >= k; levels, if given, is (level_masks(n, n/2),
+    level_masks(n, n/2 + 1)), and the lists returned may be those lists."""
     r = n // 2
-    a_masks = level_masks(n, r)
+    if levels is None:
+        levels = level_masks(n, r), level_masks(n, r + 1)
+    a_masks, upper_level = levels
     if k < negativity_threshold(r):
-        return a_masks, level_masks(n, r + 1), "i", None
+        return a_masks, upper_level, "i", None
     if table is None:
         table = KappaTable.build(r, k)
     target = table.kappa_star[k]
     m = next(i for i in range(k + 1) if table.kappa[i] == target)
     bottom = a_masks[len(a_masks) - m:]
     shaded = set(_pure.shade_masks(bottom, n))
-    upper = [mm for mm in level_masks(n, r + 1) if mm not in shaded]
+    upper = [mm for mm in upper_level if mm not in shaded]
     return a_masks, bottom + upper, "ii", m
 
 
@@ -452,8 +457,9 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
     The sweep checks the masks construct_extremal wraps, with one KappaTable
     for all k, and takes the bound's kappa* as the running minimum of the
     cascade formula, a route independent of the table.  A is the full
-    half level for every k, so the A members disjoint from each B member are
-    found once and reused while A stays the same.
+    half level for every k, so its antichain check and the A members
+    disjoint from each B member are computed once and reused while A stays
+    the same.
     """
     _check_int("verify_extremal_constructions", n=n)
     if n < 4 or n % 2 != 0:
@@ -463,14 +469,16 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
     half = binom(n, r)
     middle = half + binom(n, r + 1)
     table = KappaTable.build(r, half)
+    levels = level_masks(n, r), level_masks(n, r + 1)
     star = 0
     seen_a = None
     partners: dict[int, tuple[int, ...]] = {}  # B member -> its disjoint A members
     for k in range(half + 1):
         star = min(star, kappa(r, k))
-        a_masks, b_masks, case, m = _extremal_masks(n, k, table)
+        a_masks, b_masks, case, m = _extremal_masks(n, k, table, levels)
         if a_masks != seen_a:
             seen_a, partners = a_masks, {}
+            a_is_antichain = _is_antichain_masks(a_masks)
         for y in b_masks:
             if y not in partners:
                 partners[y] = tuple(x for x in a_masks if not x & y)
@@ -479,7 +487,7 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
         paired_b = {y for y in b_masks if partners[y]}
         rep.checks_run += 1
         problems = []
-        if not _is_antichain_masks(a_masks):
+        if not a_is_antichain:
             problems.append("family_a not an antichain")
         if not _is_antichain_masks(b_masks):
             problems.append("family_b not an antichain")

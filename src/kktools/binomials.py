@@ -20,8 +20,14 @@ def binom(n: int, k: int) -> int:
     if n < 0:
         raise ValueError(f"binom: n must be nonnegative, got {n}")
     if k < 0 or k > n:
+        if not (isinstance(n, int) and isinstance(k, int)):
+            _check_int("binom", n=n, k=k)
         return 0
-    return math.comb(n, k)
+    try:
+        return math.comb(n, k)
+    except TypeError:  # math.comb checks the types on this branch
+        _check_int("binom", n=n, k=k)
+        raise
 
 
 def d_value(n: int, r: int) -> int:
@@ -33,15 +39,25 @@ def d_value(n: int, r: int) -> int:
     if n < 1 or r < 1:
         raise ValueError(f"d_value: arguments must be positive, got n={n}, r={r}")
     if r > n:
+        if not (isinstance(n, int) and isinstance(r, int)):
+            _check_int("d_value", n=n, r=r)
         return 0
-    return math.comb(n, r - 1) - math.comb(n, r)
+    try:
+        return math.comb(n, r - 1) - math.comb(n, r)
+    except TypeError:
+        _check_int("d_value", n=n, r=r)
+        raise
 
 
 def hockey_stick(r: int, k: int) -> int:
     """Sum of C(r+i, i) for i = 0..k, which telescopes to C(r+k+1, k)."""
     if r < 0 or k < 0:
         raise ValueError(f"hockey_stick: arguments must be nonnegative, got r={r}, k={k}")
-    total = sum(math.comb(r + i, i) for i in range(k + 1))
+    try:
+        total = sum(math.comb(r + i, i) for i in range(k + 1))
+    except TypeError:
+        _check_int("hockey_stick", r=r, k=k)
+        raise
     if total != math.comb(r + k + 1, k):
         raise RuntimeError(f"hockey_stick: sum {total} misses C({r + k + 1}, {k})")
     return total
@@ -71,6 +87,7 @@ def verify_d_identities(n_max: int, r_max: int) -> VerificationReport:
     * D(2r, r) plus the sum over i < r of D(2i-2, i) is negative (the i = 1
       term is D(0, 1), which the r > n rule sends to 0).
     """
+    _check_int("verify_d_identities", n_max=n_max, r_max=r_max)
     if n_max < 1 or r_max < 1:
         raise ValueError(
             f"verify_d_identities: need n_max, r_max >= 1, got {n_max}, {r_max}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import eq, lt, ne
+from operator import eq, lt, ne, not_, or_
 
 from .binomials import binom, _check_int
 from .report import VerificationReport, timed
@@ -183,16 +183,24 @@ def verify_prop22(r: int, m_max: int) -> VerificationReport:
     zeros = {0}
     for t in range(1, r + 1):
         zeros.add(sum(binom(2 * i - 1, i) for i in range(t, r + 1)))
-    table = KappaTable.build(r, m_max)
-    for m in range(m_max + 1):
-        v = table.kappa[m]
-        rep.checks_run += 2
-        if (v < 0) != (m >= p):
+    col = KappaTable.build(r, m_max).kappa
+    # wrong sign: negative before the threshold, nonnegative from it on
+    cut = min(p, m_max + 1)
+    bad_sign = list(map((0).__gt__, col[:cut])) + list(map((0).__le__, col[cut:]))
+    # zero flags, flipped at the expected zeros: True where they disagree
+    bad_zero = list(map(not_, col))
+    for z in zeros:
+        if z <= m_max:
+            bad_zero[z] = not bad_zero[z]
+    for m in compress(range(m_max + 1), map(or_, bad_sign, bad_zero)):
+        v = col[m]
+        if bad_sign[m]:
             rep.violations.append({"part": "negativity", "r": r, "m": m,
                                    "kappa": v, "threshold": p})
-        if (v == 0) != (m in zeros):
+        if bad_zero[m]:
             rep.violations.append({"part": "zero-set", "r": r, "m": m,
                                    "kappa": v})
+    rep.checks_run = 2 * (m_max + 1)
     return rep
 
 
@@ -338,17 +346,19 @@ def verify_lemma38(n: int) -> VerificationReport:
     r = (n + 1) // 2
     big_m = binom(n, r)
     rep = VerificationReport("lemma38", {"n": n, "r": r, "M": big_m})
-    table = KappaTable.build(r, big_m)
-    target = table.kappa[big_m]
-    for m in range(big_m + 1):
-        v = table.kappa[m]
-        rep.checks_run += 1
+    col = KappaTable.build(r, big_m).kappa
+    target = col[big_m]
+    # below the minimum, or (even n) on it before m = M; m = M never fails
+    fails = target.__ge__ if n % 2 == 0 else target.__gt__
+    for m in compress(range(big_m), map(fails, col)):
+        v = col[m]
         if v < target:
             rep.violations.append({"part": "minimum", "n": n, "m": m,
                                    "kappa": v, "at_level_size": target})
-        elif n % 2 == 0 and v == target and m != big_m:
+        else:
             rep.violations.append({"part": "uniqueness", "n": n, "m": m,
                                    "kappa": v})
+    rep.checks_run = big_m + 1
     return rep
 
 

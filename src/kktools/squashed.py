@@ -45,7 +45,13 @@ class Subset:
                               compare=False)
 
     def __post_init__(self):
-        elems = tuple(sorted(set(self.elements)))
+        try:
+            elems = tuple(sorted(set(self.elements)))
+        except TypeError:  # unhashable or unorderable elements
+            elems = None
+        if elems is None or not all(map(int.__instancecheck__, elems)):
+            raise ValueError(f"Subset: elements must be integers, "
+                             f"got {self.elements!r}")
         if elems != tuple(self.elements):
             object.__setattr__(self, "elements", elems)
         if not isinstance(self.ground_n, int) or self.ground_n < 1:
@@ -83,27 +89,48 @@ class Subset:
         return format_subset(self)
 
 
-@dataclass(frozen=True)
+def _check_family_ground(ground_n) -> None:
+    if not isinstance(ground_n, int) or ground_n < 1:
+        raise ValueError(f"SetFamily: ground_n must be a positive integer, "
+                         f"got {ground_n!r}")
+
+
+def _canonical(distinct) -> tuple[int, ...]:
+    """Distinct masks in canonical order: popcount ascending, then numeric
+    (squashed) order; a stable sort by popcount of the numeric order."""
+    out = sorted(distinct)
+    out.sort(key=int.bit_count)
+    return tuple(out)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class SetFamily:
     """A family of subsets of one ground set, deduplicated and in canonical
-    order: sizes ascending, squashed order inside a size class."""
+    order: sizes ascending, squashed order inside a size class.
 
-    members: tuple[Subset, ...]
+    The family is the tuple of its member masks in that order; equality,
+    hashing, length and sizes read the masks only.  The Subset members are
+    built from the masks on the first read of .members (iteration, `in` and
+    str go through it) and kept on the instance.
+    """
+
+    _masks: tuple[int, ...]
     ground_n: int
+    _members: tuple[Subset, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if not isinstance(self.ground_n, int) or self.ground_n < 1:
-            raise ValueError(f"SetFamily: ground_n must be a positive integer, "
-                             f"got {self.ground_n!r}")
-        for s in self.members:
-            if s.ground_n != self.ground_n:
+    def __init__(self, members, ground_n: int):
+        _check_family_ground(ground_n)
+        by_mask: dict[int, Subset] = {}
+        for s in members:
+            if s.ground_n != ground_n:
                 raise ValueError(
                     f"member {s.elements} has ground set size {s.ground_n}, "
-                    f"family has {self.ground_n}")
-        canon = tuple(sorted(set(self.members),
-                           key=lambda s: (len(s.elements), s.mask)))
-        if canon != tuple(self.members):
-            object.__setattr__(self, "members", canon)
+                    f"family has {ground_n}")
+            by_mask.setdefault(s.mask, s)
+        masks = _canonical(by_mask)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "ground_n", ground_n)
+        object.__setattr__(self, "_members", tuple(by_mask[m] for m in masks))
 
     @classmethod
     def of(cls, element_sets, ground_n: int) -> "SetFamily":
@@ -111,17 +138,49 @@ class SetFamily:
 
     @classmethod
     def from_masks(cls, masks, ground_n: int) -> "SetFamily":
-        return cls(tuple(Subset.from_mask(m, ground_n) for m in masks), ground_n)
+        """The family of the given masks, in any order and with repeats;
+        no Subset is built."""
+        masks = tuple(masks)
+        valid_n = isinstance(ground_n, int) and ground_n >= 1
+        try:
+            distinct = set(masks)
+            in_range = valid_n and min(distinct, default=0) >= 0 \
+                and not max(distinct, default=0) >> ground_n
+        except TypeError:  # a mask that is not an int
+            in_range = False
+        if not in_range:
+            # the error the first bad member gives as a Subset; with no
+            # members, the family's own ground-size error
+            for m in masks:
+                if not isinstance(m, int):
+                    raise ValueError(f"SetFamily: masks must be integers, got {m!r}")
+                Subset.from_mask(m, ground_n)
+            _check_family_ground(ground_n)
+        fam = cls.__new__(cls)
+        object.__setattr__(fam, "_masks", _canonical(distinct))
+        object.__setattr__(fam, "ground_n", ground_n)
+        return fam
+
+    @property
+    def members(self) -> tuple[Subset, ...]:
+        """The members as Subsets, in canonical order."""
+        members = self._members
+        if members is None:
+            n = self.ground_n
+            members = tuple(Subset.from_mask(m, n) for m in self._masks)
+            object.__setattr__(self, "_members", members)
+        return members
 
     def masks(self) -> list[int]:
-        return [s.mask for s in self.members]
+        return list(self._masks)
 
     def sizes(self) -> set[int]:
-        return {s.size for s in self.members}
+        return set(map(int.bit_count, self._masks))
 
     @property
     def is_uniform(self) -> bool:
-        return len(self.sizes()) <= 1
+        masks = self._masks
+        return not masks or masks[0].bit_count() == masks[-1].bit_count()
 
     def uniform_size(self) -> int:
         sizes = self.sizes()
@@ -130,7 +189,7 @@ class SetFamily:
         return sizes.pop()
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._masks)
 
     def __iter__(self):
         return iter(self.members)
@@ -140,6 +199,9 @@ class SetFamily:
 
     def __str__(self) -> str:
         return "{" + ", ".join(format_subset(s) for s in self.members) + "}"
+
+    def __repr__(self) -> str:
+        return f"SetFamily(members={self.members!r}, ground_n={self.ground_n!r})"
 
 
 def format_subset(s: Subset) -> str:

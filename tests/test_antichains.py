@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kktools import (
+    DisjointPairReport,
     KappaTable,
     SetFamily,
     Subset,
@@ -24,6 +25,8 @@ from kktools import (
     level_masks,
     negativity_threshold,
     replace_up_map,
+    shade,
+    shadow,
     sperner_down,
     sperner_max_check,
     sperner_up,
@@ -108,6 +111,104 @@ def test_sperner_ops_never_shrink_when_profitable():
             assert is_antichain(up)
             assert len(up) >= len(fam)
             assert min(up.sizes()) == min(sizes) + 1
+
+
+def oracle_sperner_move(fam, down):
+    """sperner_down (down) or sperner_up on Subsets: the level split by
+    member size and the public shadow and shade."""
+    op = "sperner_down" if down else "sperner_up"
+    if len(fam) == 0:
+        raise ValueError(f"{op} requires a nonempty antichain")
+    if not is_antichain(fam):
+        raise ValueError(f"{op} requires an antichain")
+    n = fam.ground_n
+    if fam.masks() == [0] or fam.masks() == [(1 << n) - 1]:
+        raise ValueError(f"{op} is not defined on the one-member extremes")
+    size = max(fam.sizes()) if down else min(fam.sizes())
+    level = tuple(s for s in fam if s.size == size)
+    rest = tuple(s for s in fam if s.size != size)
+    moved = (shadow if down else shade)(SetFamily(level, n))
+    return SetFamily(rest + moved.members, n)
+
+
+def sperner_outcome(op, fam):
+    try:
+        return op(fam)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_sperner_moves_match_the_subset_oracle():
+    # every antichain of n <= 5, and every family of n <= 3, antichain or
+    # not, for the errors
+    families = [(n, f) for n in range(1, 6) for f in enumerate_antichains(n)]
+    families += [(n, [m for m in range(1 << n) if pick >> m & 1])
+                 for n in range(1, 4) for pick in range(1 << (1 << n))]
+    errors = set()
+    for n, masks in families:
+        fam = SetFamily.from_masks(masks, n)
+        for op, down in ((sperner_down, True), (sperner_up, False)):
+            got = sperner_outcome(op, fam)
+            want = sperner_outcome(lambda f: oracle_sperner_move(f, down), fam)
+            assert got == want, (n, masks, down)
+            if isinstance(got, SetFamily):
+                assert got.masks() == want.masks() and got.ground_n == n
+            else:
+                errors.add(got)
+    assert errors == {f"{op} {why}" for op in ("sperner_down", "sperner_up")
+                      for why in ("requires a nonempty antichain",
+                                  "requires an antichain",
+                                  "is not defined on the one-member extremes")}
+
+
+def test_mask_paths_build_no_subset(monkeypatch):
+    built = []
+    real = Subset.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subset, "__init__", counting)
+    fam = SetFamily.from_masks([0b0110, 0b0011, 0b1000, 0b0011], 4)
+    assert (fam.masks(), len(fam), fam.sizes()) == ([0b1000, 0b0011, 0b0110], 3, {1, 2})
+    assert not fam.is_uniform and fam == SetFamily.from_masks(fam.masks(), 4)
+    hash(fam)
+    down, up = sperner_down(fam), sperner_up(fam)
+    assert down.masks() == [0b0001, 0b0010, 0b0100, 0b1000]
+    assert up.masks() == [0b0011, 0b0110, 0b1001, 0b1010, 0b1100]
+    assert built == []
+    assert [s.elements for s in fam] == [(4,), (1, 2), (2, 3)]
+    assert len(built) == 3
+    assert list(fam.members) == list(fam) and len(built) == 3  # kept
+
+
+def oracle_disjoint_pairs(a, b):
+    """disjoint_pairs by a loop over the Subset members."""
+    if a.ground_n != b.ground_n:
+        raise ValueError("families must share a ground set")
+    pairs = [(x, y) for x in a for y in b if not x.mask & y.mask]
+    ok = len({x.mask for x, _ in pairs}) == len(pairs) == \
+        len({y.mask for _, y in pairs})
+    return DisjointPairReport(tuple(pairs), len(pairs), ok)
+
+
+def test_disjoint_pairs_match_the_member_loop():
+    rng = random.Random(190)
+    outcomes = set()
+    for _ in range(400):
+        n = rng.choice([1, 2, 5, 9, 64, 70])
+        density = rng.random()
+        a, b = ([sum(1 << e for e in range(n) if rng.random() < density)
+                 for _ in range(rng.randint(0, 7))] for _ in range(2))
+        fam_a, fam_b = SetFamily.from_masks(a, n), SetFamily.from_masks(b, n)
+        got = disjoint_pairs(fam_a, fam_b)
+        assert got == oracle_disjoint_pairs(fam_a, fam_b)
+        assert got.to_json() == oracle_disjoint_pairs(fam_a, fam_b).to_json()
+        outcomes.add((got.pair_count > 0, got.is_matching))
+    assert outcomes == {(False, True), (True, True), (True, False)}
+    with pytest.raises(ValueError, match="share a ground set"):
+        disjoint_pairs(SetFamily.from_masks([1], 2), SetFamily.from_masks([1], 3))
 
 
 def test_replace_up_map_is_injective_and_lexicographic_least():
@@ -464,8 +565,8 @@ def test_extremal_sweep_matches_per_k_oracle(n):
 def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
     real = antichains._extremal_masks
 
-    def faulty(n, k, table=None):
-        a_masks, b_masks, case, m = real(n, k, table)
+    def faulty(n, k, table=None, levels=None):
+        a_masks, b_masks, case, m = real(n, k, table, levels)
         upper = level_masks(n, n // 2 + 1)
         if fault == "m + 1" and case == "ii" and m < len(a_masks):
             m += 1
@@ -493,6 +594,114 @@ def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
         assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
 
 
+def fam(*element_sets, n=4):
+    return SetFamily.of(element_sets, n)
+
+
+# (call, arguments, value or ValueError): zero, negative, past-range and
+# non-integer arguments across the public surface of kktools.antichains.  A
+# family stands for its masks, a report for (passed, checks_run), a
+# construction for (total, case, m), a pair report for (pair_count,
+# is_matching) and a brute-force result for (best, witness count).
+EDGE_CASES = [
+    (is_antichain, (fam(),), True),
+    (is_antichain, (fam(()),), True),
+    (is_antichain, (fam((), (1,)),), False),
+    (sperner_down, (fam(),), ValueError),
+    (sperner_down, (fam(()),), ValueError),
+    (sperner_down, (fam((1, 2, 3, 4)),), ValueError),
+    (sperner_down, (fam((1,), (1, 2)),), ValueError),
+    (sperner_down, (fam((1,), n=1),), ValueError),
+    (sperner_down, (fam((1,), n=2),), [0]),
+    (sperner_up, (fam(),), ValueError),
+    (sperner_up, (fam(()),), ValueError),
+    (sperner_up, (fam((1, 2, 3, 4)),), ValueError),
+    (sperner_up, (fam((1,), n=2),), [3]),
+    (replace_up_map, (fam((1,)), 1.0), ValueError),
+    (replace_up_map, (fam((1,)), 2), ValueError),
+    (replace_up_map, (fam((1,)), -1), ValueError),
+    (replace_up_map, (fam(), 0), ValueError),
+    (replace_up_map, (fam((1,)), 1), {1: 3}),
+    (injective_replace_up, (fam((1,)), 1.0), ValueError),
+    (injective_replace_up, (fam((1, 2)), 2.0), ValueError),
+    (injective_replace_up, (fam((1,)), 0), ValueError),
+    (injective_replace_up, (fam(), 0), ValueError),
+    (injective_replace_up, (fam((1,), (2,), (3,), (4,)), 1), [3, 5, 6, 9]),
+    (injective_replace_up, (fam((1, 2)), 2), [3]),
+    (disjoint_pairs, (fam(), fam()), (0, True)),
+    (disjoint_pairs, (fam(), fam(n=5)), ValueError),
+    (disjoint_pairs, (fam(()), fam(())), (1, True)),
+    (theorem25_bound, (4, 0), 10),
+    (theorem25_bound, (4, 6), 12),
+    (theorem25_bound, (4, 7), ValueError),
+    (theorem25_bound, (4, -1), ValueError),
+    (theorem25_bound, (0, 0), ValueError),
+    (theorem25_bound, (-4, 0), ValueError),
+    (theorem25_bound, (2, 0), ValueError),
+    (theorem25_bound, (5, 0), ValueError),
+    (theorem25_bound, (4.0, 0), ValueError),
+    (theorem25_bound, (4, 0.0), ValueError),
+    (construct_extremal, (4, 0), (10, "i", None)),
+    (construct_extremal, (4, 6), (12, "ii", 6)),
+    (construct_extremal, (4, 7), ValueError),
+    (construct_extremal, (4, -1), ValueError),
+    (construct_extremal, (2, 0), ValueError),
+    (construct_extremal, (-4, 0), ValueError),
+    (enumerate_antichains, (0,), ValueError),
+    (enumerate_antichains, (-1,), ValueError),
+    (enumerate_antichains, (6,), ValueError),
+    (enumerate_antichains, (1,), ((), (0,), (1,))),
+    (brute_force_max, (4, -1), ValueError),
+    (brute_force_max, (0, 0), ValueError),
+    (brute_force_max, (6, 0), ValueError),
+    (brute_force_max, (4.0, 0), ValueError),
+    (brute_force_max, (4, 0), (10, 2)),
+    (brute_force_max, (4, 7), (12, 1)),
+    (brute_force_max, (4, 7, True), (-1, 0)),
+    (verify_thm25_brute, (0,), ValueError),
+    (verify_thm25_brute, (2,), ValueError),
+    (verify_thm25_brute, (6,), ValueError),
+    (verify_thm25_brute, (4, -1), ValueError),
+    (verify_thm25_brute, (4, 7), ValueError),
+    (verify_thm25_brute, (4, 2.5), ValueError),
+    (verify_thm25_brute, (4, 0), (True, 1)),
+    (verify_thm26_structure, (0,), ValueError),
+    (verify_thm26_structure, (2,), ValueError),
+    (verify_thm26_structure, (4, -1), ValueError),
+    (verify_thm26_structure, (4, 7), ValueError),
+    (verify_thm26_structure, (4, 0), (True, 4)),
+    (verify_extremal_constructions, (0,), ValueError),
+    (verify_extremal_constructions, (-4,), ValueError),
+    (verify_extremal_constructions, (2,), ValueError),
+    (verify_extremal_constructions, (5,), ValueError),
+    (verify_extremal_constructions, (4,), (True, 7)),
+    (sperner_max_check, (0,), ValueError),
+    (sperner_max_check, (-1,), ValueError),
+    (sperner_max_check, (6,), ValueError),
+    (sperner_max_check, (1,), (True, 3)),
+]
+
+
+def test_edge_arguments_give_a_value_or_a_value_error():
+    # any other exception type escapes and fails the test
+    for call, args, want in EDGE_CASES:
+        try:
+            got = call(*args)
+        except ValueError:
+            got = ValueError
+        if isinstance(got, SetFamily):
+            got = got.masks()
+        elif hasattr(got, "checks_run"):
+            got = (got.passed, got.checks_run)
+        elif hasattr(got, "chosen_m"):
+            got = (got.total, got.case, got.chosen_m)
+        elif hasattr(got, "pair_count"):
+            got = (got.pair_count, got.is_matching)
+        elif call is brute_force_max and got is not ValueError:
+            got = (got[0], len(got[1]))
+        assert got == want, (call.__name__, args, got)
+
+
 @pytest.mark.parametrize("call, args, name", [
     (construct_extremal, (6, 2.5), "k"),
     (construct_extremal, (6.0, 2), "n"),
@@ -502,6 +711,8 @@ def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
     (verify_extremal_constructions, (6.0,), "n"),
     (sperner_max_check, (3.0,), "n"),
     (enumerate_antichains, (3.0,), "n"),
+    (replace_up_map, (SetFamily.of([(1,)], 3), 1.0), "level"),
+    (injective_replace_up, (SetFamily.of([(1,)], 3), 1.0), "level"),
 ])
 def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     # they used to return an answer for the truncated or float argument, or

@@ -66,3 +66,77 @@ def test_identity_suite_clean_on_wide_grid():
 def test_identity_suite_rejects_bad_bounds():
     with pytest.raises(ValueError):
         verify_d_identities(0, 4)
+
+
+# (call, arguments, value or ValueError): zero, negative, past-range and
+# non-integer arguments across the public surface of kktools.binomials.  A
+# report stands for (passed, checks_run).
+EDGE_CASES = [
+    (binom, (0, 0), 1),
+    (binom, (5, 0), 1),
+    (binom, (5, 5), 1),
+    (binom, (5, 6), 0),
+    (binom, (5, -1), 0),
+    (binom, (0, 1), 0),
+    (binom, (-1, 0), ValueError),
+    (binom, (-1, -1), ValueError),
+    (binom, (10**30, 2), 10**30 * (10**30 - 1) // 2),
+    (binom, (2.5, 1), ValueError),
+    (binom, (2.5, 5), ValueError),
+    (binom, (2.0, 1), ValueError),
+    (binom, (3, 1.0), ValueError),
+    (binom, (3, -1.5), ValueError),
+    (binom, (3, 4.0), ValueError),
+    (binom, (-1.5, 1), ValueError),
+    (d_value, (1, 1), 0),
+    (d_value, (2, 5), 0),
+    (d_value, (0, 1), ValueError),
+    (d_value, (3, 0), ValueError),
+    (d_value, (-1, 1), ValueError),
+    (d_value, (1, -1), ValueError),
+    (d_value, (2.5, 1), ValueError),
+    (d_value, (2.5, 5), ValueError),
+    (d_value, (4, 2.0), ValueError),
+    (d_value, (4, 5.0), ValueError),
+    (hockey_stick, (0, 0), 1),
+    (hockey_stick, (3, 4), binom(8, 4)),
+    (hockey_stick, (-1, 0), ValueError),
+    (hockey_stick, (0, -1), ValueError),
+    (hockey_stick, (2.5, 1), ValueError),
+    (hockey_stick, (2, 1.0), ValueError),
+    (hockey_stick, (2.0, 0), ValueError),
+    (verify_d_identities, (1, 1), (True, 4)),
+    (verify_d_identities, (0, 4), ValueError),
+    (verify_d_identities, (4, 0), ValueError),
+    (verify_d_identities, (-1, -1), ValueError),
+    (verify_d_identities, (2.5, 2), ValueError),
+    (verify_d_identities, (2, 2.0), ValueError),
+]
+
+
+def test_edge_arguments_give_a_value_or_a_value_error():
+    # any other exception type escapes and fails the test
+    for call, args, want in EDGE_CASES:
+        try:
+            got = call(*args)
+        except ValueError:
+            got = ValueError
+        if hasattr(got, "checks_run"):
+            got = (got.passed, got.checks_run)
+        assert got == want, (call.__name__, args, got)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (binom, (2.5, 1), "n"),
+    (binom, (2.5, 5), "n"),
+    (binom, (3, 1.0), "k"),
+    (d_value, (2.5, 1), "n"),
+    (d_value, (2.5, 5), "n"),
+    (hockey_stick, (2.5, 1), "r"),
+    (hockey_stick, (2, 1.0), "k"),
+    (verify_d_identities, (2.5, 2), "n_max"),
+])
+def test_non_integer_arguments_are_named_in_the_error(call, args, name):
+    # they raised TypeError from math.comb or range, or returned 0
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
+        call(*args)

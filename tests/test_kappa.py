@@ -238,6 +238,76 @@ def test_thm23_sweep_and_cascade_oracle_agree_on_a_faulty_table(
     assert rep.checks_run == m_max + 1
 
 
+def oracle_prop22(table, r, m_max):
+    """verify_prop22's violations by the per-m loop."""
+    p = negativity_threshold(r)
+    zeros = {0} | {sum(binom(2 * i - 1, i) for i in range(t, r + 1))
+                   for t in range(1, r + 1)}
+    violations = []
+    for m in range(m_max + 1):
+        v = table.kappa[m]
+        if (v < 0) != (m >= p):
+            violations.append({"part": "negativity", "r": r, "m": m,
+                               "kappa": v, "threshold": p})
+        if (v == 0) != (m in zeros):
+            violations.append({"part": "zero-set", "r": r, "m": m, "kappa": v})
+    return violations
+
+
+def oracle_lemma38(table, n):
+    """verify_lemma38's violations by the per-m loop."""
+    big_m = table.upper_m
+    target = table.kappa[big_m]
+    violations = []
+    for m in range(big_m + 1):
+        v = table.kappa[m]
+        if v < target:
+            violations.append({"part": "minimum", "n": n, "m": m,
+                               "kappa": v, "at_level_size": target})
+        elif n % 2 == 0 and v == target and m != big_m:
+            violations.append({"part": "uniqueness", "n": n, "m": m, "kappa": v})
+    return violations
+
+
+def test_sign_and_minimum_sweeps_match_per_m_oracles_on_faulty_tables(
+        monkeypatch):
+    # an earlier entry set to the last one (Lemma 3.8's target), then a few
+    # entries moved by up to 3, the last one too at odd seeds; every part of
+    # both sweeps must fire
+    build = KappaTable.build.__func__
+    seed = 0
+
+    def faulty(cls, level, upper):
+        table = build(cls, level, upper)
+        rng = random.Random(f"{seed} {level} {upper}")  # same faults per table
+        if upper:
+            table.kappa[rng.randrange(upper)] = table.kappa[upper]
+        picks = rng.sample(range(upper + 1), min(upper + 1, 6))
+        if seed % 2:
+            picks.append(upper)
+        for m in picks:
+            table.kappa[m] += rng.choice([-3, -2, -1, 1, 2, 3])
+        return table
+
+    monkeypatch.setattr(KappaTable, "build", classmethod(faulty))
+    parts = set()
+    for seed in range(12):
+        for r, m_max in ((1, 5), (2, 12), (3, 30), (4, 80)):
+            rep = verify_prop22(r, m_max)
+            want = oracle_prop22(KappaTable.build(r, m_max), r, m_max)
+            assert rep.violations == want, (seed, r)
+            assert rep.checks_run == 2 * (m_max + 1)
+            parts |= {v["part"] for v in want}
+        for n in (2, 5, 6, 7, 8):
+            rep = verify_lemma38(n)
+            r = (n + 1) // 2
+            want = oracle_lemma38(KappaTable.build(r, binom(n, r)), n)
+            assert rep.violations == want, (seed, n)
+            assert rep.checks_run == binom(n, r) + 1
+            parts |= {v["part"] for v in want}
+    assert parts == {"negativity", "zero-set", "minimum", "uniqueness"}
+
+
 def test_large_coefficients_give_monotone_suffix():
     # if every cascade coefficient has a_i >= 2i-1, the deficit at m is no
     # larger than at any earlier point

@@ -1,6 +1,7 @@
 """Squashed (colex) order: comparison, ranking, segments, text forms."""
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -180,6 +181,155 @@ def test_family_mixed_sizes_order_by_size_first():
         fam.uniform_size()
 
 
+@dataclass(frozen=True)
+class OracleSetFamily:
+    """The dataclass SetFamily that held its Subset members, kept as the
+    oracle of the mask-tuple SetFamily."""
+
+    members: tuple
+    ground_n: int
+
+    def __post_init__(self):
+        if not isinstance(self.ground_n, int) or self.ground_n < 1:
+            raise ValueError(f"SetFamily: ground_n must be a positive integer, "
+                             f"got {self.ground_n!r}")
+        for s in self.members:
+            if s.ground_n != self.ground_n:
+                raise ValueError(
+                    f"member {s.elements} has ground set size {s.ground_n}, "
+                    f"family has {self.ground_n}")
+        canon = tuple(sorted(set(self.members),
+                             key=lambda s: (len(s.elements), s.mask)))
+        if canon != tuple(self.members):
+            object.__setattr__(self, "members", canon)
+
+    @classmethod
+    def of(cls, element_sets, ground_n):
+        return cls(tuple(Subset(tuple(es), ground_n) for es in element_sets), ground_n)
+
+    @classmethod
+    def from_masks(cls, masks, ground_n):
+        return cls(tuple(Subset.from_mask(m, ground_n) for m in masks), ground_n)
+
+    def masks(self):
+        return [s.mask for s in self.members]
+
+    def sizes(self):
+        return {s.size for s in self.members}
+
+    @property
+    def is_uniform(self):
+        return len(self.sizes()) <= 1
+
+    def uniform_size(self):
+        sizes = self.sizes()
+        if len(sizes) != 1:
+            raise ValueError(f"family is not uniform (sizes {sorted(sizes)})")
+        return sizes.pop()
+
+    def __len__(self):
+        return len(self.members)
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __contains__(self, s):
+        return s in self.members
+
+    def __str__(self):
+        return "{" + ", ".join(format_subset(s) for s in self.members) + "}"
+
+
+def outcome(call, *args):
+    """call(*args), or the type and text of the error it raises."""
+    try:
+        return call(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_family(fam, oracle):
+    assert fam.members == oracle.members
+    assert list(fam) == list(oracle)  # iteration order
+    assert fam.masks() == oracle.masks()
+    assert fam.sizes() == oracle.sizes()
+    assert len(fam) == len(oracle)
+    assert fam.ground_n == oracle.ground_n
+    assert fam.is_uniform == oracle.is_uniform
+    assert outcome(fam.uniform_size) == outcome(oracle.uniform_size)
+    assert str(fam) == str(oracle)
+    assert repr(fam) == repr(oracle).replace("OracleSetFamily", "SetFamily", 1)
+    assert all(s in fam for s in oracle.members)
+    outside = [Subset.from_mask(m, fam.ground_n)
+               for m in range(min(8, 1 << fam.ground_n))]
+    assert [s in fam for s in outside] == [s in oracle for s in outside]
+
+
+@st.composite
+def mask_lists(draw, n=None):
+    """(n, masks): a list of masks on {1..n}, n <= 130, with repeats, in any
+    order, possibly empty."""
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=130))
+    base = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                         max_size=8))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=4)) if base else []
+    return n, draw(st.permutations(base + repeats))
+
+
+@given(mask_lists())
+def test_mask_family_matches_the_dataclass_oracle(drawn):
+    n, masks = drawn
+    oracle = OracleSetFamily.from_masks(masks, n)
+    members = [Subset.from_mask(m, n) for m in masks]
+    elements = [s.elements for s in members]
+    for fam in (SetFamily.from_masks(masks, n), SetFamily.from_masks(iter(masks), n),
+                SetFamily(tuple(members), n), SetFamily.of(elements, n)):
+        assert_same_family(fam, oracle)
+    assert_same_family(SetFamily.of(elements, n),
+                       OracleSetFamily.of(elements, n))
+
+
+@given(st.integers(min_value=1, max_value=130).flatmap(
+    lambda n: st.tuples(mask_lists(n), mask_lists(n))))
+def test_mask_family_equality_and_hash_match_the_oracle(pair):
+    (n, left), (_, right) = pair
+    for a_masks, b_masks in ((left, right), (left, list(reversed(left)))):
+        a, b = SetFamily.from_masks(a_masks, n), SetFamily.from_masks(b_masks, n)
+        want = OracleSetFamily.from_masks(a_masks, n) == \
+            OracleSetFamily.from_masks(b_masks, n)
+        assert (a == b) == want and (a != b) != want
+        if want:
+            assert hash(a) == hash(b)
+        members = tuple(Subset.from_mask(m, n) for m in b_masks)
+        assert (a == SetFamily(members, n)) == want
+    fam = SetFamily.from_masks(left, n)
+    assert fam != SetFamily.from_masks(left, n + 1)
+    assert fam != OracleSetFamily.from_masks(left, n)
+    assert fam != tuple(left)
+
+
+@given(st.integers(min_value=1, max_value=9), st.data())
+def test_mask_family_errors_match_the_oracle(n, data):
+    # negative masks, masks past the ground set and bad ground sizes
+    masks = data.draw(st.lists(st.integers(min_value=-3, max_value=1 << (n + 1)),
+                               max_size=6))
+    ground_n = data.draw(st.sampled_from([n, n, 0, -1, 2.5]))
+    # a member on another ground set, when there are members at all
+    members = tuple(Subset.from_mask(m, n) for m in masks if 0 <= m < 1 << n)
+    members += tuple(Subset.from_mask(1, n + 1) for _ in masks[:1])
+    sets = [(e,) for e in data.draw(st.lists(st.integers(-1, n + 1), max_size=4))]
+    for call, args in (("from_masks", (masks, ground_n)), (None, (members, n)),
+                       (None, (members, ground_n)), ("of", (sets, ground_n))):
+        got = outcome(getattr(SetFamily, call) if call else SetFamily, *args)
+        want = outcome(getattr(OracleSetFamily, call) if call else OracleSetFamily,
+                       *args)
+        if isinstance(want, OracleSetFamily):
+            assert_same_family(got, want)
+        else:
+            assert got == want
+
+
 # (call, arguments, value or ValueError): zero, negative, past-level-size and
 # non-integer arguments across the public surface of kktools.squashed.  A
 # Subset stands for its elements and a family for its masks.
@@ -226,10 +376,27 @@ EDGE_CASES = [
     (Subset, ((0,), 3), ValueError),
     (Subset, ((4,), 3), ValueError),
     (Subset, ((), 1), ()),
+    (Subset, ((1.5,), 3), ValueError),
+    (Subset, ((2.0,), 3), ValueError),
+    (Subset, ((1, "2"), 3), ValueError),
+    (Subset, (([1],), 3), ValueError),
     (SetFamily, ((), 2.5), ValueError),
     (SetFamily, ((), 0), ValueError),
     (SetFamily, ((Subset((1,), 2),), 3), ValueError),
     (SetFamily, ((), 1), []),
+    (SetFamily.of, ([[1.5]], 2), ValueError),
+    (SetFamily.of, ([[3]], 2), ValueError),
+    (SetFamily.of, ([[2], [1], [2]], 2), [1, 2]),
+    (SetFamily.from_masks, ([1.5], 3), ValueError),
+    (SetFamily.from_masks, ([[1]], 3), ValueError),
+    (SetFamily.from_masks, ([1, -1], 3), ValueError),
+    (SetFamily.from_masks, ([8], 3), ValueError),
+    (SetFamily.from_masks, ([1], 0), ValueError),
+    (SetFamily.from_masks, ([], 0), ValueError),
+    (SetFamily.from_masks, ([], 2.5), ValueError),
+    (SetFamily.from_masks, ([], 1), []),
+    (SetFamily.from_masks, ([3, 0, 4, 3], 3), [0, 4, 3]),
+    (SetFamily.from_masks, ([1 << 129], 130), [1 << 129]),
     (compare_squashed, (Subset((1,), 3), Subset((1, 2), 3)), ValueError),
     (compare_squashed, (Subset((3,), 3), Subset((3,), 3)), 0),
     (parse_subset, ("1.5", 3), ValueError),
@@ -258,6 +425,9 @@ def test_edge_arguments_give_a_value_or_a_value_error():
     (unrank, (1.5, 3, 1), "m"),
     (level_masks, (3.0, 1), "n"),
     (segment_after, (4, 2, 0, 1.0), "m"),
+    (Subset, ((1.5,), 3), "elements"),
+    (SetFamily.of, ([[1.5]], 2), "elements"),
+    (SetFamily.from_masks, ([1.5], 2), "masks"),
 ])
 def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
