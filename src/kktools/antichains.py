@@ -88,86 +88,6 @@ def sperner_up(fam: SetFamily) -> SetFamily:
     return _sperner_move(fam, "sperner_up", down=False)
 
 
-def _matching_size(adj: list[list[int]], n_right: int) -> int:
-    """Maximum bipartite matching size by augmenting paths."""
-    match_right = [-1] * n_right
-
-    def augment(u: int, seen: set) -> bool:
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if match_right[v] == -1 or augment(match_right[v], seen):
-                match_right[v] = u
-                return True
-        return False
-
-    size = 0
-    for u in range(len(adj)):
-        if augment(u, set()):
-            size += 1
-    return size
-
-
-def replace_up_map(fam: SetFamily, level: int) -> dict[int, int]:
-    """The assignment injective_replace_up applies: bottom-level mask to
-    chosen superset mask.
-
-    Bottom sets are processed in squashed order; each takes the squashed-least
-    superset in the level's shade that leaves a perfect matching for the
-    remaining sets, so the overall assignment is the lexicographically least
-    perfect matching.  Raises if no perfect matching exists.
-    """
-    _check_int("replace_up_map", level=level)
-    _require_antichain(fam, "injective_replace_up")
-    n = fam.ground_n
-    if level != min(fam.sizes()):
-        raise ValueError(f"level {level} is not the bottom level of the family")
-    lefts = [m for m in fam.masks() if m.bit_count() == level]
-    rights = _pure.shade_masks(lefts, n)
-    right_index = {m: i for i, m in enumerate(rights)}
-    adj = [[right_index[sup] for sup in _pure.shade_masks([m], n)] for m in lefts]
-
-    chosen: dict[int, int] = {}
-    used: set = set()
-    for i, left in enumerate(lefts):
-        picked = None
-        for v in adj[i]:
-            if v in used:
-                continue
-            remaining = [[w for w in adj[j] if w not in used and w != v]
-                         for j in range(i + 1, len(lefts))]
-            if _matching_size(remaining, len(rights)) == len(lefts) - i - 1:
-                picked = v
-                break
-        if picked is None:
-            raise ValueError("no perfect matching from the bottom level into its shade")
-        used.add(picked)
-        chosen[left] = rights[picked]
-    return chosen
-
-
-def injective_replace_up(fam: SetFamily, level: int) -> SetFamily:
-    """Move the bottom level of an antichain up by one, injectively.
-
-    Each bottom set is replaced by a distinct superset from the bottom
-    level's shade (see replace_up_map for the tie-break); total size and the
-    antichain property are preserved, and any cross-intersection with
-    another family persists because every set only grows.  Identity when the
-    bottom level already sits at or above the middle of the ground set.
-    """
-    _check_int("injective_replace_up", level=level)
-    _require_antichain(fam, "injective_replace_up")
-    n = fam.ground_n
-    if level != min(fam.sizes()):
-        raise ValueError(f"level {level} is not the bottom level of the family")
-    if 2 * level >= n:
-        return fam
-    mapping = replace_up_map(fam, level)
-    rest = [m for m in fam.masks() if m.bit_count() != level]
-    return SetFamily.from_masks(rest + list(mapping.values()), n)
-
-
 @dataclass(frozen=True)
 class DisjointPairReport:
     """The disjointness relation between two families."""

@@ -318,13 +318,15 @@ def run_all(n_max: int = 8, r_max: int = 6):
 def _cmd_verify(cfg: SweepConfig) -> int:
     which = cfg.parameters["which"]
     if which == "all":
-        par = cfg.parameters
-        results = run_all(par.get("n") or 8, par.get("r") or 6)
+        n, r = cfg.parameters.get("n"), cfg.parameters.get("r")
+        n_max = n if n is not None else 8
+        r_max = r if r is not None else 6
+        results = run_all(n_max, r_max)
         all_passed = all(rep.passed for _, rep in results)
         if cfg.output_format == "json":
             payload = {
                 "check": "all",
-                "params": {"n_max": par.get("n") or 8, "r_max": par.get("r") or 6},
+                "params": {"n_max": n_max, "r_max": r_max},
                 "passed": all_passed,
                 "violations": [v for _, rep in results for v in rep.violations],
                 "witnesses": [{"check": name, "passed": rep.passed,

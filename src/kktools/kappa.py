@@ -9,9 +9,9 @@ Both take and return exact integers only.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from operator import eq, lt, ne, not_, or_
+from operator import eq, ne, not_, or_
 
 from .binomials import binom, _check_int
 from .report import VerificationReport, timed
@@ -132,14 +132,26 @@ class KappaTable:
     the kappa column is the running sum of run length minus one over the
     level, and that column follows the level's block recursion
     (_run_column): list slices and one accumulate, no walk over the sets.
-    It stays an independent route against the cascade formula, and kappa_star
-    is its running minimum.
+    It stays an independent route against the cascade formula.  kappa_star
+    is not passed in: the table derives it as the running minimum of the
+    kappa column it is given.
     """
 
     level_r: int
     upper_m: int
     kappa: list[int]
-    kappa_star: list[int]
+    kappa_star: list[int] = field(init=False)
+
+    def __post_init__(self):
+        _check_int("KappaTable", upper_m=self.upper_m)
+        if self.upper_m < 0 or len(self.kappa) != self.upper_m + 1:
+            raise ValueError(f"KappaTable: need upper_m >= 0 and upper_m + 1 "
+                             f"kappa values, got upper_m={self.upper_m} and "
+                             f"{len(self.kappa)} values")
+        low = self.kappa[0]
+        # a compare, not min(): the builtin call costs several times more
+        self.kappa_star = [(low := value) if value < low else low
+                           for value in self.kappa]
 
     @classmethod
     def build(cls, r: int, upper_m: int) -> "KappaTable":
@@ -147,19 +159,7 @@ class KappaTable:
         if r < 1 or upper_m < 0:
             raise ValueError(f"KappaTable: need r >= 1 and upper_m >= 0, "
                              f"got r={r}, upper_m={upper_m}")
-        kappa_col = list(accumulate(_run_column(r, upper_m), initial=0))
-        low = 0
-        # a compare, not min(): the builtin call costs several times more
-        star_col = [(low := value) if value < low else low for value in kappa_col]
-        return cls(r, upper_m, kappa_col, star_col)
-
-    def star_clamped(self, m: int) -> int:
-        """kappa_star with arguments beyond the table saturating at upper_m
-        (the level-size cap in the inequality sweeps below)."""
-        _check_int("star_clamped", m=m)
-        if m < 0:
-            raise ValueError(f"star_clamped: need m >= 0, got {m}")
-        return self.kappa_star[min(m, self.upper_m)]
+        return cls(r, upper_m, list(accumulate(_run_column(r, upper_m), initial=0)))
 
     def to_tsv(self) -> str:
         lines = ["m\tkappa\tkappa_star"]
@@ -234,7 +234,7 @@ def _exchange_violations(table: KappaTable, a_range, k_range):
     for k in k_range:
         lhs = lhs_base + star[k]
         for a in a_range:
-            # star_clamped inlined: k + M - a exceeds M exactly when k > a
+            # kappa* saturates at M: k + M - a exceeds M exactly when k > a
             rhs = kappa_col[a] + (star[k + big_m - a] if k <= a else star[big_m])
             if lhs > rhs:
                 yield a, k, lhs, rhs
@@ -244,47 +244,40 @@ def _violating_steps(table: KappaTable):
     """Yield, ascending, the steps (s, e) of constant kappa* whose rows k in
     s..e of the full exchange grid are not all free of violations.
 
-    Only a nonincreasing kappa* is assumed.  On a step the left side is
-    constant and the right side shrinks as k grows, so row e decides it.
-    With d = M - a, cell (a, k) holds iff kappa*(k) - kappa*(min(k+d, M))
-    <= kappa(a) - kappa(M); the left side sums the drops of kappa* at the
-    step starts in (k, k+d].  With low the prefix minima of kappa, and step
-    t running from s_t to e_t at value v_t, the grid holds iff
-    low[M-1] >= kappa(M) (else every row fails) and, for all t < u,
-    kappa(M) + v_t <= v_u + low[M + e_t - s_u]: the cells of row e_t that
+    On a step the left side is constant and the right side shrinks as k
+    grows, so row e decides it.  With d = M - a, cell (a, k) holds iff
+    kappa*(k) - kappa*(min(k+d, M)) <= kappa(a) - kappa(M); the left side
+    sums the drops of kappa* at the step starts in (k, k+d].  With step t
+    running from s_t to e_t at value v_t, the grid holds iff
+    kappa*(M) >= kappa(M) (else every row fails) and, for all t < u,
+    kappa(M) + v_t <= v_u + kappa*(M + e_t - s_u): the cells of row e_t that
     see the drops up to s_u are a <= M + e_t - s_u, and the least kappa
-    among them binds.  A block of steps first..last is bounded below by
-    v_last + low[M + e_t - s_first] and bisected only while that bound
-    falls below the left side.
+    among them, kappa*(M + e_t - s_u), binds.  A block of steps
+    first..last is bounded below by v_last + kappa*(M + e_t - s_first) and
+    bisected only while that bound falls below the left side.
 
-    When low == kappa* (as KappaTable.build makes it), the right side is
-    F(s_u) with F(x) = kappa*(x) + kappa*(M + e_t - x), symmetric about
-    (M + e_t)/2, and F(e_t) is the left side.  The mirror of a violating
-    start past the middle lies in a later step whose start violates too,
-    so only the starts s_u <= (M + e_t)/2 are checked.
+    The right side is F(s_u) with F(x) = kappa*(x) + kappa*(M + e_t - x),
+    symmetric about (M + e_t)/2, and F(e_t) is the left side.  The mirror of
+    a violating start past the middle lies in a later step whose start
+    violates too, so only the starts s_u <= (M + e_t)/2 are checked.
     """
     big_m = table.upper_m
     star = table.kappa_star
-    later = star[1:]
-    if any(map(lt, star, later)):
-        raise RuntimeError("exchange grid: kappa_star is not nonincreasing")
-    ends = list(compress(range(big_m), map(ne, star, later))) + [big_m]
+    ends = list(compress(range(big_m), map(ne, star, star[1:]))) + [big_m]
     starts = [0] + [e + 1 for e in ends[:-1]]
     values = [star[e] for e in ends]
-    low = list(accumulate(table.kappa, min))
     lhs_base = table.kappa[big_m]
-    if low[big_m] < lhs_base:
+    if star[big_m] < lhs_base:
         yield from zip(starts, ends)
         return
-    halved = low == star
     for step, (s, e) in enumerate(zip(starts, ends)):
         lhs = lhs_base + values[step]
         d = big_m + e
-        top = bisect_right(starts, d // 2) - 1 if halved else len(starts) - 1
+        top = bisect_right(starts, d // 2) - 1
         blocks = [(step + 1, top)] if step < top else []
         while blocks:
             first, last = blocks.pop()
-            if values[last] + low[d - starts[first]] >= lhs:
+            if values[last] + star[d - starts[first]] >= lhs:
                 continue
             if first == last:
                 yield s, e

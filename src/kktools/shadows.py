@@ -88,6 +88,8 @@ class CascadeRep:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if not (isinstance(self.value_m, int) and isinstance(self.level_r, int)):
+            _check_int("CascadeRep", value_m=self.value_m, level_r=self.level_r)
         if self.level_r < 1:
             raise ValueError(f"cascade level must be positive, got {self.level_r}")
         total = 0
@@ -177,6 +179,7 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
         _check_int("verify_kkt", **{name: value})
         if value < least:
             raise ValueError(f"verify_kkt: need {name} >= {least}, got {value}")
+    _check_int("verify_kkt", seed=seed)  # None would seed from OS entropy
     rep = VerificationReport("kkt", {"n_max": n_max, "samples": samples,
                                      "seed": seed, "sample_n_max": sample_n_max})
     shadow_min = cache(kk_shadow_min)  # one cascade per (m, k) per call

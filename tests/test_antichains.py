@@ -17,14 +17,12 @@ from kktools import (
     disjoint_pairs,
     enumerate_antichains,
     format_subset,
-    injective_replace_up,
     is_antichain,
     kappa,
     kappa_star,
     last_segment,
     level_masks,
     negativity_threshold,
-    replace_up_map,
     shade,
     shadow,
     sperner_down,
@@ -209,26 +207,6 @@ def test_disjoint_pairs_match_the_member_loop():
     assert outcomes == {(False, True), (True, True), (True, False)}
     with pytest.raises(ValueError, match="share a ground set"):
         disjoint_pairs(SetFamily.from_masks([1], 2), SetFamily.from_masks([1], 3))
-
-
-def test_replace_up_map_is_injective_and_lexicographic_least():
-    fam = SetFamily.of([(1,), (2,)], 4)
-    assert replace_up_map(fam, 1) == {0b0001: 0b0011, 0b0010: 0b0110}
-
-
-def test_injective_replace_up_no_op_at_or_above_middle():
-    fam = SetFamily.of([(1, 2), (1, 3)], 4)
-    assert injective_replace_up(fam, 2).masks() == fam.masks()
-
-
-def test_injective_replace_up_grows_small_sets():
-    fam = SetFamily.of([(1,), (2,), (3,)], 6)
-    out = injective_replace_up(fam, 1)
-    assert len(out) == 3
-    assert out.sizes() == {2}
-    # distinct supersets, each containing its source
-    for small, big in replace_up_map(fam, 1).items():
-        assert small & big == small
 
 
 def test_disjoint_pairs_matching():
@@ -617,17 +595,6 @@ EDGE_CASES = [
     (sperner_up, (fam(()),), ValueError),
     (sperner_up, (fam((1, 2, 3, 4)),), ValueError),
     (sperner_up, (fam((1,), n=2),), [3]),
-    (replace_up_map, (fam((1,)), 1.0), ValueError),
-    (replace_up_map, (fam((1,)), 2), ValueError),
-    (replace_up_map, (fam((1,)), -1), ValueError),
-    (replace_up_map, (fam(), 0), ValueError),
-    (replace_up_map, (fam((1,)), 1), {1: 3}),
-    (injective_replace_up, (fam((1,)), 1.0), ValueError),
-    (injective_replace_up, (fam((1, 2)), 2.0), ValueError),
-    (injective_replace_up, (fam((1,)), 0), ValueError),
-    (injective_replace_up, (fam(), 0), ValueError),
-    (injective_replace_up, (fam((1,), (2,), (3,), (4,)), 1), [3, 5, 6, 9]),
-    (injective_replace_up, (fam((1, 2)), 2), [3]),
     (disjoint_pairs, (fam(), fam()), (0, True)),
     (disjoint_pairs, (fam(), fam(n=5)), ValueError),
     (disjoint_pairs, (fam(()), fam(())), (1, True)),
@@ -711,8 +678,6 @@ def test_edge_arguments_give_a_value_or_a_value_error():
     (verify_extremal_constructions, (6.0,), "n"),
     (sperner_max_check, (3.0,), "n"),
     (enumerate_antichains, (3.0,), "n"),
-    (replace_up_map, (SetFamily.of([(1,)], 3), 1.0), "level"),
-    (injective_replace_up, (SetFamily.of([(1,)], 3), 1.0), "level"),
 ])
 def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     # they used to return an answer for the truncated or float argument, or

@@ -175,6 +175,14 @@ def test_verify_all_small(capsys):
     assert out.strip().splitlines()[-1] == "ALL PASS"
 
 
+@pytest.mark.parametrize("flag, message", [("--n", "got 0, 6"), ("--r", "got 8, 0")])
+def test_verify_all_rejects_a_zero_bound(capsys, flag, message):
+    # 0 is a bound the sweeps reject, not a missing flag to default
+    code, out, err = run_cli(capsys, "verify", "all", flag, "0", "--format", "json")
+    assert code == 2
+    assert out == "" and "verify_d_identities" in err and message in err
+
+
 def test_verify_all_json_matches_golden_file(capsys):
     # tests/data/verify_all.json: `kktools verify all --format json` with
     # elapsed_ms removed; a faster sweep must leave every byte else alone

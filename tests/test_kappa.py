@@ -89,14 +89,6 @@ def test_table_matches_point_functions():
     t = KappaTable.build(2, 10)
     assert [t.kappa[m] for m in range(11)] == KAPPA_2
     assert t.kappa_star[10] == -5
-    assert t.star_clamped(10_000) == t.kappa_star[10]
-
-
-def test_star_clamped_rejects_negative_arguments():
-    t = KappaTable.build(2, 10)
-    assert t.star_clamped(0) == 0
-    with pytest.raises(ValueError, match="m >= 0"):
-        t.star_clamped(-1)
 
 
 def test_kappa_name_is_the_function_and_the_module_stays_importable():
@@ -119,6 +111,20 @@ def test_table_rejects_bad_arguments():
         KappaTable.build(0, 5)
     with pytest.raises(ValueError):
         KappaTable.build(2, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.lists(st.integers(-10, 10), min_size=1, max_size=40),
+       st.integers(0, 1000))
+@example(1, [0], 0)
+@example(6, [3], 0)
+def test_table_derives_kappa_star_as_the_running_minimum(r, kap, upper):
+    # kappa* is no constructor argument: any kappa column gets its running
+    # minimum, and a built table is the table of its own kappa column
+    table = KappaTable(r, len(kap) - 1, kap)
+    assert table.kappa_star == list(accumulate(kap, min))
+    built = KappaTable.build(r, upper)
+    assert built == KappaTable(r, upper, list(built.kappa))
 
 
 def test_sign_and_zero_set_sweep():
@@ -333,14 +339,14 @@ def test_exchange_inequality_grids():
 
 def cell_by_cell(table):
     """Every violating cell (a, k, lhs, rhs) of the full grid, k-major, by
-    the definition with star_clamped per cell."""
+    the definition, with kappa* saturating at M per cell."""
     big_m = table.upper_m
     grid = range(big_m + 1)
     want = []
     for k in grid:
         lhs = table.kappa[big_m] + table.kappa_star[k]
         for a in grid:
-            rhs = table.kappa[a] + table.star_clamped(k + big_m - a)
+            rhs = table.kappa[a] + table.kappa_star[min(k + big_m - a, big_m)]
             if lhs > rhs:
                 want.append((a, k, lhs, rhs))
     return want
@@ -351,7 +357,7 @@ def made_up_table(rng, upper, shape):
         kap = [0] + [rng.randint(-5, 5) for _ in range(upper)]
     else:  # a walk with steps -1, 0, +1, as the real kappa columns move
         kap = list(accumulate([0] + [rng.choice((-1, 0, 1)) for _ in range(upper)]))
-    return KappaTable(3, upper, kap, list(accumulate(kap, min)))
+    return KappaTable(3, upper, kap)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -382,23 +388,6 @@ def test_full_grid_path_matches_cell_by_cell_definition(shape):
         assert list(_full_grid_violations(table)) == want
         violating += bool(want)
     assert violating >= 100
-
-
-def test_full_grid_path_needs_only_a_nonincreasing_star():
-    # kappa* here is no running minimum of the kappa column
-    rng = random.Random(7)
-    for _ in range(300):
-        upper = rng.randint(0, 25)
-        kap = [rng.randint(-5, 5) for _ in range(upper + 1)]
-        star = sorted((rng.randint(-6, 3) for _ in range(upper + 1)), reverse=True)
-        table = KappaTable(3, upper, kap, star)
-        assert list(_full_grid_violations(table)) == cell_by_cell(table)
-
-
-def test_violating_steps_rejects_a_star_that_rises():
-    table = KappaTable(3, 3, [0, -1, 0, -2], [0, -1, 0, -2])
-    with pytest.raises(RuntimeError, match="nonincreasing"):
-        list(_violating_steps(table))
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -458,27 +447,18 @@ def test_step_certificate_matches_all_step_pairs_on_real_tables(n):
 
 @st.composite
 def exchange_tables(draw, shape):
-    """Made-up tables for the exchange grid.  "running-min": kappa* is the
-    running minimum of kappa, as KappaTable.build makes it (the halved
-    path); "any-star": kappa* is any nonincreasing column (the general
-    path).  In both, kappa(M) is the least kappa value, so the step pairs
-    decide.  "high-end": kappa(M) lies above an earlier kappa value, so every
-    step fails."""
+    """Made-up tables for the exchange grid, kappa* derived as the running
+    minimum of kappa.  "running-min": kappa(M) is the least kappa value, so
+    the step pairs decide.  "high-end": kappa(M) lies above an earlier kappa
+    value, so every step fails."""
     big_m = draw(st.integers(1 if shape == "high-end" else 0, 24))
     moves = draw(st.lists(st.integers(-2, 2), min_size=big_m, max_size=big_m))
     kap = list(accumulate(moves, initial=draw(st.integers(-3, 3))))
     if shape == "high-end":
         kap[big_m] = min(kap[:big_m]) + draw(st.integers(1, 3))
-        running = draw(st.booleans())
     else:
         kap[big_m] = min(kap) - draw(st.integers(0, 1))
-        running = shape == "running-min"
-    if running:
-        star = list(accumulate(kap, min))
-    else:
-        star = sorted(draw(st.lists(st.integers(-8, 3), min_size=big_m + 1,
-                                    max_size=big_m + 1)), reverse=True)
-    return KappaTable(3, big_m, kap, star)
+    return KappaTable(3, big_m, kap)
 
 
 def assert_certificate_matches_oracles(table):
@@ -488,24 +468,16 @@ def assert_certificate_matches_oracles(table):
 
 @settings(max_examples=300, deadline=None)
 @given(exchange_tables("running-min"))
-@example(KappaTable(3, 0, [0], [0]))
-@example(KappaTable(3, 1, [0, -1], [0, -1]))
-@example(KappaTable(3, 1, [0, 0], [0, 0]))
+@example(KappaTable(3, 0, [0]))
+@example(KappaTable(3, 1, [0, -1]))
+@example(KappaTable(3, 1, [0, 0]))
 def test_halved_certificate_matches_oracles_on_made_up_tables(table):
-    assert_certificate_matches_oracles(table)
-
-
-@settings(max_examples=300, deadline=None)
-@given(exchange_tables("any-star"))
-@example(KappaTable(3, 0, [2], [-1]))
-@example(KappaTable(3, 1, [2, -1], [1, -3]))
-def test_general_certificate_matches_oracles_on_made_up_tables(table):
     assert_certificate_matches_oracles(table)
 
 
 @settings(max_examples=200, deadline=None)
 @given(exchange_tables("high-end"))
-@example(KappaTable(3, 1, [0, 1], [0, 0]))
+@example(KappaTable(3, 1, [0, 1]))
 def test_every_step_fails_when_kappa_m_is_not_least(table):
     steps = list(_violating_steps(table))
     star = table.kappa_star
@@ -556,7 +528,6 @@ def test_exchange_grid_report_names_itself_on_bad_n(n):
         verify_conjecture51(n)
 
 
-_TABLE = KappaTable.build(2, 6)
 # (call, arguments, value or ValueError): zero, negative, past-level-size and
 # non-integer arguments across the public surface of kktools.kappa, and the
 # bound of Thm 2.5 built on kappa*.  A report stands for its `passed` flag
@@ -568,8 +539,6 @@ EDGE_CASES = [
     (kappa_star, (2.0, 3), ValueError),
     (KappaTable.build, (2, 2.5), ValueError),
     (KappaTable.build, (2.0, 6), ValueError),
-    (_TABLE.star_clamped, (2.5,), ValueError),
-    (_TABLE.star_clamped, (2.0,), ValueError),
     (negativity_threshold, (2.0,), ValueError),
     (verify_prop22, (2, 2.5), ValueError),
     (verify_thm23, (2.0, 5), ValueError),
@@ -605,10 +574,11 @@ EDGE_CASES = [
     (KappaTable.build, (1, -1), ValueError),
     (KappaTable.build, (2, 0), [0]),
     (KappaTable.build, (2, binom(4, 2) + 1), [0, 0, 0, 0, 0, -1, -2, -2]),
-    (_TABLE.star_clamped, (-1,), ValueError),
-    (_TABLE.star_clamped, (0,), 0),
-    (_TABLE.star_clamped, (7,), -2),
-    (_TABLE.star_clamped, (10**20,), -2),
+    (KappaTable, (3, 0, [2]), [2]),
+    (KappaTable, (3, 3, [0, 2, -1, 1]), [0, 0, -1, -1]),
+    (KappaTable, (3, 2, [0, 1]), ValueError),
+    (KappaTable, (3, -1, []), ValueError),
+    (KappaTable, (3, 2.0, [0, 1, 2]), ValueError),
     (verify_prop22, (0, 5), ValueError),
     (verify_prop22, (-1, 5), ValueError),
     (verify_prop22, (2, -1), ValueError),
@@ -663,7 +633,6 @@ def test_edge_arguments_give_a_value_or_a_value_error():
     (theorem25_bound, (6, 2.5), "k"),
     (verify_prop24, (6.0,), "n"),
     (verify_prop24, (6, None, 2.0), "k"),
-    (_TABLE.star_clamped, (2.5,), "m"),
 ])
 def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     # a float used to fail inside math.comb or a list index with a TypeError

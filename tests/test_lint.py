@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import kktools
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "kktools"
 
 
@@ -35,6 +37,13 @@ def test_verify_all_gives_the_golden_report_under_optimize():
     payload.pop("elapsed_ms")
     golden = Path(__file__).parent / "data" / "verify_all.json"
     assert json.dumps(payload, indent=2) + "\n" == golden.read_text()
+
+
+def test_every_exported_name_resolves_and_the_list_is_sorted():
+    # a function deleted from a module must not stay in __all__
+    missing = [name for name in kktools.__all__ if not hasattr(kktools, name)]
+    assert missing == []
+    assert kktools.__all__ == sorted(set(kktools.__all__))
 
 
 def _names_a_cache(node) -> bool:

@@ -155,6 +155,13 @@ def test_cascade_rep_validation():
         cascade_rep(-1, 2)
     with pytest.raises(ValueError):
         cascade_rep(3, 0)
+    # a float field is named, not carried into the sum or the printed form
+    with pytest.raises(ValueError, match="level_r must be an integer"):
+        CascadeRep(0, 1.5, ())
+    with pytest.raises(ValueError, match="value_m must be an integer"):
+        CascadeRep(1.0, 1, ((1, 1),))
+    with pytest.raises(ValueError, match="level_r must be an integer"):
+        CascadeRep(3, 2.0, ((3, 2),))
 
 
 def test_kk_shadow_min_examples():
@@ -175,7 +182,9 @@ def test_kkt_sweep_passes():
 
 @pytest.mark.parametrize("kwargs, name", [({"n_max": 0}, "n_max"),
                                           ({"samples": -1}, "samples"),
-                                          ({"sample_n_max": 1}, "sample_n_max")])
+                                          ({"sample_n_max": 1}, "sample_n_max"),
+                                          ({"seed": 2.5}, "seed"),
+                                          ({"seed": None}, "seed")])
 def test_kkt_sweep_rejects_bad_arguments(kwargs, name):
     with pytest.raises(ValueError, match=name):
         verify_kkt(**kwargs)
