@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from math import comb
 
 from . import _pure
 from .binomials import binom, _check_int
@@ -124,12 +125,9 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
 def theorem25_bound(n: int, k: int) -> int:
     """C(n, n/2) + C(n, n/2+1) - kappa*_{n/2}(k) for even n >= 4 and
     0 <= k <= C(n, n/2)."""
-    _check_int("theorem25_bound", n=n, k=k)
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"theorem25_bound: need even n >= 4, got {n}")
+    _check_int("theorem25_bound", "n", n, 4, even=True)
     half = binom(n, n // 2)
-    if not 0 <= k <= half:
-        raise ValueError(f"theorem25_bound: need 0 <= k <= {half}, got {k}")
+    _check_int("theorem25_bound", "k", k, 0, half)
     return half + binom(n, n // 2 + 1) - kappa_star(n // 2, k)
 
 
@@ -195,12 +193,8 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     half-size sets together with the upper middle level minus their shade,
     paired to A (the full half-size level) through the m complements.
     """
-    _check_int("construct_extremal", n=n, k=k)
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"construct_extremal: need even n >= 4, got {n}")
-    half = binom(n, n // 2)
-    if not 0 <= k <= half:
-        raise ValueError(f"construct_extremal: need 0 <= k <= {half}, got {k}")
+    _check_int("construct_extremal", "n", n, 4, even=True)
+    _check_int("construct_extremal", "k", k, 0, comb(n, n // 2))
     a_masks, b_masks, case, m = _extremal_masks(n, k)
     return ExtremalConstruction(n, k, SetFamily.from_masks(a_masks, n),
                                 SetFamily.from_masks(b_masks, n), case, m)
@@ -216,9 +210,7 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     clears its comparables from the rest of the branch.  The total count is
     checked against the known values (168 at n = 4, 7581 at n = 5).
     """
-    _check_int("enumerate_antichains", n=n)
-    if not 1 <= n <= 5:
-        raise ValueError(f"antichain enumeration is limited to 1 <= n <= 5, got {n}")
+    _check_int("enumerate_antichains", "n", n, 1, 5)
     order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     # comparable[i]: bit j set iff order[j] is a proper subset or superset
     comparable = [sum(1 << j for j, b in enumerate(order)
@@ -244,9 +236,7 @@ def _brute_force_masks(n: int, k: int, exact: bool = False,
                        require_side: bool = False):
     """brute_force_max on masks: (max_total, [(masks_a, masks_b), ...]),
     each family the tuple enumerate_antichains gives, in canonical order."""
-    _check_int("brute_force_max", k=k)
-    if k < 0:
-        raise ValueError(f"brute_force_max: need k >= 0, got {k}")
+    _check_int("brute_force_max", "k", k, 0)
     families = enumerate_antichains(n)
     best, hits = _pure.scan_pairs(families, k, exact, require_side)
     return best, [(families[i], families[j]) for i, j in hits]
@@ -289,12 +279,9 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     exact mode (matching size exactly k) only the no-excess direction is
     asserted, as the equality there is conjectural.
     """
-    _check_int("verify_thm25_brute", n=n)
-    if n % 2 != 0 or not 4 <= n <= 5:
-        raise ValueError("the bound needs even n and enumeration needs n <= 5; "
-                         f"got n={n}")
+    _check_int("verify_thm25_brute", "n", n, 4, 5, even=True)
     rep = VerificationReport("thm25-brute", {"n": n, "k": k, "exact": exact})
-    ks = [k] if k is not None else list(range(binom(n, n // 2) + 1))
+    ks = [k] if k is not None else list(range(comb(n, n // 2) + 1))
     for kk in ks:
         bound = theorem25_bound(n, kk)
         best, wits = _brute_force_masks(n, kk, exact)
@@ -328,17 +315,11 @@ def verify_thm26_structure(n: int = 4,
 
     The checks run on masks; a family is rendered only when it is reported.
     """
-    _check_int("verify_thm26_structure", n=n)
-    if k is not None:
-        _check_int("verify_thm26_structure", k=k)
-    if n % 2 != 0 or not 4 <= n <= 5:
-        raise ValueError("structure checks need even n with enumeration, "
-                         f"got n={n}")
+    _check_int("verify_thm26_structure", "n", n, 4, 5, even=True)
     r = n // 2
     half_level = level_masks(n, r)
-    if k is not None and not 0 <= k <= len(half_level):
-        raise ValueError(f"verify_thm26_structure: need 0 <= k <= "
-                         f"{len(half_level)}, got {k}")
+    if k is not None:
+        _check_int("verify_thm26_structure", "k", k, 0, len(half_level))
     rep = VerificationReport("thm26", {"n": n, "k": k})
     upper_level = set(level_masks(n, r + 1))
     ks = [k] if k is not None else list(range(len(half_level) + 1))
@@ -381,13 +362,11 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
     disjoint from each B member are computed once and reused while A stays
     the same.
     """
-    _check_int("verify_extremal_constructions", n=n)
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"need even n >= 4, got {n}")
+    _check_int("verify_extremal_constructions", "n", n, 4, even=True)
     rep = VerificationReport("thm25-extremal", {"n": n})
     r = n // 2
-    half = binom(n, r)
-    middle = half + binom(n, r + 1)
+    half = comb(n, r)
+    middle = half + comb(n, r + 1)
     table = KappaTable.build(r, half)
     levels = level_masks(n, r), level_masks(n, r + 1)
     star = 0
@@ -432,7 +411,7 @@ def sperner_max_check(n: int) -> VerificationReport:
     families = enumerate_antichains(n)
     best = max(len(f) for f in families)
     maximizers = {f for f in families if len(f) == best}
-    want_best = binom(n, n // 2)
+    want_best = comb(n, n // 2)
     expected = {tuple(level_masks(n, n // 2)), tuple(level_masks(n, (n + 1) // 2))}
     rep.checks_run = len(families)
     if best != want_best:

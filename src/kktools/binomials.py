@@ -7,27 +7,26 @@ import math
 from .report import VerificationReport, timed
 
 
-def _check_int(op: str, **args) -> None:
-    """Raise a ValueError naming the first argument that is not an int, so
-    a float such as 2.5 is neither truncated nor passed on to fail later."""
-    for name, value in args.items():
-        if not isinstance(value, int):
-            raise ValueError(f"{op}: {name} must be an integer, got {value!r}")
+def _check_int(op: str, name: str, value, lo: int | None = None,
+               hi: int | None = None, even: bool = False) -> None:
+    """Raise a ValueError unless value is a plain int (bools are rejected)
+    with lo <= value <= hi, and even if asked; a bound left None is not
+    checked, and hi comes with lo.  The message names op and the argument,
+    so a float such as 2.5 is neither truncated nor passed on to fail
+    later."""
+    if type(value) is not int:
+        raise ValueError(f"{op}: {name} must be an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi) \
+            or (even and value % 2):
+        span = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        raise ValueError(f"{op}: need {'even ' if even else ''}{span}, got {value}")
 
 
 def binom(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k < 0 or k > n.  Requires n >= 0."""
-    if n < 0:
-        raise ValueError(f"binom: n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        if not (isinstance(n, int) and isinstance(k, int)):
-            _check_int("binom", n=n, k=k)
-        return 0
-    try:
-        return math.comb(n, k)
-    except TypeError:  # math.comb checks the types on this branch
-        _check_int("binom", n=n, k=k)
-        raise
+    _check_int("binom", "n", n, 0)
+    _check_int("binom", "k", k)
+    return math.comb(n, k) if k >= 0 else 0
 
 
 def d_value(n: int, r: int) -> int:
@@ -36,31 +35,55 @@ def d_value(n: int, r: int) -> int:
     Both arguments must be positive; the identity sweeps below stay on that
     domain.
     """
-    if n < 1 or r < 1:
-        raise ValueError(f"d_value: arguments must be positive, got n={n}, r={r}")
-    if r > n:
-        if not (isinstance(n, int) and isinstance(r, int)):
-            _check_int("d_value", n=n, r=r)
-        return 0
-    try:
-        return math.comb(n, r - 1) - math.comb(n, r)
-    except TypeError:
-        _check_int("d_value", n=n, r=r)
-        raise
+    _check_int("d_value", "n", n, 1)
+    _check_int("d_value", "r", r, 1)
+    return math.comb(n, r - 1) - math.comb(n, r) if r <= n else 0
 
 
 def hockey_stick(r: int, k: int) -> int:
     """Sum of C(r+i, i) for i = 0..k, which telescopes to C(r+k+1, k)."""
-    if r < 0 or k < 0:
-        raise ValueError(f"hockey_stick: arguments must be nonnegative, got r={r}, k={k}")
-    try:
-        total = sum(math.comb(r + i, i) for i in range(k + 1))
-    except TypeError:
-        _check_int("hockey_stick", r=r, k=k)
-        raise
+    _check_int("hockey_stick", "r", r, 0)
+    _check_int("hockey_stick", "k", k, 0)
+    total = sum(math.comb(r + i, i) for i in range(k + 1))
     if total != math.comb(r + k + 1, k):
         raise RuntimeError(f"hockey_stick: sum {total} misses C({r + k + 1}, {k})")
     return total
+
+
+def _cascade_terms(m: int, r: int) -> tuple[tuple[int, int], ...]:
+    """The cascade m = C(a_r, r) + C(a_{r-1}, r-1) + ... + C(a_t, t),
+    a_r > ... > a_t >= t >= 1, as its (a_i, i) terms; () for m = 0.  The
+    arguments are checked by the caller: m >= 0, and r >= 1 unless m = 0.
+
+    Greedily taking the largest C(a, i) <= remainder at each level i = r,
+    r-1, ... yields the unique representation: the remainder after C(a_i, i)
+    is below C(a_i + 1, i) - C(a_i, i) = C(a_i, i-1), which forces strict
+    decrease.  So each a_i is found by bisection on [i-1, a_{i+1}), and the
+    top one on a bracket found by doubling; the work is polynomial in
+    log m and r.
+    """
+    terms = []
+    rem = m
+    i = r
+    hi = None
+    while rem > 0:
+        lo = i - 1
+        if hi is None:
+            hi = i
+            while math.comb(hi, i) <= rem:
+                lo, hi = hi, 2 * hi
+        # invariant: C(lo, i) <= rem < C(hi, i)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if math.comb(mid, i) <= rem:
+                lo = mid
+            else:
+                hi = mid
+        terms.append((lo, i))
+        rem -= math.comb(lo, i)
+        hi = lo
+        i -= 1
+    return tuple(terms)
 
 
 def _sign(x: int) -> int:
@@ -87,10 +110,8 @@ def verify_d_identities(n_max: int, r_max: int) -> VerificationReport:
     * D(2r, r) plus the sum over i < r of D(2i-2, i) is negative (the i = 1
       term is D(0, 1), which the r > n rule sends to 0).
     """
-    _check_int("verify_d_identities", n_max=n_max, r_max=r_max)
-    if n_max < 1 or r_max < 1:
-        raise ValueError(
-            f"verify_d_identities: need n_max, r_max >= 1, got {n_max}, {r_max}")
+    _check_int("verify_d_identities", "n_max", n_max, 1)
+    _check_int("verify_d_identities", "r_max", r_max, 1)
     rep = VerificationReport("d-identities", {"n_max": n_max, "r_max": r_max})
     bad = rep.violations.append
 

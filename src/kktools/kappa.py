@@ -11,9 +11,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
+from math import comb
 from operator import eq, ne, not_, or_
 
-from .binomials import binom, _check_int
+from .binomials import _check_int
 from .report import VerificationReport, timed
 from .shadows import kk_shadow_min
 
@@ -25,18 +26,15 @@ def kappa(r: int, m: int) -> int:
 
 def kappa_star(r: int, m: int) -> int:
     """min of kappa_r over 0..m; never positive beyond m = 0, nonincreasing."""
-    _check_int("kappa_star", r=r, m=m)
-    if m < 0:
-        raise ValueError(f"kappa_star: need m >= 0, got {m}")
+    _check_int("kappa_star", "r", r, 1)
+    _check_int("kappa_star", "m", m, 0)
     return min(kk_shadow_min(j, r) - j for j in range(m + 1))  # kappa(r, j), one call less
 
 
 def negativity_threshold(r: int) -> int:
     """Least m with kappa_r(m) < 0, namely 1 + sum of C(2i-1, i) for i <= r."""
-    _check_int("negativity_threshold", r=r)
-    if r < 1:
-        raise ValueError(f"negativity_threshold: need r >= 1, got {r}")
-    return 1 + sum(binom(2 * i - 1, i) for i in range(1, r + 1))
+    _check_int("negativity_threshold", "r", r, 1)
+    return 1 + sum(comb(2 * i - 1, i) for i in range(1, r + 1))
 
 
 def _level_blocks(j: int, count: int) -> list[tuple[int, int]]:
@@ -143,11 +141,11 @@ class KappaTable:
     kappa_star: list[int] = field(init=False)
 
     def __post_init__(self):
-        _check_int("KappaTable", upper_m=self.upper_m)
-        if self.upper_m < 0 or len(self.kappa) != self.upper_m + 1:
-            raise ValueError(f"KappaTable: need upper_m >= 0 and upper_m + 1 "
-                             f"kappa values, got upper_m={self.upper_m} and "
-                             f"{len(self.kappa)} values")
+        _check_int("KappaTable", "level_r", self.level_r, 1)
+        _check_int("KappaTable", "upper_m", self.upper_m, 0)
+        if len(self.kappa) != self.upper_m + 1:
+            raise ValueError(f"KappaTable: need upper_m + 1 kappa values, got "
+                             f"upper_m={self.upper_m} and {len(self.kappa)} values")
         low = self.kappa[0]
         # a compare, not min(): the builtin call costs several times more
         self.kappa_star = [(low := value) if value < low else low
@@ -155,10 +153,8 @@ class KappaTable:
 
     @classmethod
     def build(cls, r: int, upper_m: int) -> "KappaTable":
-        _check_int("KappaTable", r=r, upper_m=upper_m)
-        if r < 1 or upper_m < 0:
-            raise ValueError(f"KappaTable: need r >= 1 and upper_m >= 0, "
-                             f"got r={r}, upper_m={upper_m}")
+        _check_int("KappaTable", "r", r, 1)
+        _check_int("KappaTable", "upper_m", upper_m, 0)
         return cls(r, upper_m, list(accumulate(_run_column(r, upper_m), initial=0)))
 
     def to_tsv(self) -> str:
@@ -175,14 +171,13 @@ def verify_prop22(r: int, m_max: int) -> VerificationReport:
     kappa_r(m) is negative exactly from the negativity threshold on, and
     zero exactly on {0} together with the suffix sums of C(2i-1, i).
     """
-    _check_int("verify_prop22", r=r, m_max=m_max)
-    if r < 1 or m_max < 0:
-        raise ValueError(f"verify_prop22: need r >= 1, m_max >= 0, got {r}, {m_max}")
+    _check_int("verify_prop22", "r", r, 1)
+    _check_int("verify_prop22", "m_max", m_max, 0)
     rep = VerificationReport("prop22", {"r": r, "m_max": m_max})
     p = negativity_threshold(r)
     zeros = {0}
     for t in range(1, r + 1):
-        zeros.add(sum(binom(2 * i - 1, i) for i in range(t, r + 1)))
+        zeros.add(sum(comb(2 * i - 1, i) for i in range(t, r + 1)))
     col = KappaTable.build(r, m_max).kappa
     # wrong sign: negative before the threshold, nonnegative from it on
     cut = min(p, m_max + 1)
@@ -208,9 +203,8 @@ def verify_prop22(r: int, m_max: int) -> VerificationReport:
 def verify_thm23(r: int, m_max: int) -> VerificationReport:
     """kappa_r(m) = kappa*_r(m) exactly when every cascade coefficient
     satisfies a_i >= 2i - 1."""
-    _check_int("verify_thm23", r=r, m_max=m_max)
-    if r < 1 or m_max < 0:
-        raise ValueError(f"verify_thm23: need r >= 1, m_max >= 0, got {r}, {m_max}")
+    _check_int("verify_thm23", "r", r, 1)
+    _check_int("verify_thm23", "m_max", m_max, 0)
     rep = VerificationReport("thm23", {"r": r, "m_max": m_max})
     table = KappaTable.build(r, m_max)
     cond = _condition_column(r, m_max + 1)
@@ -304,17 +298,14 @@ def verify_prop24(n: int, a_only: int | None = None,
     largest segment the level admits.  Optional a_only/k_only restrict the
     grid to one row, column, or cell.
     """
-    _check_int("verify_prop24", n=n)
-    if n < 2:
-        raise ValueError(f"verify_prop24: need n >= 2, got {n}")
+    _check_int("verify_prop24", "n", n, 2)
     r = (n + 1) // 2
-    big_m = binom(n, r)
+    big_m = comb(n, r)
+    for name, value in (("a", a_only), ("k", k_only)):
+        if value is not None:
+            _check_int("verify_prop24", name, value, 0, big_m)
     rep = VerificationReport("prop24", {"n": n, "r": r, "M": big_m,
                                         "a": a_only, "k": k_only})
-    for name, value in (("a", a_only), ("k", k_only)):
-        if value is not None and not (isinstance(value, int) and 0 <= value <= big_m):
-            raise ValueError(f"verify_prop24: need an integer {name} in 0..{big_m}, "
-                             f"got {value!r}")
     table = KappaTable.build(r, big_m)
     a_range = range(big_m + 1) if a_only is None else (a_only,)
     k_range = range(big_m + 1) if k_only is None else (k_only,)
@@ -333,11 +324,9 @@ def verify_lemma38(n: int) -> VerificationReport:
     """kappa_r(m) >= kappa_r(C(n, r)) for all 0 <= m <= C(n, r), r = ceil(n/2);
     for even n equality holds only at m = C(n, n/2) itself (and m = 0 gives
     kappa = 0 > the minimum)."""
-    _check_int("verify_lemma38", n=n)
-    if n < 2:
-        raise ValueError(f"verify_lemma38: need n >= 2, got {n}")
+    _check_int("verify_lemma38", "n", n, 2)
     r = (n + 1) // 2
-    big_m = binom(n, r)
+    big_m = comb(n, r)
     rep = VerificationReport("lemma38", {"n": n, "r": r, "M": big_m})
     col = KappaTable.build(r, big_m).kappa
     target = col[big_m]
@@ -369,11 +358,9 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
     steps of kappa* are certified from its step list (_violating_steps),
     and the rows it cannot certify are scanned cell by cell.
     """
-    _check_int("check_conjecture51", n=n)
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"check_conjecture51: need even n >= 2, got {n}")
+    _check_int("check_conjecture51", "n", n, 2, even=True)
     r = n // 2
-    big_m = binom(n, r)
+    big_m = comb(n, r)
     table = KappaTable.build(r, big_m)
     return [(a, k) for a, k, _, _ in _full_grid_violations(table)]
 
@@ -381,11 +368,9 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
 @timed
 def verify_conjecture51(n: int) -> VerificationReport:
     """Report wrapper around check_conjecture51 over the full grid."""
-    _check_int("verify_conjecture51", n=n)
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"verify_conjecture51: need even n >= 2, got {n}")
+    _check_int("verify_conjecture51", "n", n, 2, even=True)
     r = n // 2
-    big_m = binom(n, r)
+    big_m = comb(n, r)
     rep = VerificationReport("conjecture51", {"n": n, "r": r, "M": big_m})
     rep.violations = [{"a": a, "k": k} for a, k in check_conjecture51(n)]
     rep.checks_run = (big_m + 1) ** 2

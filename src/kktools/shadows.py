@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from math import comb
 
 from . import _pure
-from .binomials import binom, _check_int
+from .binomials import _cascade_terms, _check_int
 from .report import VerificationReport, timed
 from .squashed import SetFamily, level_masks
 
@@ -88,28 +89,33 @@ class CascadeRep:
     terms: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not (isinstance(self.value_m, int) and isinstance(self.level_r, int)):
-            _check_int("CascadeRep", value_m=self.value_m, level_r=self.level_r)
-        if self.level_r < 1:
-            raise ValueError(f"cascade level must be positive, got {self.level_r}")
+        r = self.level_r
+        _check_int("CascadeRep", "value_m", self.value_m, 0)
+        _check_int("CascadeRep", "level_r", r, 1)
+        terms = self.terms
+        if type(terms) is not tuple or not all(
+                type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is int
+                for t in terms):
+            raise ValueError(f"CascadeRep: terms must be a tuple of (a, i) "
+                             f"integer pairs, got {terms!r}")
         total = 0
         prev_a = None
-        for pos, (a, i) in enumerate(self.terms):
-            if i != self.level_r - pos:
-                raise ValueError(f"cascade indices must run {self.level_r}, "
-                                 f"{self.level_r - 1}, ...: got {self.terms}")
+        for pos, (a, i) in enumerate(terms):
+            if i != r - pos or i < 1:
+                raise ValueError(f"cascade indices must run {r}, {r - 1}, ...: "
+                                 f"got {terms}")
             if a < i:
                 raise ValueError(f"cascade needs a_i >= i, got C({a}, {i})")
             if prev_a is not None and not a < prev_a:
-                raise ValueError(f"cascade coefficients must strictly decrease: {self.terms}")
+                raise ValueError(f"cascade coefficients must strictly decrease: {terms}")
             prev_a = a
-            total += binom(a, i)
+            total += comb(a, i)
         if total != self.value_m:
             raise ValueError(f"cascade terms sum to {total}, not {self.value_m}")
 
     def shadow_sum(self) -> int:
         """Value of the shadow formula: sum of C(a_i, i-1)."""
-        return sum(binom(a, i - 1) for a, i in self.terms)
+        return sum(comb(a, i - 1) for a, i in self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -119,43 +125,10 @@ class CascadeRep:
 
 
 def cascade_rep(m: int, r: int) -> CascadeRep:
-    """Greedy cascade representation of m at level r.
-
-    Greedily taking the largest C(a, i) <= remainder at each level i = r,
-    r-1, ... yields the unique representation: the remainder after C(a_i, i)
-    is below C(a_i + 1, i) - C(a_i, i) = C(a_i, i-1), which forces strict
-    decrease.  So each a_i is found by bisection on [i-1, a_{i+1}), and the
-    top one on a bracket found by doubling; the work is polynomial in
-    log m and r.
-    """
-    if not (isinstance(m, int) and isinstance(r, int)):  # no call on the hot path
-        _check_int("cascade_rep", m=m, r=r)
-    if r < 1:
-        raise ValueError(f"cascade level must be positive, got {r}")
-    if m < 0:
-        raise ValueError(f"cascade value must be nonnegative, got {m}")
-    terms = []
-    rem = m
-    i = r
-    hi = None
-    while rem > 0:
-        lo = i - 1
-        if hi is None:
-            hi = i
-            while binom(hi, i) <= rem:
-                lo, hi = hi, 2 * hi
-        # invariant: C(lo, i) <= rem < C(hi, i)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if binom(mid, i) <= rem:
-                lo = mid
-            else:
-                hi = mid
-        terms.append((lo, i))
-        rem -= binom(lo, i)
-        hi = lo
-        i -= 1
-    return CascadeRep(m, r, tuple(terms))
+    """Greedy cascade representation of m at level r (_cascade_terms)."""
+    _check_int("cascade_rep", "m", m, 0)
+    _check_int("cascade_rep", "r", r, 1)
+    return CascadeRep(m, r, _cascade_terms(m, r))
 
 
 def kk_shadow_min(m: int, r: int) -> int:
@@ -174,12 +147,10 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     every m.  Lower bound: `samples` random uniform families (fixed seed,
     ground sets up to sample_n_max) have shadow at least the formula value.
     """
-    for name, value, least in (("n_max", n_max, 1), ("samples", samples, 0),
-                               ("sample_n_max", sample_n_max, 2)):
-        _check_int("verify_kkt", **{name: value})
-        if value < least:
-            raise ValueError(f"verify_kkt: need {name} >= {least}, got {value}")
-    _check_int("verify_kkt", seed=seed)  # None would seed from OS entropy
+    _check_int("verify_kkt", "n_max", n_max, 1)
+    _check_int("verify_kkt", "samples", samples, 0)
+    _check_int("verify_kkt", "seed", seed)  # None would seed from OS entropy
+    _check_int("verify_kkt", "sample_n_max", sample_n_max, 2)
     rep = VerificationReport("kkt", {"n_max": n_max, "samples": samples,
                                      "seed": seed, "sample_n_max": sample_n_max})
     shadow_min = cache(kk_shadow_min)  # one cascade per (m, k) per call
@@ -218,9 +189,7 @@ def verify_lieby_duality(n: int) -> VerificationReport:
 
     Both sides are computed by explicit union, never by formula.
     """
-    _check_int("verify_lieby_duality", n=n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_int("verify_lieby_duality", "n", n, 1)
     rep = VerificationReport("lieby", {"n": n})
     for k in range(1, n + 1):
         down = _pure.prefix_shadow_sizes(level_masks(n, k))
@@ -244,9 +213,8 @@ def verify_clements_minimality(n: int, k: int) -> VerificationReport:
     shadow (new shade) size is the sum of its members' sizes: the kernel runs
     once per set, and each window reads a difference of prefix sums.
     """
-    _check_int("verify_clements_minimality", n=n, k=k)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    _check_int("verify_clements_minimality", "n", n, 1)
+    _check_int("verify_clements_minimality", "k", k, 1, n)
     rep = VerificationReport("clements", {"n": n, "k": k})
     level = level_masks(n, k)
     total = len(level)

@@ -12,8 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from math import comb
 
-from .binomials import binom, _check_int
+from .binomials import _cascade_terms, _check_int
+
+# The one element type of a subset or mask list: int itself, so no bool.
+_INT_ONLY = frozenset((int,))
 
 
 def mask_of(elements) -> int:
@@ -24,8 +28,7 @@ def mask_of(elements) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    if mask < 0:
-        raise ValueError(f"a subset mask must be nonnegative, got {mask}")
+    _check_int("elements_of", "mask", mask, 0)
     out = []
     while mask:
         low = mask & -mask
@@ -49,12 +52,12 @@ class Subset:
             elems = tuple(sorted(set(self.elements)))
         except TypeError:  # unhashable or unorderable elements
             elems = None
-        if elems is None or not all(map(int.__instancecheck__, elems)):
+        if elems is None or not _INT_ONLY.issuperset(map(type, elems)):
             raise ValueError(f"Subset: elements must be integers, "
                              f"got {self.elements!r}")
         if elems != tuple(self.elements):
             object.__setattr__(self, "elements", elems)
-        if not isinstance(self.ground_n, int) or self.ground_n < 1:
+        if type(self.ground_n) is not int or self.ground_n < 1:
             raise ValueError(f"ground set size must be a positive integer, "
                              f"got {self.ground_n!r}")
         if elems and not (1 <= elems[0] and elems[-1] <= self.ground_n):
@@ -90,7 +93,7 @@ class Subset:
 
 
 def _check_family_ground(ground_n) -> None:
-    if not isinstance(ground_n, int) or ground_n < 1:
+    if type(ground_n) is not int or ground_n < 1:
         raise ValueError(f"SetFamily: ground_n must be a positive integer, "
                          f"got {ground_n!r}")
 
@@ -141,23 +144,18 @@ class SetFamily:
         """The family of the given masks, in any order and with repeats;
         no Subset is built."""
         masks = tuple(masks)
-        valid_n = isinstance(ground_n, int) and ground_n >= 1
-        try:
-            distinct = set(masks)
-            in_range = valid_n and min(distinct, default=0) >= 0 \
-                and not max(distinct, default=0) >> ground_n
-        except TypeError:  # a mask that is not an int
-            in_range = False
-        if not in_range:
+        if not (_INT_ONLY.issuperset(map(type, masks)) and type(ground_n) is int
+                and ground_n >= 1 and min(masks, default=0) >= 0
+                and not max(masks, default=0) >> ground_n):
             # the error the first bad member gives as a Subset; with no
             # members, the family's own ground-size error
             for m in masks:
-                if not isinstance(m, int):
+                if type(m) is not int:
                     raise ValueError(f"SetFamily: masks must be integers, got {m!r}")
                 Subset.from_mask(m, ground_n)
             _check_family_ground(ground_n)
         fam = cls.__new__(cls)
-        object.__setattr__(fam, "_masks", _canonical(distinct))
+        object.__setattr__(fam, "_masks", _canonical(set(masks)))
         object.__setattr__(fam, "ground_n", ground_n)
         return fam
 
@@ -264,36 +262,27 @@ def rank(s: Subset) -> int:
     rank {s_1 < ... < s_k} = sum of C(s_i - 1, i); independent of the
     ground set.  The empty set has rank 0.
     """
-    return sum(binom(e - 1, i) for i, e in enumerate(s.elements, start=1))
+    return sum(comb(e - 1, i) for i, e in enumerate(s.elements, start=1))
 
 
 def _check_level(op: str, n: int, k: int) -> None:
-    if not (isinstance(n, int) and isinstance(k, int)):  # no call on the hot path
-        _check_int(op, n=n, k=k)
-    if not 0 <= k <= n:
-        raise ValueError(f"{op}: need 0 <= k <= n, got k={k}, n={n}")
+    _check_int(op, "n", n, 0)
+    _check_int(op, "k", k, 0, n)
 
 
 def unrank(m: int, n: int, k: int) -> Subset:
     """The rank-m k-subset of {1..n} in squashed order (0-based rank).
 
-    Greedy: the largest element is a+1 for the largest a with C(a, k) <= m,
-    and the process recurses on the remainder at size k-1.
+    rank {s_1 < ... < s_k} = sum of C(s_i - 1, i) is a cascade of m once the
+    initial run s_i = i (terms C(i - 1, i) = 0) is dropped: the set is
+    {1..t-1} together with a_i + 1 for the terms C(a_i, i), i = k down to t,
+    of the cascade of m at level k.
     """
     _check_level("unrank", n, k)
-    total = binom(n, k)
-    if not (isinstance(m, int) and 0 <= m < total):
-        raise ValueError(f"unrank: need an integer rank m in [0, {total}) "
-                         f"for n={n}, k={k}, got {m!r}")
-    elements = []
-    rem = m
-    for i in range(k, 0, -1):
-        a = i - 1
-        while binom(a + 1, i) <= rem:
-            a += 1
-        elements.append(a + 1)
-        rem -= binom(a, i)
-    return Subset(tuple(reversed(elements)), n)
+    _check_int("unrank", "m", m, 0, comb(n, k) - 1)
+    terms = _cascade_terms(m, k)
+    run = range(1, k - len(terms) + 1)
+    return Subset((*run, *(a + 1 for a, _ in reversed(terms))), n)
 
 
 def _squashed_walk(first: int):
@@ -312,21 +301,18 @@ def _squashed_walk(first: int):
 def first_segment(n: int, k: int, m: int) -> SetFamily:
     """The first m k-subsets of {1..n} in squashed order."""
     _check_level("first_segment", n, k)
-    _check_int("first_segment", m=m)
-    total = binom(n, k)
-    if not 0 <= m <= total:
-        raise ValueError(f"first_segment: need 0 <= m <= {total}, got {m}")
+    _check_int("first_segment", "m", m, 0, comb(n, k))
     return segment_after(n, k, 0, m)
 
 
 def segment_after(n: int, k: int, r: int, m: int) -> SetFamily:
     """m consecutive k-subsets starting at rank r in squashed order."""
     _check_level("segment_after", n, k)
-    _check_int("segment_after", r=r, m=m)
-    total = binom(n, k)
-    if r < 0 or m < 0 or r + m > total:
-        raise ValueError(
-            f"segment_after: need 0 <= r, 0 <= m, r + m <= {total}, got r={r}, m={m}")
+    _check_int("segment_after", "r", r, 0)
+    _check_int("segment_after", "m", m, 0)
+    total = comb(n, k)
+    if r + m > total:
+        raise ValueError(f"segment_after: need r + m <= {total}, got r={r}, m={m}")
     if m == 0:
         return SetFamily((), n)
     walk = _squashed_walk(unrank(r, n, k).mask)
@@ -336,14 +322,12 @@ def segment_after(n: int, k: int, r: int, m: int) -> SetFamily:
 def last_segment(n: int, k: int, m: int) -> SetFamily:
     """The last m k-subsets of {1..n} in squashed order."""
     _check_level("last_segment", n, k)
-    _check_int("last_segment", m=m)
-    total = binom(n, k)
-    if not 0 <= m <= total:
-        raise ValueError(f"last_segment: need 0 <= m <= {total}, got {m}")
+    total = comb(n, k)
+    _check_int("last_segment", "m", m, 0, total)
     return segment_after(n, k, total - m, m)
 
 
 def level_masks(n: int, k: int) -> list[int]:
     """All k-subsets of {1..n} as bitmasks, ascending (= squashed order)."""
     _check_level("level_masks", n, k)
-    return list(islice(_squashed_walk((1 << k) - 1), binom(n, k)))
+    return list(islice(_squashed_walk((1 << k) - 1), comb(n, k)))

@@ -1,0 +1,109 @@
+"""Every integer parameter of the public API, found by inspect.signature: a
+bool, a float or a string in its place raises a ValueError naming it."""
+
+import inspect
+
+import pytest
+
+import kktools
+
+# One valid call, by keyword, per public callable with an `int` or
+# `int | None` parameter; each case replaces one of those arguments.
+BASE_CALLS = {
+    "binom": {"n": 5, "k": 2},
+    "d_value": {"n": 4, "r": 2},
+    "hockey_stick": {"r": 2, "k": 3},
+    "verify_d_identities": {"n_max": 3, "r_max": 2},
+    "level_masks": {"n": 4, "k": 2},
+    "first_segment": {"n": 4, "k": 2, "m": 3},
+    "last_segment": {"n": 4, "k": 2, "m": 3},
+    "segment_after": {"n": 4, "k": 2, "r": 1, "m": 2},
+    "unrank": {"m": 3, "n": 4, "k": 2},
+    "parse_subset": {"text": "13", "ground_n": 4},
+    "Subset": {"elements": (1, 3), "ground_n": 4},
+    "Subset.from_mask": {"mask": 5, "ground_n": 4},
+    "SetFamily": {"members": (), "ground_n": 3},
+    "SetFamily.of": {"element_sets": [[1], [2, 3]], "ground_n": 3},
+    "SetFamily.from_masks": {"masks": [1, 6], "ground_n": 3},
+    "CascadeRep": {"value_m": 3, "level_r": 2, "terms": ((3, 2),)},
+    "cascade_rep": {"m": 5, "r": 2},
+    "kk_shadow_min": {"m": 5, "r": 2},
+    "verify_kkt": {"n_max": 2, "samples": 3, "seed": 1, "sample_n_max": 3},
+    "verify_lieby_duality": {"n": 3},
+    "verify_clements_minimality": {"n": 4, "k": 2},
+    "kappa": {"r": 2, "m": 5},
+    "kappa_star": {"r": 2, "m": 5},
+    "negativity_threshold": {"r": 2},
+    "KappaTable": {"level_r": 2, "upper_m": 2, "kappa": [0, 1, 0]},
+    "KappaTable.build": {"r": 2, "upper_m": 5},
+    "verify_prop22": {"r": 2, "m_max": 8},
+    "verify_thm23": {"r": 2, "m_max": 8},
+    "verify_prop24": {"n": 4, "a_only": 1, "k_only": 2},
+    "verify_lemma38": {"n": 4},
+    "check_conjecture51": {"n": 4},
+    "verify_conjecture51": {"n": 4},
+    "theorem25_bound": {"n": 4, "k": 2},
+    "construct_extremal": {"n": 4, "k": 2},
+    "enumerate_antichains": {"n": 3},
+    "brute_force_max": {"n": 3, "k": 1},
+    "verify_thm25_brute": {"n": 4, "k": 1},
+    "verify_thm26_structure": {"n": 4, "k": 1},
+    "verify_extremal_constructions": {"n": 4},
+    "sperner_max_check": {"n": 3},
+    "run_all": {"n_max": 2, "r_max": 1},
+}
+
+# Records the library fills in and returns: their fields are results, not
+# arguments, and are not checked.
+RESULT_RECORDS = {"DisjointPairReport", "ExtremalConstruction", "VerificationReport"}
+
+# Where the error names a parameter by another word.  Subset keeps its
+# "ground set size" message, which the SetFamily oracle tests compare.
+NAMED_AS = {"a_only": "a", "k_only": "k", "ground_n": "ground_n|ground set size"}
+
+BAD_VALUES = (True, 2.5, "3")
+
+
+def public_callables():
+    """(name, callable) for every name in kktools.__all__ apart from the
+    result records, and for the public classmethods of its classes."""
+    for name in kktools.__all__:
+        obj = getattr(kktools, name)
+        if name in RESULT_RECORDS:
+            continue
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, raw in vars(obj).items():
+                if isinstance(raw, classmethod) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+
+CASES = [(name, call, param.name)
+         for name, call in public_callables()
+         for param in inspect.signature(call).parameters.values()
+         if param.annotation in ("int", "int | None")]
+
+
+def test_every_integer_parameter_has_a_base_call():
+    # a new public function with an int parameter must join BASE_CALLS
+    missing = [f"{name}({param})" for name, _, param in CASES
+               if param not in BASE_CALLS.get(name, {})]
+    assert missing == []
+    assert sorted(BASE_CALLS) == sorted({name for name, _, _ in CASES})
+
+
+@pytest.mark.parametrize("name", sorted(BASE_CALLS))
+def test_base_call_is_valid(name):
+    call = dict((n, c) for n, c, _ in CASES)[name]
+    call(**BASE_CALLS[name])
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES, ids=repr)
+@pytest.mark.parametrize("name, call, param", CASES,
+                         ids=[f"{name}-{param}" for name, _, param in CASES])
+def test_a_bad_integer_argument_is_named(name, call, param, bad):
+    kwargs = dict(BASE_CALLS[name], **{param: bad})
+    label = NAMED_AS.get(param, param)
+    with pytest.raises(ValueError,
+                       match=rf"\b(?:{label}) must be (?:an|a positive) integer"):
+        call(**kwargs)

@@ -175,7 +175,8 @@ def test_verify_all_small(capsys):
     assert out.strip().splitlines()[-1] == "ALL PASS"
 
 
-@pytest.mark.parametrize("flag, message", [("--n", "got 0, 6"), ("--r", "got 8, 0")])
+@pytest.mark.parametrize("flag, message", [("--n", "need n_max >= 1, got 0"),
+                                           ("--r", "need r_max >= 1, got 0")])
 def test_verify_all_rejects_a_zero_bound(capsys, flag, message):
     # 0 is a bound the sweeps reject, not a missing flag to default
     code, out, err = run_cli(capsys, "verify", "all", flag, "0", "--format", "json")

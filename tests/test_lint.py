@@ -74,3 +74,56 @@ def test_enumeration_holds_the_only_cross_call_cache():
                             for sub in ast.walk(node.value)):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == ["antichains.py:enumerate_antichains"]
+
+
+def _library_trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _called_name(node):
+    """The name a call goes to: `f` for f(...) and mod.f(...), else None."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_integer_type_test_lives_in_the_checker_only():
+    # isinstance(x, int) and int.__instancecheck__ accept bools; the one
+    # type test is binomials._check_int's `type(value) is int`
+    found = []
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _called_name(node) == "isinstance" \
+                    and any(isinstance(sub, ast.Name) and sub.id == "int"
+                            for arg in node.args[1:] for sub in ast.walk(arg)):
+                found.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "__instancecheck__" \
+                    and getattr(node.value, "id", None) == "int":
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_check_int_is_defined_once_and_called_per_argument():
+    # _check_int(op, name, value, lo, hi, even): one argument per call, its
+    # bounds in the call, never the old keyword form _check_int(op, n=n)
+    defined, keyword_form = [], []
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_check_int":
+                defined.append(name)
+            elif isinstance(node, ast.Call) and _called_name(node) == "_check_int" and (
+                    len(node.args) < 3
+                    or any(k.arg not in ("lo", "hi", "even") for k in node.keywords)):
+                keyword_form.append(f"{name}:{node.lineno}")
+    assert defined == ["binomials.py"]
+    assert keyword_form == []
+
+
+def test_binomials_catches_no_type_error():
+    # the arguments are checked before math.comb runs, not re-raised after
+    tree = ast.parse((SRC / "binomials.py").read_text(encoding="utf-8"))
+    caught = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              and any(isinstance(sub, ast.Name) and sub.id == "TypeError"
+                      for sub in ast.walk(node.type))]
+    assert caught == []

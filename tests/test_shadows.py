@@ -162,6 +162,15 @@ def test_cascade_rep_validation():
         CascadeRep(1.0, 1, ((1, 1),))
     with pytest.raises(ValueError, match="level_r must be an integer"):
         CascadeRep(3, 2.0, ((3, 2),))
+    # terms must be a tuple of (a, i) int pairs, named when they are not
+    for value, level, terms in ((1, 1, None), (1, 1, [[1, 1]]), (3, 2, ((3, 2, 0),)),
+                                (1, 1, ((1, True),)), (3, 2, ((3, 2.0),))):
+        with pytest.raises(ValueError, match="terms must be a tuple"):
+            CascadeRep(value, level, terms)
+    with pytest.raises(ValueError, match="indices"):
+        CascadeRep(4, 1, ((3, 1), (2, 0), (1, -1)))  # indices run below 1
+    with pytest.raises(ValueError, match="level_r must be an integer"):
+        CascadeRep(1, True, ((1, 1),))
 
 
 def test_kk_shadow_min_examples():
