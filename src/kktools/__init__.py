@@ -20,19 +20,19 @@ from .antichains import (DisjointPairReport, ExtremalConstruction,
                          verify_extremal_constructions, verify_thm25_brute,
                          verify_thm26_structure)
 from .report import VerificationReport
-from .cli import SweepConfig, main, run, run_all
+from .cli import main, run_all
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CascadeRep", "DisjointPairReport", "ExtremalConstruction", "KappaTable",
-    "SetFamily", "Subset", "SweepConfig", "VerificationReport", "binom",
-    "brute_force_max", "cascade_rep", "check_conjecture51", "compare_squashed",
+    "SetFamily", "Subset", "VerificationReport", "binom", "brute_force_max",
+    "cascade_rep", "check_conjecture51", "compare_squashed",
     "construct_extremal", "d_value", "disjoint_pairs", "enumerate_antichains",
     "first_segment", "format_subset", "hockey_stick", "is_antichain", "kappa",
     "kappa_star", "kk_shadow_min", "last_segment", "level_masks", "main",
     "negativity_threshold", "new_shade", "new_shadow", "parse_subset", "rank",
-    "run", "run_all", "segment_after", "shade", "shadow", "sperner_down",
+    "run_all", "segment_after", "shade", "shadow", "sperner_down",
     "sperner_max_check", "sperner_up", "theorem25_bound", "unrank",
     "verify_clements_minimality", "verify_conjecture51", "verify_d_identities",
     "verify_extremal_constructions", "verify_kkt", "verify_lemma38",

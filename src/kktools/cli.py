@@ -1,10 +1,11 @@
 """Command-line interface: point computations and the verification suite.
 
 Exit codes: 0 on success / all checks pass, 1 when a verification records
-violations, 2 on usage errors (bad parameters included).  Reports print to
-standard output; long sweeps log progress to standard error so output pipes
-cleanly.  Identical invocations produce identical reports except for the
-elapsed-time field.
+violations, 2 on usage errors (bad parameters, a flag the sweep does not
+read, and a failed --out write included).  Reports print to standard
+output; long sweeps log progress to standard error so output pipes cleanly.
+Identical invocations produce identical reports except for the elapsed-time
+field.
 """
 
 from __future__ import annotations
@@ -12,22 +13,45 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import antichains, binomials, shadows, squashed
 from .kappa import (KappaTable, kappa, kappa_star, verify_conjecture51,
                     verify_lemma38, verify_prop22, verify_prop24, verify_thm23)
 from .report import VerificationReport
 
+# command: (help, its required int flags in call order)
+_COMMANDS = {
+    "kappa": ("kappa_r(m), the minimum shadow size minus m", "rm"),
+    "kappa-star": ("running minimum of kappa_r over 0..m", "rm"),
+    "kappa-table": ("tabulate kappa and kappa_star for m = 0..m", "rm"),
+    "cascade": ("cascade representation of m at level r", "mr"),
+    "shadow-min": ("minimum shadow size of m distinct r-sets", "mr"),
+    "rank": ("0-based squashed rank of a subset", ""),
+    "unrank": ("the rank-m k-subset of {1..n} (0-based rank)", "mnk"),
+    "bound": ("the cross-intersecting antichain bound for n, k", "nk"),
+    "extremal": ("an explicit pair of antichains meeting the bound", "nk"),
+    "verify": ("run one verification sweep (or all)", ""),
+}
 
-@dataclass
-class SweepConfig:
-    """One resolved CLI invocation."""
+# The commands that print one value: fn(*flags in call order).
+_SCALARS = {"kappa": kappa, "kappa-star": kappa_star,
+            "shadow-min": shadows.kk_shadow_min,
+            "bound": antichains.theorem25_bound}
 
-    command: str
-    parameters: dict = field(default_factory=dict)
-    output_format: str = "pretty"
-    out_path: str | None = None
+# verify's optional flags, and the ones each sweep reads.
+_VERIFY_FLAGS = {
+    "n": "ground set size, or grid bound", "r": "level, or grid bound",
+    "m": "segment-length bound", "k": "set size or matching bound",
+    "a": "restrict prop24 to one column",
+    "exact": "exact-k matching regime for thm25-brute",
+}
+_SWEEP_FLAGS = {
+    "d-identities": ("n", "r"), "kkt": ("n",), "lieby": ("n",),
+    "clements": ("n", "k"), "prop22": ("r", "m"), "thm23": ("r", "m"),
+    "prop24": ("n", "a", "k"), "lemma38": ("n",),
+    "thm25-brute": ("n", "k", "exact"), "thm26": ("n", "k"),
+    "sperner": ("n",), "conjecture51": ("n",), "all": ("n", "r"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,198 +65,112 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="FILE",
                         help="write the result to FILE instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=int, required=True)
 
-    p = sub.add_parser("kappa", parents=[common],
-                       help="kappa_r(m), the minimum shadow size minus m")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("kappa-star", parents=[common],
-                       help="running minimum of kappa_r over 0..m")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("kappa-table", parents=[common],
-                       help="tabulate kappa and kappa_star for m = 0..m")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = sub.add_parser("cascade", parents=[common],
-                       help="cascade representation of m at level r")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-
-    p = sub.add_parser("shadow-min", parents=[common],
-                       help="minimum shadow size of m distinct r-sets")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-
-    p = sub.add_parser("rank", parents=[common],
-                       help="0-based squashed rank of a subset")
+    p = sub.choices["rank"]
     p.add_argument("--set", required=True, dest="set_text", metavar="SET",
                    help="digit string (n <= 9) or {a,b,...}")
     p.add_argument("--n", type=int, help="ground set size (default: largest element)")
 
-    p = sub.add_parser("unrank", parents=[common],
-                       help="the rank-m k-subset of {1..n} (0-based rank)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("bound", parents=[common],
-                       help="the cross-intersecting antichain bound for n, k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("extremal", parents=[common],
-                       help="an explicit pair of antichains meeting the bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="run one verification sweep (or all)")
-    p.add_argument("which", choices=(
-        "d-identities", "kkt", "lieby", "clements", "prop22", "thm23",
-        "prop24", "lemma38", "thm25-brute", "thm26", "sperner",
-        "conjecture51", "all"))
-    p.add_argument("--n", type=int, help="ground set size, or grid bound")
-    p.add_argument("--r", type=int, help="level, or grid bound")
-    p.add_argument("--m", type=int, help="segment-length bound")
-    p.add_argument("--k", type=int, help="set size or matching bound")
-    p.add_argument("--a", type=int, help="restrict prop24 to one column")
-    p.add_argument("--exact", action="store_true",
-                   help="exact-k matching regime for thm25-brute")
+    p = sub.choices["verify"]
+    p.add_argument("which", choices=tuple(_SWEEP_FLAGS))
+    for flag, text in _VERIFY_FLAGS.items():
+        # --exact is None when absent, like the int flags: given is not None
+        kind = {"type": int} if flag != "exact" else {"action": "store_true",
+                                                       "default": None}
+        p.add_argument(f"--{flag}", help=text, **kind)
     return parser
 
 
-def _emit(text: str, cfg: SweepConfig) -> None:
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+def _params(ns: argparse.Namespace) -> dict:
+    """The command's own arguments, in the order the parser declares them."""
+    return {key: val for key, val in vars(ns).items()
+            if key not in ("command", "format", "out")}
+
+
+def _emit(text: str, ns: argparse.Namespace) -> None:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-        print(f"wrote {cfg.out_path}", file=sys.stderr)
+        print(f"wrote {ns.out}", file=sys.stderr)
     else:
         print(text)
 
 
-def _emit_scalar(value, cfg: SweepConfig, extras: dict | None = None) -> int:
-    if cfg.output_format == "json":
-        payload = {"command": cfg.command, "params": cfg.parameters,
-                   "value": value}
-        if extras:
-            payload.update(extras)
-        _emit(json.dumps(payload, indent=2), cfg)
+def _emit_json(payload: dict, ns: argparse.Namespace) -> None:
+    _emit(json.dumps(payload, indent=2), ns)
+
+
+def _emit_scalar(value, ns: argparse.Namespace, extras: dict | None = None,
+                 text: str | None = None) -> int:
+    """JSON {command, params, value, **extras}; else `text`, or the value."""
+    if ns.format == "json":
+        _emit_json({"command": ns.command, "params": _params(ns), "value": value,
+                    **(extras or {})}, ns)
     else:
-        _emit(str(value), cfg)
+        _emit(str(value) if text is None else text, ns)
     return 0
 
 
-def _report_lines(rep: VerificationReport) -> str:
-    lines = [rep.summary()]
-    for v in rep.violations[:20]:
-        lines.append(f"  violation: {v}")
-    if len(rep.violations) > 20:
-        lines.append(f"  ... {len(rep.violations) - 20} more")
-    return "\n".join(lines)
-
-
-def _emit_report(rep: VerificationReport, cfg: SweepConfig) -> int:
-    if cfg.output_format == "json":
-        _emit(json.dumps(rep.to_json(), indent=2), cfg)
-    elif cfg.output_format == "tsv":
-        _emit("check\tpassed\tviolations\tchecks\telapsed_ms\n"
-              f"{rep.check}\t{rep.passed}\t{len(rep.violations)}\t"
-              f"{rep.checks_run}\t{rep.elapsed_ms:.1f}", cfg)
+def _cmd_kappa_table(ns: argparse.Namespace) -> int:
+    table = KappaTable.build(ns.r, ns.m)
+    if ns.format == "json":
+        rows = [list(row) for row in zip(range(ns.m + 1), table.kappa, table.kappa_star)]
+        _emit_json({"command": "kappa-table", "r": table.level_r,
+                    "columns": ["m", "kappa", "kappa_star"], "rows": rows}, ns)
     else:
-        _emit(_report_lines(rep), cfg)
-    return 0 if rep.passed else 1
-
-
-def _cmd_kappa(cfg: SweepConfig) -> int:
-    return _emit_scalar(kappa(cfg.parameters["r"], cfg.parameters["m"]), cfg)
-
-
-def _cmd_kappa_star(cfg: SweepConfig) -> int:
-    return _emit_scalar(kappa_star(cfg.parameters["r"], cfg.parameters["m"]), cfg)
-
-
-def _cmd_kappa_table(cfg: SweepConfig) -> int:
-    table = KappaTable.build(cfg.parameters["r"], cfg.parameters["m"])
-    if cfg.output_format == "json":
-        rows = [[m, table.kappa[m], table.kappa_star[m]]
-                for m in range(table.upper_m + 1)]
-        _emit(json.dumps({"command": "kappa-table", "r": table.level_r,
-                          "columns": ["m", "kappa", "kappa_star"],
-                          "rows": rows}, indent=2), cfg)
-    else:
-        _emit(table.to_tsv().rstrip("\n"), cfg)
+        _emit(table.to_tsv().rstrip("\n"), ns)
     return 0
 
 
-def _cmd_cascade(cfg: SweepConfig) -> int:
-    rep = shadows.cascade_rep(cfg.parameters["m"], cfg.parameters["r"])
-    if cfg.output_format == "json":
-        _emit(json.dumps({"command": "cascade", "m": rep.value_m,
-                          "r": rep.level_r, "terms": [list(t) for t in rep.terms],
-                          "shadow_min": rep.shadow_sum()}, indent=2), cfg)
+def _cmd_cascade(ns: argparse.Namespace) -> int:
+    rep = shadows.cascade_rep(ns.m, ns.r)
+    if ns.format == "json":
+        _emit_json({"command": "cascade", "m": rep.value_m, "r": rep.level_r,
+                    "terms": [list(t) for t in rep.terms],
+                    "shadow_min": rep.shadow_sum()}, ns)
     else:
-        _emit(str(rep), cfg)
+        _emit(str(rep), ns)
     return 0
 
 
-def _cmd_shadow_min(cfg: SweepConfig) -> int:
-    return _emit_scalar(
-        shadows.kk_shadow_min(cfg.parameters["m"], cfg.parameters["r"]), cfg)
-
-
-def _cmd_rank(cfg: SweepConfig) -> int:
-    text = cfg.parameters["set_text"]
-    n = cfg.parameters.get("n")
-    if n is None:
-        n = max((1, *squashed.parse_elements(text)))
-    s = squashed.parse_subset(text, n)
+def _cmd_rank(ns: argparse.Namespace) -> int:
+    n = ns.n if ns.n is not None else max((1, *squashed.parse_elements(ns.set_text)))
+    s = squashed.parse_subset(ns.set_text, n)
     rk = squashed.rank(s)
     total = binomials.binom(n, s.size)
-    if cfg.output_format == "json":
-        return _emit_scalar(rk, cfg, {"position": rk + 1, "of": total,
-                                      "set": squashed.format_subset(s)})
-    _emit(f"rank {rk}, position {rk + 1} of {total}: {squashed.format_subset(s)}", cfg)
-    return 0
+    text = squashed.format_subset(s)
+    return _emit_scalar(rk, ns, {"position": rk + 1, "of": total, "set": text},
+                        f"rank {rk}, position {rk + 1} of {total}: {text}")
 
 
-def _cmd_unrank(cfg: SweepConfig) -> int:
-    s = squashed.unrank(cfg.parameters["m"], cfg.parameters["n"], cfg.parameters["k"])
-    if cfg.output_format == "json":
-        return _emit_scalar(squashed.format_subset(s), cfg,
-                            {"rank": cfg.parameters["m"],
-                             "position": cfg.parameters["m"] + 1})
-    _emit(squashed.format_subset(s), cfg)
-    return 0
+def _cmd_unrank(ns: argparse.Namespace) -> int:
+    text = squashed.format_subset(squashed.unrank(ns.m, ns.n, ns.k))
+    return _emit_scalar(text, ns, {"rank": ns.m, "position": ns.m + 1})
 
 
-def _cmd_bound(cfg: SweepConfig) -> int:
-    return _emit_scalar(
-        antichains.theorem25_bound(cfg.parameters["n"], cfg.parameters["k"]), cfg)
-
-
-def _cmd_extremal(cfg: SweepConfig) -> int:
-    built = antichains.construct_extremal(cfg.parameters["n"], cfg.parameters["k"])
-    if cfg.output_format == "json":
-        _emit(json.dumps(built.to_json(), indent=2), cfg)
+def _cmd_extremal(ns: argparse.Namespace) -> int:
+    built = antichains.construct_extremal(ns.n, ns.k)
+    info = built.to_json()
+    if ns.format == "json":
+        _emit_json(info, ns)
     else:
-        info = built.to_json()
         _emit("\n".join([
             f"case {info['case']}" + (f", m = {info['m']}" if info["m"] is not None else ""),
             f"A ({len(built.family_a)} sets): {built.family_a}",
             f"B ({len(built.family_b)} sets): {built.family_b}",
             f"total {info['total']} = bound {info['bound']}, "
             f"{info['pair_count']} disjoint pairs (matching: {info['is_matching']})",
-        ]), cfg)
+        ]), ns)
     return 0
 
 
-def _verify_dispatch(which: str, cfg: SweepConfig) -> VerificationReport:
-    par = cfg.parameters
-    n, r, m, k = par.get("n"), par.get("r"), par.get("m"), par.get("k")
+def _verify_dispatch(which: str, params: dict) -> VerificationReport:
+    """One sweep on the flags given in `params`, each absent one at its default."""
+    n, r, m, k = (params.get(flag) for flag in "nrmk")
     if which == "d-identities":
         return binomials.verify_d_identities(n if n is not None else 24,
                                              r if r is not None else 20)
@@ -249,25 +187,19 @@ def _verify_dispatch(which: str, cfg: SweepConfig) -> VerificationReport:
             part = shadows.verify_clements_minimality(nn, kk)
             merged.checks_run += part.checks_run
             merged.elapsed_ms += part.elapsed_ms
-            merged.violations.extend(
-                {**v, "k": kk} for v in part.violations)
+            merged.violations.extend({**v, "k": kk} for v in part.violations)
         return merged
-    if which == "prop22":
+    if which in ("prop22", "thm23"):
+        sweep = verify_prop22 if which == "prop22" else verify_thm23
         rr = r if r is not None else 2
-        return verify_prop22(rr, m if m is not None
-                                       else binomials.binom(2 * rr, rr) + 2 * rr)
-    if which == "thm23":
-        rr = r if r is not None else 2
-        return verify_thm23(rr, m if m is not None
-                                      else binomials.binom(2 * rr, rr) + 2 * rr)
+        return sweep(rr, m if m is not None else binomials.binom(2 * rr, rr) + 2 * rr)
     if which == "prop24":
-        return verify_prop24(n if n is not None else 6,
-                                       a_only=par.get("a"), k_only=k)
+        return verify_prop24(n if n is not None else 6, a_only=params.get("a"), k_only=k)
     if which == "lemma38":
         return verify_lemma38(n if n is not None else 8)
     if which == "thm25-brute":
         return antichains.verify_thm25_brute(n if n is not None else 4, k,
-                                             exact=bool(par.get("exact")))
+                                             exact=bool(params.get("exact")))
     if which == "thm26":
         return antichains.verify_thm26_structure(n if n is not None else 4, k)
     if which == "sperner":
@@ -315,87 +247,64 @@ def run_all(n_max: int = 8, r_max: int = 6):
     return out
 
 
-def _cmd_verify(cfg: SweepConfig) -> int:
-    which = cfg.parameters["which"]
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    which, params = ns.which, _params(ns)
+    unread = [f"--{flag}" for flag in _VERIFY_FLAGS
+              if params[flag] is not None and flag not in _SWEEP_FLAGS[which]]
+    if unread:
+        raise ValueError(f"verify {which} does not read {', '.join(unread)}")
     if which == "all":
-        n, r = cfg.parameters.get("n"), cfg.parameters.get("r")
-        n_max = n if n is not None else 8
-        r_max = r if r is not None else 6
-        results = run_all(n_max, r_max)
-        all_passed = all(rep.passed for _, rep in results)
-        if cfg.output_format == "json":
-            payload = {
-                "check": "all",
-                "params": {"n_max": n_max, "r_max": r_max},
-                "passed": all_passed,
-                "violations": [v for _, rep in results for v in rep.violations],
-                "witnesses": [{"check": name, "passed": rep.passed,
-                               "checks_run": rep.checks_run}
-                              for name, rep in results],
-                "elapsed_ms": sum(rep.elapsed_ms for _, rep in results),
-            }
-            _emit(json.dumps(payload, indent=2), cfg)
-        elif cfg.output_format == "tsv":
-            lines = ["check\tpassed\tviolations\tchecks\telapsed_ms"]
-            lines += [f"{name}\t{rep.passed}\t{len(rep.violations)}\t"
-                      f"{rep.checks_run}\t{rep.elapsed_ms:.1f}"
-                      for name, rep in results]
-            _emit("\n".join(lines), cfg)
+        n_max = ns.n if ns.n is not None else 8
+        r_max = ns.r if ns.r is not None else 6
+        rows = run_all(n_max, r_max)
+    else:
+        rep = _verify_dispatch(which, params)
+        rows = [(rep.check, rep)]
+    passed = all(rep.passed for _, rep in rows)
+    if ns.format == "tsv":
+        _emit("\n".join(["check\tpassed\tviolations\tchecks\telapsed_ms"] + [
+            f"{label}\t{rep.passed}\t{len(rep.violations)}\t"
+            f"{rep.checks_run}\t{rep.elapsed_ms:.1f}" for label, rep in rows]), ns)
+    elif which != "all":
+        if ns.format == "json":
+            _emit_json(rep.to_json(), ns)
         else:
-            lines = [rep.summary() for _, rep in results]
-            lines.append("ALL PASS" if all_passed else "FAILURES PRESENT")
-            _emit("\n".join(lines), cfg)
-        return 0 if all_passed else 1
-    rep = _verify_dispatch(which, cfg)
-    return _emit_report(rep, cfg)
+            lines = [rep.summary()] + [f"  violation: {v}" for v in rep.violations[:20]]
+            if len(rep.violations) > 20:
+                lines.append(f"  ... {len(rep.violations) - 20} more")
+            _emit("\n".join(lines), ns)
+    elif ns.format == "json":
+        _emit_json({
+            "check": "all",
+            "params": {"n_max": n_max, "r_max": r_max},
+            "passed": passed,
+            "violations": [v for _, rep in rows for v in rep.violations],
+            "witnesses": [{"check": label, "passed": rep.passed,
+                           "checks_run": rep.checks_run} for label, rep in rows],
+            "elapsed_ms": sum(rep.elapsed_ms for _, rep in rows),
+        }, ns)
+    else:
+        lines = [rep.summary() for _, rep in rows]
+        lines.append("ALL PASS" if passed else "FAILURES PRESENT")
+        _emit("\n".join(lines), ns)
+    return 0 if passed else 1
 
 
-_HANDLERS = {
-    "kappa": _cmd_kappa,
-    "kappa-star": _cmd_kappa_star,
-    "kappa-table": _cmd_kappa_table,
-    "cascade": _cmd_cascade,
-    "shadow-min": _cmd_shadow_min,
-    "rank": _cmd_rank,
-    "unrank": _cmd_unrank,
-    "bound": _cmd_bound,
-    "extremal": _cmd_extremal,
-    "verify": _cmd_verify,
-}
-
-
-def run(config: SweepConfig) -> int:
-    """Execute one resolved invocation; returns the process exit code."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        print(f"error: unknown command {config.command!r}", file=sys.stderr)
-        return 2
-    try:
-        return handler(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+_HANDLERS = {"kappa-table": _cmd_kappa_table, "cascade": _cmd_cascade,
+             "rank": _cmd_rank, "unrank": _cmd_unrank,
+             "extremal": _cmd_extremal, "verify": _cmd_verify}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one kktools invocation; returns the process exit code."""
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    skip = {"command", "format", "out"}
-    cfg = SweepConfig(
-        command=ns.command,
-        parameters={key: val for key, val in vars(ns).items() if key not in skip},
-        output_format=ns.format,
-        out_path=ns.out,
-    )
-    return run(cfg)
-
-
-def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()
+    try:
+        if ns.command in _SCALARS:
+            return _emit_scalar(_SCALARS[ns.command](*_params(ns).values()), ns)
+        return _HANDLERS[ns.command](ns)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

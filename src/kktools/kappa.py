@@ -53,45 +53,41 @@ def _level_blocks(j: int, count: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _block_plan(r: int, count: int, reads):
-    """The levels r, r-1, ... that the first `count` ranks of level r are
-    built from, top down: (j, blocks) per level, then the level where the
-    recursion is seeded and the prefix length read there.  Block a of level
-    j reads level j-1 only when reads(j, a); the recursion stops at level 1
-    or at the first prefix of at most j+1 ranks."""
-    plan = []
-    j = r
-    while j > 1 and count > j + 1:
-        blocks = _level_blocks(j, count)
-        plan.append((j, blocks))
-        count = max((size for a, size in blocks if reads(j, a)), default=0)
-        j -= 1
-    return plan, j, count
-
-
 def _run_column(r: int, count: int) -> list[int]:
     """Initial-run length minus one of each of the first `count` r-sets in
     squashed order: that set's new-shadow size minus one.  Adding a > r
     leaves a set's initial run unchanged, so level r is [r-1] followed by
-    prefixes of level r-1."""
-    plan, j, count = _block_plan(r, count, lambda j, a: True)
-    # The rank-m set of level j is [j+1] minus {j+1-m} for m <= j, with run
-    # j-m; level 1 continues {3}, {4}, ... with run 0.
-    col = list(range(j - 1, max(j - 1 - count, -2), -1))
-    col += [-1] * (count - len(col))
-    for j, blocks in reversed(plan):
+    prefixes of level r-1.
+
+    While the last block, the first `last` ranks of level r-1, is the
+    longest, level r is a head ([r-1] and the other blocks) reading only the
+    head below it, then level r-1: a loop walks that chain, about r deep.
+    """
+    heads, pieces = [], []  # (level, sizes of its blocks) top down; parts bottom up
+    while r > 1 and count > r + 1:
+        *blocks, (_, last) = _level_blocks(r, count)
         sizes = [size for _, size in blocks]
-        # one block reads all of col: keep col as that block and move the
-        # others in around it, so the longest block is never copied
-        whole = sizes.index(len(col))
+        if last <= sizes[-1]:  # sizes grow, so the last full block is longest
+            heads.append((r, sizes + [last]))
+            below = _run_column(r - 1, sizes[-1])
+            break
+        heads.append((r, sizes))
+        r, count = r - 1, last
+    else:
+        # The rank-m set of level r is [r+1] minus {r+1-m} for m <= r, with
+        # run r-m; level 1 continues {3}, {4}, ... with run 0.
+        below = list(range(r - 1, max(r - 1 - count, -2), -1))
+        below += [-1] * (count - len(below))
+        pieces.append(below)
+    for j, sizes in reversed(heads):
         head = [j - 1]
-        for size in sizes[:whole]:
-            head += col[:size]
-        tail = []
-        for size in sizes[whole + 1:]:
-            tail += col[:size]
-        col[:0] = head
-        col += tail
+        for size in sizes:
+            head += below[:size]
+        pieces.append(head)
+        below = head
+    col = []
+    for piece in reversed(pieces):
+        col += piece
     return col
 
 
@@ -105,18 +101,17 @@ def _condition_column(r: int, count: int) -> list[bool]:
     run and its other e_i: the block is S's condition prefix when a >= 2r
     and all False otherwise.  [r] has no terms past its run.
     """
-    plan, j, count = _block_plan(r, count, lambda j, a: a >= 2 * j)
-    # Level 1 is {1}, {2}, ..., all True; past rank 0, the ranks m <= j of a
-    # level j >= 2 put j+1 at index j.
-    if j == 1:
-        col = [True] * count
-    else:
-        col = [True] * min(count, 1) + [False] * (count - 1)
-    for j, blocks in reversed(plan):
-        out = [True]
-        for a, size in blocks:
-            out += col[:size] if a >= 2 * j else [False] * size
-        col = out
+    if r == 1:
+        return [True] * count  # {1}, {2}, ...
+    if count <= r + 1:
+        # past rank 0, the ranks m <= r put r+1 at index r
+        return [True] * min(count, 1) + [False] * (count - 1)
+    blocks = _level_blocks(r, count)
+    prefix = _condition_column(
+        r - 1, max((size for a, size in blocks if a >= 2 * r), default=0))
+    col = [True]
+    for a, size in blocks:
+        col += prefix[:size] if a >= 2 * r else [False] * size
     return col
 
 
@@ -132,7 +127,9 @@ class KappaTable:
     (_run_column): list slices and one accumulate, no walk over the sets.
     It stays an independent route against the cascade formula.  kappa_star
     is not passed in: the table derives it as the running minimum of the
-    kappa column it is given.
+    kappa column it is given.  The column must be a list; its entries are
+    not type-checked one by one, so a float or bool entry is not detected,
+    only one the running-minimum compare rejects.
     """
 
     level_r: int
@@ -143,13 +140,19 @@ class KappaTable:
     def __post_init__(self):
         _check_int("KappaTable", "level_r", self.level_r, 1)
         _check_int("KappaTable", "upper_m", self.upper_m, 0)
+        if type(self.kappa) is not list:
+            raise ValueError(f"KappaTable: kappa must be a list, "
+                             f"got {type(self.kappa).__name__}")
         if len(self.kappa) != self.upper_m + 1:
             raise ValueError(f"KappaTable: need upper_m + 1 kappa values, got "
                              f"upper_m={self.upper_m} and {len(self.kappa)} values")
         low = self.kappa[0]
-        # a compare, not min(): the builtin call costs several times more
-        self.kappa_star = [(low := value) if value < low else low
-                           for value in self.kappa]
+        try:
+            # a compare, not min(): the builtin call costs several times more
+            self.kappa_star = [(low := value) if value < low else low
+                               for value in self.kappa]
+        except TypeError as exc:
+            raise ValueError(f"KappaTable: kappa must hold integers: {exc}") from None
 
     @classmethod
     def build(cls, r: int, upper_m: int) -> "KappaTable":

@@ -22,12 +22,18 @@ from .report import VerificationReport, timed
 from .squashed import SetFamily, level_masks
 
 
-def _uniform_size(fam: SetFamily, op: str):
+def _level_move(fam: SetFamily, op: str, kernel, down: bool) -> SetFamily:
+    """kernel(masks, ground_n) on a uniform family, a level down or up; an
+    empty family is its own image."""
     if len(fam) == 0:
-        return None
+        return fam
     if not fam.is_uniform:
         raise ValueError(f"{op} requires a uniform family, got sizes {sorted(fam.sizes())}")
-    return fam.uniform_size()
+    if down and fam.uniform_size() < 1:
+        raise ValueError(f"{op} requires member size >= 1")
+    if not down and fam.uniform_size() >= fam.ground_n:
+        raise ValueError(f"{op} requires member size < ground set size")
+    return SetFamily.from_masks(kernel(fam.masks(), fam.ground_n), fam.ground_n)
 
 
 def shadow(fam: SetFamily) -> SetFamily:
@@ -36,12 +42,7 @@ def shadow(fam: SetFamily) -> SetFamily:
     Members must share a size k >= 1; the shadow of a family of singletons
     is the one-member family containing the empty set.
     """
-    k = _uniform_size(fam, "shadow")
-    if k is None:
-        return SetFamily((), fam.ground_n)
-    if k < 1:
-        raise ValueError("shadow requires member size >= 1")
-    return SetFamily.from_masks(_pure.shadow_masks(fam.masks()), fam.ground_n)
+    return _level_move(fam, "shadow", lambda masks, n: _pure.shadow_masks(masks), True)
 
 
 def shade(fam: SetFamily) -> SetFamily:
@@ -49,34 +50,19 @@ def shade(fam: SetFamily) -> SetFamily:
 
     Members must share a size k < ground_n.
     """
-    k = _uniform_size(fam, "shade")
-    if k is None:
-        return SetFamily((), fam.ground_n)
-    if k >= fam.ground_n:
-        raise ValueError("shade requires member size < ground set size")
-    return SetFamily.from_masks(_pure.shade_masks(fam.masks(), fam.ground_n), fam.ground_n)
+    return _level_move(fam, "shade", _pure.shade_masks, False)
 
 
 def new_shadow(fam: SetFamily) -> SetFamily:
     """The members' owned shadow sets: deletions not in the shadow of any
     squashed-earlier k-set.  Disjoint across distinct members."""
-    k = _uniform_size(fam, "new_shadow")
-    if k is None:
-        return SetFamily((), fam.ground_n)
-    if k < 1:
-        raise ValueError("new_shadow requires member size >= 1")
-    return SetFamily.from_masks(_pure.new_shadow_masks(fam.masks(), fam.ground_n), fam.ground_n)
+    return _level_move(fam, "new_shadow", _pure.new_shadow_masks, True)
 
 
 def new_shade(fam: SetFamily) -> SetFamily:
     """The members' owned shade sets: insertions not in the shade of any
     squashed-later k-set."""
-    k = _uniform_size(fam, "new_shade")
-    if k is None:
-        return SetFamily((), fam.ground_n)
-    if k >= fam.ground_n:
-        raise ValueError("new_shade requires member size < ground set size")
-    return SetFamily.from_masks(_pure.new_shade_masks(fam.masks(), fam.ground_n), fam.ground_n)
+    return _level_move(fam, "new_shade", _pure.new_shade_masks, False)
 
 
 @dataclass(frozen=True)

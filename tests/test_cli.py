@@ -222,3 +222,77 @@ def test_help_exits_zero(capsys):
         cli.build_parser().parse_args(["--help"])
     capsys.readouterr()
     assert exc.value.code == 0
+
+
+# One accepted call per sweep, giving every flag that sweep reads.
+READS = {
+    "d-identities": ("--n", "6", "--r", "4"),
+    "kkt": ("--n", "4"),
+    "lieby": ("--n", "4"),
+    "clements": ("--n", "4", "--k", "2"),
+    "prop22": ("--r", "2", "--m", "8"),
+    "thm23": ("--r", "2", "--m", "8"),
+    "prop24": ("--n", "4", "--a", "1", "--k", "2"),
+    "lemma38": ("--n", "4"),
+    "thm25-brute": ("--n", "4", "--k", "3", "--exact"),
+    "thm26": ("--n", "4", "--k", "2"),
+    "sperner": ("--n", "3"),
+    "conjecture51": ("--n", "4"),
+    "all": ("--n", "2", "--r", "1"),
+}
+
+
+def test_every_verify_choice_has_an_accepted_call(capsys):
+    assert cli.main(["verify", "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the line under "positional arguments:" is {choice,choice,...}
+    choices = lines[lines.index("positional arguments:") + 1].strip("{} ").split(",")
+    assert sorted(choices) == sorted(READS)
+
+
+@pytest.mark.parametrize("which", sorted(READS))
+def test_verify_rejects_every_flag_the_sweep_does_not_read(capsys, which):
+    argv = READS[which]
+    code, out, _ = run_cli(capsys, "verify", which, *argv)
+    assert code == 0 and "PASS" in out
+    read = {arg for arg in argv if arg.startswith("--")}
+    for flag in ("--n", "--r", "--m", "--k", "--a", "--exact"):
+        if flag in read:
+            continue
+        extra = (flag,) if flag == "--exact" else (flag, "0")  # 0 is given too
+        code, out, err = run_cli(capsys, "verify", which, *argv, *extra)
+        assert code == 2 and out == "", flag
+        assert err == f"error: verify {which} does not read {flag}\n"
+
+
+def test_out_write_failure_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "kappa", "--r", "2", "--m", "5",
+                             "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err and not target.exists()
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (("kappa-star", "--r", "3", "--m", "17"),
+     {"command": "kappa-star", "params": {"r": 3, "m": 17}, "value": -2}),
+    (("shadow-min", "--m", "5", "--r", "2"),
+     {"command": "shadow-min", "params": {"m": 5, "r": 2}, "value": 4}),
+    (("rank", "--set", "{1,40}"),
+     {"command": "rank", "params": {"set_text": "{1,40}", "n": None}, "value": 741,
+      "position": 742, "of": 780, "set": "{1,40}"}),
+    (("unrank", "--m", "7", "--n", "5", "--k", "3"),
+     {"command": "unrank", "params": {"m": 7, "n": 5, "k": 3}, "value": "145",
+      "rank": 7, "position": 8}),
+    (("bound", "--n", "4", "--k", "5"),
+     {"command": "bound", "params": {"n": 4, "k": 5}, "value": 11}),
+    (("cascade", "--m", "17", "--r", "3"),
+     {"command": "cascade", "m": 17, "r": 3, "terms": [[5, 3], [4, 2], [1, 1]],
+      "shadow_min": 15}),
+], ids=["kappa-star", "shadow-min", "rank", "unrank", "bound", "cascade"])
+def test_point_command_json_is_pinned(capsys, argv, payload):
+    # key order included: the bytes are the payload's indent-2 dump
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"

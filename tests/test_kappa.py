@@ -111,6 +111,11 @@ def test_table_rejects_bad_arguments():
         KappaTable.build(0, 5)
     with pytest.raises(ValueError):
         KappaTable.build(2, -1)
+    # a column that is no list, or whose entries the running minimum
+    # cannot compare
+    for column in (None, (0, 1), [0, "a"]):
+        with pytest.raises(ValueError, match="KappaTable: kappa must"):
+            KappaTable(2, 1 if column is not None else 2, column)
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,7 +211,7 @@ def test_mask_condition_matches_cascade_condition(r):
 
 @pytest.mark.parametrize("r", range(1, 10))
 def test_block_build_matches_the_walk_build(r):
-    for upper in sorted({0, 1, r, r + 1, binom(2 * r, r) + 50}):
+    for upper in sorted({0, 1, r, r + 1, r + 2, binom(2 * r, r) + 50}):
         table = KappaTable.build(r, upper)
         assert (table.kappa, table.kappa_star) == oracle_walk_table(r, upper), upper
         assert len(table.kappa) == upper + 1
@@ -222,6 +227,16 @@ def test_block_build_matches_the_walk_build_at_extreme_shapes(r, upper):
     table = KappaTable.build(r, upper)
     assert (table.kappa, table.kappa_star) == oracle_walk_table(r, upper)
     assert _condition_column(r, upper + 1) == oracle_condition_column(r, upper)
+
+
+def test_block_build_walks_a_chain_deeper_than_the_recursion_limit():
+    # ranks 0..720,000 of level 1200 are a chain of about 1150 levels with
+    # two blocks each, more than Python's default recursion limit of 1000
+    r, upper = 1200, 720_000
+    table = KappaTable.build(r, upper)
+    assert len(table.kappa) == upper + 1
+    for m in [*range(0, upper, 9973), upper]:
+        assert table.kappa[m] == kappa(r, m), m
 
 
 @pytest.mark.parametrize("r, m, delta", [(3, 12, -1), (3, 10, 1), (4, 48, 2),

@@ -48,6 +48,29 @@ def test_shadow_requires_uniform_positive_sizes():
         shade(SetFamily.of([(1, 2, 3, 4)], 4))
 
 
+MIXED, EMPTY_SET, FULL = ([(1,), (1, 2)], 4), ([()], 4), ([(1, 2)], 2)
+
+
+@pytest.mark.parametrize("op, members, message", [
+    (shadow, MIXED, "shadow requires a uniform family, got sizes [1, 2]"),
+    (new_shade, MIXED, "new_shade requires a uniform family, got sizes [1, 2]"),
+    (shadow, EMPTY_SET, "shadow requires member size >= 1"),
+    (new_shadow, EMPTY_SET, "new_shadow requires member size >= 1"),
+    (shade, FULL, "shade requires member size < ground set size"),
+    (new_shade, FULL, "new_shade requires member size < ground set size"),
+])
+def test_level_moves_name_themselves_in_errors(op, members, message):
+    with pytest.raises(ValueError) as exc:
+        op(SetFamily.of(*members))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("op", [shadow, shade, new_shadow, new_shade])
+def test_level_move_of_an_empty_family_is_empty(op):
+    empty = SetFamily((), 5)
+    assert op(empty) == empty and op(empty).ground_n == 5
+
+
 def test_new_shadow_drops_one_of_the_initial_run():
     # the new shadow of a single k-set keeps only subsets obtained by
     # removing an element of the leading run 1, 2, ...
