@@ -404,9 +404,9 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
 
 
 @timed
-def sperner_max_check(n: int) -> VerificationReport:
+def sperner_max_check(n: int = 4) -> VerificationReport:
     """Largest antichain size is C(n, floor(n/2)), and the only maximizers
-    are the full middle level(s), both of them for odd n."""
+    are the full middle level(s), both of them for odd n (n = 4 by default)."""
     rep = VerificationReport("sperner", {"n": n})
     families = enumerate_antichains(n)
     best = max(len(f) for f in families)

@@ -91,8 +91,8 @@ def _sign(x: int) -> int:
 
 
 @timed
-def verify_d_identities(n_max: int, r_max: int) -> VerificationReport:
-    """Sweep the structural identities of D over a grid, exactly.
+def verify_d_identities(n_max: int = 24, r_max: int = 20) -> VerificationReport:
+    """Sweep the structural identities of D, exactly, by default on the 24 x 20 grid.
 
     With 1 <= n <= n_max and 1 <= r <= r_max where each statement applies:
 

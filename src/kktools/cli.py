@@ -2,16 +2,17 @@
 
 Exit codes: 0 on success / all checks pass, 1 when a verification records
 violations, 2 on usage errors (bad parameters, a flag the sweep does not
-read, and a failed --out write included).  Reports print to standard
+read, an --out path that cannot be written).  Reports print to standard
 output; long sweeps log progress to standard error so output pipes cleanly.
-Identical invocations produce identical reports except for the elapsed-time
-field.
+Identical invocations give identical reports apart from elapsed times.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import os
 import sys
 
 from . import antichains, binomials, shadows, squashed
@@ -38,19 +39,12 @@ _SCALARS = {"kappa": kappa, "kappa-star": kappa_star,
             "shadow-min": shadows.kk_shadow_min,
             "bound": antichains.theorem25_bound}
 
-# verify's optional flags, and the ones each sweep reads.
+# verify's optional flags; _SWEEPS below says which sweep reads which.
 _VERIFY_FLAGS = {
     "n": "ground set size, or grid bound", "r": "level, or grid bound",
     "m": "segment-length bound", "k": "set size or matching bound",
     "a": "restrict prop24 to one column",
     "exact": "exact-k matching regime for thm25-brute",
-}
-_SWEEP_FLAGS = {
-    "d-identities": ("n", "r"), "kkt": ("n",), "lieby": ("n",),
-    "clements": ("n", "k"), "prop22": ("r", "m"), "thm23": ("r", "m"),
-    "prop24": ("n", "a", "k"), "lemma38": ("n",),
-    "thm25-brute": ("n", "k", "exact"), "thm26": ("n", "k"),
-    "sperner": ("n",), "conjecture51": ("n",), "all": ("n", "r"),
 }
 
 
@@ -76,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="ground set size (default: largest element)")
 
     p = sub.choices["verify"]
-    p.add_argument("which", choices=tuple(_SWEEP_FLAGS))
+    p.add_argument("which", choices=tuple(_SWEEPS))
     for flag, text in _VERIFY_FLAGS.items():
         # --exact is None when absent, like the int flags: given is not None
         kind = {"type": int} if flag != "exact" else {"action": "store_true",
@@ -88,7 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _params(ns: argparse.Namespace) -> dict:
     """The command's own arguments, in the order the parser declares them."""
     return {key: val for key, val in vars(ns).items()
-            if key not in ("command", "format", "out")}
+            if key not in ("command", "format", "out", "which")}
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work, opening nothing, unless `path` can be written."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK) \
+            or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ValueError(f"cannot write --out {path}")
 
 
 def _emit(text: str, ns: argparse.Namespace) -> None:
@@ -138,7 +140,7 @@ def _cmd_cascade(ns: argparse.Namespace) -> int:
 
 
 def _cmd_rank(ns: argparse.Namespace) -> int:
-    n = ns.n if ns.n is not None else max((1, *squashed.parse_elements(ns.set_text)))
+    n = max((1, *squashed.parse_elements(ns.set_text))) if ns.n is None else ns.n
     s = squashed.parse_subset(ns.set_text, n)
     rk = squashed.rank(s)
     total = binomials.binom(n, s.size)
@@ -159,54 +161,13 @@ def _cmd_extremal(ns: argparse.Namespace) -> int:
         _emit_json(info, ns)
     else:
         _emit("\n".join([
-            f"case {info['case']}" + (f", m = {info['m']}" if info["m"] is not None else ""),
+            f"case {info['case']}" + ("" if info["m"] is None else f", m = {info['m']}"),
             f"A ({len(built.family_a)} sets): {built.family_a}",
             f"B ({len(built.family_b)} sets): {built.family_b}",
             f"total {info['total']} = bound {info['bound']}, "
             f"{info['pair_count']} disjoint pairs (matching: {info['is_matching']})",
         ]), ns)
     return 0
-
-
-def _verify_dispatch(which: str, params: dict) -> VerificationReport:
-    """One sweep on the flags given in `params`, each absent one at its default."""
-    n, r, m, k = (params.get(flag) for flag in "nrmk")
-    if which == "d-identities":
-        return binomials.verify_d_identities(n if n is not None else 24,
-                                             r if r is not None else 20)
-    if which == "kkt":
-        return shadows.verify_kkt(n_max=n if n is not None else 10)
-    if which == "lieby":
-        return shadows.verify_lieby_duality(n if n is not None else 8)
-    if which == "clements":
-        nn = n if n is not None else 6
-        if k is not None:
-            return shadows.verify_clements_minimality(nn, k)
-        merged = VerificationReport("clements", {"n": nn, "k": "1..n-1"})
-        for kk in range(1, nn):
-            part = shadows.verify_clements_minimality(nn, kk)
-            merged.checks_run += part.checks_run
-            merged.elapsed_ms += part.elapsed_ms
-            merged.violations.extend({**v, "k": kk} for v in part.violations)
-        return merged
-    if which in ("prop22", "thm23"):
-        sweep = verify_prop22 if which == "prop22" else verify_thm23
-        rr = r if r is not None else 2
-        return sweep(rr, m if m is not None else binomials.binom(2 * rr, rr) + 2 * rr)
-    if which == "prop24":
-        return verify_prop24(n if n is not None else 6, a_only=params.get("a"), k_only=k)
-    if which == "lemma38":
-        return verify_lemma38(n if n is not None else 8)
-    if which == "thm25-brute":
-        return antichains.verify_thm25_brute(n if n is not None else 4, k,
-                                             exact=bool(params.get("exact")))
-    if which == "thm26":
-        return antichains.verify_thm26_structure(n if n is not None else 4, k)
-    if which == "sperner":
-        return antichains.sperner_max_check(n if n is not None else 4)
-    if which == "conjecture51":
-        return verify_conjecture51(n if n is not None else 8)
-    raise ValueError(f"unknown verification {which!r}")
 
 
 def run_all(n_max: int = 8, r_max: int = 6):
@@ -230,9 +191,8 @@ def run_all(n_max: int = 8, r_max: int = 6):
         for k in range(1, n):
             log(f"clements n={n} k={k}", shadows.verify_clements_minimality(n, k))
     for r in range(1, r_max + 1):
-        m_max = binomials.binom(2 * r, r) + 2 * r
-        log(f"prop22 r={r}", verify_prop22(r, m_max))
-        log(f"thm23 r={r}", verify_thm23(r, m_max))
+        log(f"prop22 r={r}", verify_prop22(r))
+        log(f"thm23 r={r}", verify_thm23(r))
     for n in range(2, n_max + 1):
         log(f"prop24 n={n}", verify_prop24(n))
         log(f"lemma38 n={n}", verify_lemma38(n))
@@ -247,36 +207,52 @@ def run_all(n_max: int = 8, r_max: int = 6):
     return out
 
 
+# verify's sweeps: (function, {flag: its keyword}); absent flags take its defaults
+_SWEEPS = {
+    "d-identities": (binomials.verify_d_identities, {"n": "n_max", "r": "r_max"}),
+    "kkt": (shadows.verify_kkt, {"n": "n_max"}),
+    "lieby": (shadows.verify_lieby_duality, {"n": "n"}),
+    "clements": (shadows.verify_clements_minimality, {"n": "n", "k": "k"}),
+    "prop22": (verify_prop22, {"r": "r", "m": "m_max"}),
+    "thm23": (verify_thm23, {"r": "r", "m": "m_max"}),
+    "prop24": (verify_prop24, {"n": "n", "a": "a_only", "k": "k_only"}),
+    "lemma38": (verify_lemma38, {"n": "n"}),
+    "thm25-brute": (antichains.verify_thm25_brute, {"n": "n", "k": "k", "exact": "exact"}),
+    "thm26": (antichains.verify_thm26_structure, {"n": "n", "k": "k"}),
+    "sperner": (antichains.sperner_max_check, {"n": "n"}),
+    "conjecture51": (verify_conjecture51, {"n": "n"}),
+    "all": (run_all, {"n": "n_max", "r": "r_max"}),
+}
+
+
+def _verify_dispatch(which: str, params: dict) -> VerificationReport:
+    """Sweep `which` on the flags given in `params`, the rest at its defaults."""
+    sweep, keyword = _SWEEPS[which]
+    return sweep(**{keyword[flag]: value for flag, value in params.items()})
+
+
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    which, params = ns.which, _params(ns)
-    unread = [f"--{flag}" for flag in _VERIFY_FLAGS
-              if params[flag] is not None and flag not in _SWEEP_FLAGS[which]]
+    which, keyword = ns.which, _SWEEPS[ns.which][1]
+    given = {flag: value for flag, value in _params(ns).items() if value is not None}
+    unread = [f"--{flag}" for flag in given if flag not in keyword]
     if unread:
         raise ValueError(f"verify {which} does not read {', '.join(unread)}")
     if which == "all":
-        n_max = ns.n if ns.n is not None else 8
-        r_max = ns.r if ns.r is not None else 6
-        rows = run_all(n_max, r_max)
+        args = inspect.signature(run_all).bind(**{keyword[f]: v for f, v in given.items()})
+        args.apply_defaults()
+        rows = run_all(**args.arguments)
     else:
-        rep = _verify_dispatch(which, params)
+        rep = _verify_dispatch(which, given)
         rows = [(rep.check, rep)]
     passed = all(rep.passed for _, rep in rows)
     if ns.format == "tsv":
         _emit("\n".join(["check\tpassed\tviolations\tchecks\telapsed_ms"] + [
             f"{label}\t{rep.passed}\t{len(rep.violations)}\t"
             f"{rep.checks_run}\t{rep.elapsed_ms:.1f}" for label, rep in rows]), ns)
-    elif which != "all":
-        if ns.format == "json":
-            _emit_json(rep.to_json(), ns)
-        else:
-            lines = [rep.summary()] + [f"  violation: {v}" for v in rep.violations[:20]]
-            if len(rep.violations) > 20:
-                lines.append(f"  ... {len(rep.violations) - 20} more")
-            _emit("\n".join(lines), ns)
     elif ns.format == "json":
-        _emit_json({
+        _emit_json(rep.to_json() if which != "all" else {
             "check": "all",
-            "params": {"n_max": n_max, "r_max": r_max},
+            "params": args.arguments,
             "passed": passed,
             "violations": [v for _, rep in rows for v in rep.violations],
             "witnesses": [{"check": label, "passed": rep.passed,
@@ -285,7 +261,12 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         }, ns)
     else:
         lines = [rep.summary() for _, rep in rows]
-        lines.append("ALL PASS" if passed else "FAILURES PRESENT")
+        if which == "all":
+            lines.append("ALL PASS" if passed else "FAILURES PRESENT")
+        else:
+            lines += [f"  violation: {v}" for v in rep.violations[:20]]
+            if len(rep.violations) > 20:
+                lines.append(f"  ... {len(rep.violations) - 20} more")
         _emit("\n".join(lines), ns)
     return 0 if passed else 1
 
@@ -302,6 +283,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if ns.out:
+            _check_out(ns.out)
         if ns.command in _SCALARS:
             return _emit_scalar(_SCALARS[ns.command](*_params(ns).values()), ns)
         return _HANDLERS[ns.command](ns)

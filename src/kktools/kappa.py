@@ -168,13 +168,14 @@ class KappaTable:
 
 
 @timed
-def verify_prop22(r: int, m_max: int) -> VerificationReport:
-    """Sign pattern of kappa_r on 0..m_max.
+def verify_prop22(r: int = 2, m_max: int | None = None) -> VerificationReport:
+    """Sign pattern of kappa_r on 0..m_max (by default r = 2, m_max = C(2r, r) + 2r).
 
     kappa_r(m) is negative exactly from the negativity threshold on, and
     zero exactly on {0} together with the suffix sums of C(2i-1, i).
     """
     _check_int("verify_prop22", "r", r, 1)
+    m_max = comb(2 * r, r) + 2 * r if m_max is None else m_max
     _check_int("verify_prop22", "m_max", m_max, 0)
     rep = VerificationReport("prop22", {"r": r, "m_max": m_max})
     p = negativity_threshold(r)
@@ -203,10 +204,11 @@ def verify_prop22(r: int, m_max: int) -> VerificationReport:
 
 
 @timed
-def verify_thm23(r: int, m_max: int) -> VerificationReport:
+def verify_thm23(r: int = 2, m_max: int | None = None) -> VerificationReport:
     """kappa_r(m) = kappa*_r(m) exactly when every cascade coefficient
-    satisfies a_i >= 2i - 1."""
+    satisfies a_i >= 2i - 1; by default r = 2 and m_max = C(2r, r) + 2r."""
     _check_int("verify_thm23", "r", r, 1)
+    m_max = comb(2 * r, r) + 2 * r if m_max is None else m_max
     _check_int("verify_thm23", "m_max", m_max, 0)
     rep = VerificationReport("thm23", {"r": r, "m_max": m_max})
     table = KappaTable.build(r, m_max)
@@ -292,10 +294,10 @@ def _full_grid_violations(table: KappaTable):
 
 
 @timed
-def verify_prop24(n: int, a_only: int | None = None,
+def verify_prop24(n: int = 6, a_only: int | None = None,
                   k_only: int | None = None) -> VerificationReport:
     """kappa(M) + kappa*(k) <= kappa(a) + kappa*(k + M - a) on [0, M]^2,
-    where r = ceil(n/2) and M = C(n, r).
+    where r = ceil(n/2) and M = C(n, r); n = 6 by default.
 
     kappa* saturates at the level size M: arguments past M clamp to M, the
     largest segment the level admits.  Optional a_only/k_only restrict the
@@ -323,10 +325,10 @@ def verify_prop24(n: int, a_only: int | None = None,
 
 
 @timed
-def verify_lemma38(n: int) -> VerificationReport:
+def verify_lemma38(n: int = 8) -> VerificationReport:
     """kappa_r(m) >= kappa_r(C(n, r)) for all 0 <= m <= C(n, r), r = ceil(n/2);
     for even n equality holds only at m = C(n, n/2) itself (and m = 0 gives
-    kappa = 0 > the minimum)."""
+    kappa = 0 > the minimum).  n = 8 by default."""
     _check_int("verify_lemma38", "n", n, 2)
     r = (n + 1) // 2
     big_m = comb(n, r)
@@ -369,8 +371,8 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
 
 
 @timed
-def verify_conjecture51(n: int) -> VerificationReport:
-    """Report wrapper around check_conjecture51 over the full grid."""
+def verify_conjecture51(n: int = 8) -> VerificationReport:
+    """Report wrapper around check_conjecture51 over the full grid; n = 8 by default."""
     _check_int("verify_conjecture51", "n", n, 2, even=True)
     r = n // 2
     big_m = comb(n, r)

@@ -170,10 +170,10 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
 
 
 @timed
-def verify_lieby_duality(n: int) -> VerificationReport:
+def verify_lieby_duality(n: int = 8) -> VerificationReport:
     """|shadow(first m k-sets)| = |shade(last m (n-k)-sets)| for every k, m.
 
-    Both sides are computed by explicit union, never by formula.
+    Both sides are computed by explicit union, never by formula; n = 8 by default.
     """
     _check_int("verify_lieby_duality", "n", n, 1)
     rep = VerificationReport("lieby", {"n": n})
@@ -189,36 +189,43 @@ def verify_lieby_duality(n: int) -> VerificationReport:
 
 
 @timed
-def verify_clements_minimality(n: int, k: int) -> VerificationReport:
+def verify_clements_minimality(n: int = 6, k: int | None = None) -> VerificationReport:
     """Among all windows of m consecutive k-sets in squashed order, the last
     window minimizes the new-shadow size and the first window minimizes the
     new-shade size; checked for every window of every length (each window
-    counts as two checks, one per direction).
+    counts as two checks, one per direction).  By default n = 6, and k None
+    checks levels 1..n-1 in one report (params k "1..n-1"), each violation
+    tagged with its k.
 
     Ownership classes of distinct sets are disjoint, so a window's new
     shadow (new shade) size is the sum of its members' sizes: the kernel runs
     once per set, and each window reads a difference of prefix sums.
     """
     _check_int("verify_clements_minimality", "n", n, 1)
-    _check_int("verify_clements_minimality", "k", k, 1, n)
-    rep = VerificationReport("clements", {"n": n, "k": k})
-    level = level_masks(n, k)
-    total = len(level)
-    nsh = list(accumulate((len(_pure.new_shadow_masks([mask], n)) for mask in level),
-                          initial=0))
-    nse = list(accumulate((len(_pure.new_shade_masks([mask], n)) for mask in level),
-                          initial=0))
-    for m in range(total + 1):
-        base_nsh = nsh[total] - nsh[total - m]
-        base_nse = nse[m]
-        for r in range(total - m + 1):
-            rep.checks_run += 2
-            got_nsh = nsh[r + m] - nsh[r]
-            got_nse = nse[r + m] - nse[r]
-            if got_nse < base_nse:
-                rep.violations.append({"part": "new-shade", "m": m, "r": r,
-                                       "window": got_nse, "first-segment": base_nse})
-            if got_nsh < base_nsh:
-                rep.violations.append({"part": "new-shadow", "m": m, "r": r,
-                                       "window": got_nsh, "last-segment": base_nsh})
+    if k is not None:
+        _check_int("verify_clements_minimality", "k", k, 1, n)
+    rep = VerificationReport("clements", {"n": n, "k": "1..n-1" if k is None else k})
+    for kk in range(1, n) if k is None else (k,):
+        tag = {"k": kk} if k is None else {}
+        level = level_masks(n, kk)
+        total = len(level)
+        nsh = list(accumulate((len(_pure.new_shadow_masks([mask], n)) for mask in level),
+                              initial=0))
+        nse = list(accumulate((len(_pure.new_shade_masks([mask], n)) for mask in level),
+                              initial=0))
+        for m in range(total + 1):
+            base_nsh = nsh[total] - nsh[total - m]
+            base_nse = nse[m]
+            for r in range(total - m + 1):
+                rep.checks_run += 2
+                got_nsh = nsh[r + m] - nsh[r]
+                got_nse = nse[r + m] - nse[r]
+                if got_nse < base_nse:
+                    rep.violations.append({"part": "new-shade", "m": m, "r": r,
+                                           "window": got_nse,
+                                           "first-segment": base_nse, **tag})
+                if got_nsh < base_nsh:
+                    rep.violations.append({"part": "new-shadow", "m": m, "r": r,
+                                           "window": got_nsh,
+                                           "last-segment": base_nsh, **tag})
     return rep

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import inspect
 import json
 from pathlib import Path
 
@@ -290,9 +291,122 @@ def test_out_write_failure_exits_two(tmp_path, capsys):
     (("cascade", "--m", "17", "--r", "3"),
      {"command": "cascade", "m": 17, "r": 3, "terms": [[5, 3], [4, 2], [1, 1]],
       "shadow_min": 15}),
-], ids=["kappa-star", "shadow-min", "rank", "unrank", "bound", "cascade"])
+    (("kappa-table", "--r", "2", "--m", "4"),
+     {"command": "kappa-table", "r": 2, "columns": ["m", "kappa", "kappa_star"],
+      "rows": [[0, 0, 0], [1, 1, 0], [2, 1, 0], [3, 0, 0], [4, 0, 0]]}),
+], ids=["kappa-star", "shadow-min", "rank", "unrank", "bound", "cascade", "kappa-table"])
 def test_point_command_json_is_pinned(capsys, argv, payload):
     # key order included: the bytes are the payload's indent-2 dump
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("k, text", [
+    ("6", "case ii, m = 6\n"
+          "A (6 sets): {12, 13, 23, 14, 24, 34}\n"
+          "B (6 sets): {12, 13, 23, 14, 24, 34}\n"
+          "total 12 = bound 12, 6 disjoint pairs (matching: True)\n"),
+    ("0", "case i\n"
+          "A (6 sets): {12, 13, 23, 14, 24, 34}\n"
+          "B (4 sets): {123, 124, 134, 234}\n"
+          "total 10 = bound 10, 0 disjoint pairs (matching: True)\n"),
+])
+def test_extremal_pretty_is_pinned(capsys, k, text):
+    code, out, _ = run_cli(capsys, "extremal", "--n", "4", "--k", k)
+    assert code == 0
+    assert out == text
+
+
+def test_pretty_report_lists_twenty_violations_then_a_count(capsys, monkeypatch):
+    failing = VerificationReport("stub", {"n": 1})
+    failing.violations.extend({"i": i} for i in range(25))
+    monkeypatch.setattr(cli, "_verify_dispatch", lambda which, params: failing)
+    code, out, _ = run_cli(capsys, "verify", "kkt")
+    assert code == 1
+    assert out.splitlines() == (
+        ["stub: FAIL (25 violations) [0 checks, 0.0 ms]"]
+        + [f"  violation: {{'i': {i}}}" for i in range(20)] + ["  ... 5 more"])
+
+
+def test_every_sweep_keyword_is_a_defaulted_parameter():
+    # a flag not given is not passed, so the sweep's signature must default it
+    assert sorted(DEFAULT_PARAMS) == sorted(set(cli._SWEEPS) - {"all"})
+    for which, (sweep, keywords) in cli._SWEEPS.items():
+        params = inspect.signature(sweep).parameters
+        for flag, keyword in keywords.items():
+            assert keyword in params, (which, flag)
+            assert params[keyword].default is not inspect.Parameter.empty, (which, flag)
+
+
+# The params each sweep reports when `verify <name>` gets no flag (README's
+# table of defaults).
+DEFAULT_PARAMS = {
+    "d-identities": {"n_max": 24, "r_max": 20},
+    "kkt": {"n_max": 10, "samples": 1000, "seed": 20240824, "sample_n_max": 9},
+    "lieby": {"n": 8},
+    "clements": {"n": 6, "k": "1..n-1"},
+    "prop22": {"r": 2, "m_max": 10},
+    "thm23": {"r": 2, "m_max": 10},
+    "prop24": {"n": 6, "r": 3, "M": 20, "a": None, "k": None},
+    "lemma38": {"n": 8, "r": 4, "M": 70},
+    "thm25-brute": {"n": 4, "k": None, "exact": False},
+    "thm26": {"n": 4, "k": None},
+    "sperner": {"n": 4},
+    "conjecture51": {"n": 8, "r": 4, "M": 70},
+}
+
+
+@pytest.mark.parametrize("which", sorted(DEFAULT_PARAMS))
+def test_verify_without_flags_runs_the_sweep_at_its_defaults(capsys, which):
+    code, out, _ = run_cli(capsys, "verify", which, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    want = cli._SWEEPS[which][0]().to_json()
+    payload.pop("elapsed_ms")
+    want.pop("elapsed_ms")
+    assert payload == want
+    assert payload["params"] == DEFAULT_PARAMS[which]
+
+
+@pytest.mark.parametrize("argv, params", [
+    (("d-identities", "--n", "6", "--r", "4"), {"n_max": 6, "r_max": 4}),
+    (("clements", "--n", "5", "--k", "2"), {"n": 5, "k": 2}),
+    (("thm23", "--r", "3", "--m", "30"), {"r": 3, "m_max": 30}),
+    (("prop24", "--n", "6", "--a", "3", "--k", "2"),
+     {"n": 6, "r": 3, "M": 20, "a": 3, "k": 2}),
+    (("thm25-brute", "--n", "4", "--k", "3", "--exact"), {"n": 4, "k": 3, "exact": True}),
+], ids=["d-identities", "clements", "thm23", "prop24", "thm25-brute"])
+def test_verify_flags_reach_their_keywords(capsys, argv, params):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == params
+
+
+@pytest.mark.parametrize("which, r, sweep", [("prop22", "-1", "verify_prop22"),
+                                             ("thm23", "0", "verify_thm23")])
+def test_verify_names_the_sweep_for_a_bad_level(capsys, which, r, sweep):
+    # the default m = C(2r, r) + 2r is computed only after r is checked
+    code, out, err = run_cli(capsys, "verify", which, "--r", r)
+    assert code == 2 and out == ""
+    assert err == f"error: {sweep}: need r >= 1, got {r}\n"
+
+
+def test_out_path_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_verify_dispatch", lambda which, params: ran.append(which))
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run_cli(capsys, "verify", "conjecture51", "--n", "18",
+                                 "--out", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write --out {target}\n"
+    assert ran == [] and not (tmp_path / "missing").exists()
+
+
+def test_rejected_sweep_leaves_an_existing_out_file_alone(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    code, _, err = run_cli(capsys, "verify", "prop22", "--r", "-1",
+                           "--out", str(target))
+    assert code == 2 and err.startswith("error: verify_prop22")
+    assert target.read_text() == "earlier report\n"

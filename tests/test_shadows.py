@@ -136,6 +136,7 @@ def test_cascade_rep_examples():
     assert str(rep) == "17 = C(5,3) + C(4,2) + C(1,1)"
     assert rep.shadow_sum() == binom(5, 2) + binom(4, 1) + binom(1, 0) == 15
     assert cascade_rep(0, 4).terms == ()
+    assert str(cascade_rep(0, 3)) == "0 = 0 (empty cascade)"
     assert cascade_rep(binom(9, 4), 4).terms == ((9, 4),)
 
 
@@ -489,3 +490,26 @@ def test_edge_arguments_give_a_value_or_a_value_error():
 def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call(*args)
+
+
+def test_clements_sweep_merges_every_level_by_default():
+    rep = verify_clements_minimality(6)
+    assert rep.params == {"n": 6, "k": "1..n-1"}
+    assert rep.checks_run == 1118 == sum(
+        verify_clements_minimality(6, k).checks_run for k in range(1, 6))
+    assert rep.passed and verify_clements_minimality().to_json()["params"] == rep.params
+
+
+def test_merged_clements_violations_are_tagged_with_their_level(monkeypatch):
+    # a new-shade kernel that inflates the first set of each level makes the
+    # first window lose to later ones; the merged report must list each
+    # level's violations in level order, each tagged with its k
+    real = _pure.new_shade_masks
+    monkeypatch.setattr(_pure, "new_shade_masks", lambda masks, n: real(masks, n) + (
+        [0] * 4 if masks[0] == (1 << masks[0].bit_count()) - 1 else []))
+    per_level = [(k, verify_clements_minimality(5, k)) for k in range(1, 5)]
+    assert all(rep.violations for _, rep in per_level)
+    merged = verify_clements_minimality(5)
+    assert merged.violations == [{**v, "k": k} for k, rep in per_level
+                                 for v in rep.violations]
+    assert merged.checks_run == sum(rep.checks_run for _, rep in per_level)

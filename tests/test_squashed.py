@@ -432,3 +432,11 @@ def test_edge_arguments_give_a_value_or_a_value_error():
 def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call(*args)
+
+
+def test_subset_length_membership_and_str():
+    s = Subset((1, 3, 4), 5)
+    assert len(s) == 3 and len(Subset((), 4)) == 0
+    assert 3 in s and 2 not in s and 5 not in s
+    assert str(s) == "134" and str(Subset((2, 10), 12)) == "{2,10}"
+    assert str(Subset((), 4)) == "{}"
