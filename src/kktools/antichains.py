@@ -407,6 +407,7 @@ def verify_extremal_constructions(n: int) -> VerificationReport:
 def sperner_max_check(n: int = 4) -> VerificationReport:
     """Largest antichain size is C(n, floor(n/2)), and the only maximizers
     are the full middle level(s), both of them for odd n (n = 4 by default)."""
+    _check_int("sperner_max_check", "n", n, 1, 5)
     rep = VerificationReport("sperner", {"n": n})
     families = enumerate_antichains(n)
     best = max(len(f) for f in families)

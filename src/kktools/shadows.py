@@ -11,7 +11,7 @@ shadow of a set is obtained by deleting one element of its initial run
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 from math import comb
@@ -68,36 +68,17 @@ def new_shade(fam: SetFamily) -> SetFamily:
 @dataclass(frozen=True)
 class CascadeRep:
     """The cascade representation m = sum of C(a_i, i) for i = r down to t,
-    with a_r > a_{r-1} > ... > a_t >= t >= 1.  Unique; empty for m = 0."""
+    with a_r > a_{r-1} > ... > a_t >= t >= 1.  Unique, so (m, r) fixes the
+    terms, which are derived on construction; empty for m = 0."""
 
     value_m: int
     level_r: int
-    terms: tuple[tuple[int, int], ...]
+    terms: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
-        r = self.level_r
         _check_int("CascadeRep", "value_m", self.value_m, 0)
-        _check_int("CascadeRep", "level_r", r, 1)
-        terms = self.terms
-        if type(terms) is not tuple or not all(
-                type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is int
-                for t in terms):
-            raise ValueError(f"CascadeRep: terms must be a tuple of (a, i) "
-                             f"integer pairs, got {terms!r}")
-        total = 0
-        prev_a = None
-        for pos, (a, i) in enumerate(terms):
-            if i != r - pos or i < 1:
-                raise ValueError(f"cascade indices must run {r}, {r - 1}, ...: "
-                                 f"got {terms}")
-            if a < i:
-                raise ValueError(f"cascade needs a_i >= i, got C({a}, {i})")
-            if prev_a is not None and not a < prev_a:
-                raise ValueError(f"cascade coefficients must strictly decrease: {terms}")
-            prev_a = a
-            total += comb(a, i)
-        if total != self.value_m:
-            raise ValueError(f"cascade terms sum to {total}, not {self.value_m}")
+        _check_int("CascadeRep", "level_r", self.level_r, 1)
+        object.__setattr__(self, "terms", _cascade_terms(self.value_m, self.level_r))
 
     def shadow_sum(self) -> int:
         """Value of the shadow formula: sum of C(a_i, i-1)."""
@@ -114,7 +95,7 @@ def cascade_rep(m: int, r: int) -> CascadeRep:
     """Greedy cascade representation of m at level r (_cascade_terms)."""
     _check_int("cascade_rep", "m", m, 0)
     _check_int("cascade_rep", "r", r, 1)
-    return CascadeRep(m, r, _cascade_terms(m, r))
+    return CascadeRep(m, r)
 
 
 def kk_shadow_min(m: int, r: int) -> int:

@@ -43,9 +43,6 @@ class Subset:
 
     elements: tuple[int, ...]
     ground_n: int
-    # mask_of(elements), filled on the first read of .mask (or by from_mask)
-    _mask: int | None = field(default=None, init=False, repr=False,
-                              compare=False)
 
     def __post_init__(self):
         try:
@@ -66,17 +63,11 @@ class Subset:
 
     @classmethod
     def from_mask(cls, mask: int, ground_n: int) -> "Subset":
-        s = cls(elements_of(mask), ground_n)
-        object.__setattr__(s, "_mask", mask)
-        return s
+        return cls(elements_of(mask), ground_n)
 
     @property
     def mask(self) -> int:
-        m = self._mask
-        if m is None:
-            m = mask_of(self.elements)
-            object.__setattr__(self, "_mask", m)
-        return m
+        return mask_of(self.elements)
 
     @property
     def size(self) -> int:

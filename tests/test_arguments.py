@@ -25,7 +25,7 @@ BASE_CALLS = {
     "SetFamily": {"members": (), "ground_n": 3},
     "SetFamily.of": {"element_sets": [[1], [2, 3]], "ground_n": 3},
     "SetFamily.from_masks": {"masks": [1, 6], "ground_n": 3},
-    "CascadeRep": {"value_m": 3, "level_r": 2, "terms": ((3, 2),)},
+    "CascadeRep": {"value_m": 3, "level_r": 2},
     "cascade_rep": {"m": 5, "r": 2},
     "kk_shadow_min": {"m": 5, "r": 2},
     "verify_kkt": {"n_max": 2, "samples": 3, "seed": 1, "sample_n_max": 3},

@@ -392,6 +392,13 @@ def test_verify_names_the_sweep_for_a_bad_level(capsys, which, r, sweep):
     assert err == f"error: {sweep}: need r >= 1, got {r}\n"
 
 
+@pytest.mark.parametrize("n", ["6", "0"])
+def test_sperner_names_itself_for_an_n_out_of_reach(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "sperner", "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: sperner_max_check: need 1 <= n <= 5, got {n}\n"
+
+
 def test_out_path_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_verify_dispatch", lambda which, params: ran.append(which))

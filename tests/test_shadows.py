@@ -1,5 +1,7 @@
 """Shadows, shades, their new- variants, and cascade representations."""
 
+import dataclasses
+import inspect
 import random
 
 import pytest
@@ -140,24 +142,59 @@ def test_cascade_rep_examples():
     assert cascade_rep(binom(9, 4), 4).terms == ((9, 4),)
 
 
-@given(st.integers(min_value=0, max_value=3000), st.integers(min_value=1, max_value=6))
+def cascade_violation(m, r, terms):
+    """The rules of an r-cascade of m, checked from their definition: None
+    when `terms` is one, else the rule it breaks."""
+    if type(terms) is not tuple or not all(
+            type(t) is tuple and len(t) == 2 and type(t[0]) is type(t[1]) is int
+            for t in terms):
+        return "terms must be a tuple of (a, i) integer pairs"
+    total = 0
+    prev_a = None
+    for pos, (a, i) in enumerate(terms):
+        if i != r - pos or i < 1:
+            return f"indices must run {r}, {r - 1}, ... down to at least 1"
+        if a < i:
+            return f"needs a_i >= i, got C({a}, {i})"
+        if prev_a is not None and not a < prev_a:
+            return "coefficients must strictly decrease"
+        prev_a = a
+        total += binom(a, i)
+    if total != m:
+        return f"terms sum to {total}, not {m}"
+    return None
+
+
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=130))
 def test_cascade_rep_reconstructs_and_is_strictly_decreasing(m, r):
-    rep = cascade_rep(m, r)
-    assert sum(binom(a, i) for a, i in rep.terms) == m
-    tops = [a for a, _ in rep.terms]
-    lows = [i for _, i in rep.terms]
-    assert tops == sorted(tops, reverse=True) and len(set(tops)) == len(tops)
-    assert lows == list(range(r, r - len(lows), -1))
-    if rep.terms:
-        a_t, t = rep.terms[-1]
-        assert a_t >= t >= 1
+    assert cascade_violation(m, r, cascade_rep(m, r).terms) is None
+
+
+def one_step_perturbations(terms, r):
+    """Every one-step change of a cascade: one a_i moved by +-1, the last
+    term dropped, or a term appended one level below the last."""
+    for pos, (a, i) in enumerate(terms):
+        for da in (-1, 1):
+            yield terms[:pos] + ((a + da, i),) + terms[pos + 1:]
+    if terms:
+        yield terms[:-1]
+    a_last, i_last = terms[-1] if terms else (r + 2, r + 1)
+    yield terms + ((a_last - 1, i_last - 1),)
+
+
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=130))
+def test_cascade_oracle_rejects_every_one_step_perturbation(m, r):
+    # uniqueness: no neighbour of the greedy cascade is a cascade of m
+    terms = cascade_rep(m, r).terms
+    for other in one_step_perturbations(terms, r):
+        assert cascade_violation(m, r, other) is not None, other
 
 
 @pytest.mark.parametrize("m, r", [
     (10**7, 1), (10**14, 2), (10**24, 3), (10**100, 12), (binom(200, 100) - 1, 100),
     *((random.Random(r).randrange(binom(40, r) + 1), r) for r in range(1, 13))])
 def test_cascade_rep_is_greedy_for_huge_m(m, r):
-    # CascadeRep checks the sum and the strict decrease on construction
+    # each a_i is the largest with C(a_i, i) <= the remainder left at level i
     rep = cascade_rep(m, r)
     rem = m
     for a, i in rep.terms:
@@ -168,33 +205,52 @@ def test_cascade_rep_is_greedy_for_huge_m(m, r):
         assert kk_shadow_min(m, 1) == 1
 
 
+@pytest.mark.parametrize("m, r, terms, rule", [
+    (5, 2, ((2, 2), (2, 1)), "strictly decrease"),
+    (4, 2, ((3, 2), (0, 1)), "a_i >= i"),
+    (9, 2, ((3, 2), (2, 1)), "sum to 5, not 9"),
+    (1, 1, None, "terms must be a tuple"),
+    (1, 1, [[1, 1]], "terms must be a tuple"),
+    (3, 2, ((3, 2, 0),), "terms must be a tuple"),
+    (1, 1, ((1, True),), "terms must be a tuple"),
+    (3, 2, ((3, 2.0),), "terms must be a tuple"),
+    (4, 1, ((3, 1), (2, 0), (1, -1)), "indices"),
+    (3, 2, ((2, 2),), "sum to 1, not 3"),
+    (1, 2, ((1, 2),), "a_i >= i"),
+])
+def test_cascade_oracle_names_the_broken_rule(m, r, terms, rule):
+    assert rule in cascade_violation(m, r, terms)
+
+
 def test_cascade_rep_validation():
-    with pytest.raises(ValueError):
-        CascadeRep(5, 2, ((2, 2), (2, 1)))  # coefficients must strictly decrease
-    with pytest.raises(ValueError):
-        CascadeRep(4, 2, ((3, 2), (0, 1)))  # a_t >= t fails
-    with pytest.raises(ValueError):
-        CascadeRep(9, 2, ((3, 2), (2, 1)))  # value mismatch
     with pytest.raises(ValueError):
         cascade_rep(-1, 2)
     with pytest.raises(ValueError):
         cascade_rep(3, 0)
     # a float field is named, not carried into the sum or the printed form
     with pytest.raises(ValueError, match="level_r must be an integer"):
-        CascadeRep(0, 1.5, ())
+        CascadeRep(0, 1.5)
     with pytest.raises(ValueError, match="value_m must be an integer"):
-        CascadeRep(1.0, 1, ((1, 1),))
+        CascadeRep(1.0, 1)
     with pytest.raises(ValueError, match="level_r must be an integer"):
-        CascadeRep(3, 2.0, ((3, 2),))
-    # terms must be a tuple of (a, i) int pairs, named when they are not
-    for value, level, terms in ((1, 1, None), (1, 1, [[1, 1]]), (3, 2, ((3, 2, 0),)),
-                                (1, 1, ((1, True),)), (3, 2, ((3, 2.0),))):
-        with pytest.raises(ValueError, match="terms must be a tuple"):
-            CascadeRep(value, level, terms)
-    with pytest.raises(ValueError, match="indices"):
-        CascadeRep(4, 1, ((3, 1), (2, 0), (1, -1)))  # indices run below 1
+        CascadeRep(3, 2.0)
     with pytest.raises(ValueError, match="level_r must be an integer"):
-        CascadeRep(1, True, ((1, 1),))
+        CascadeRep(1, True)
+    with pytest.raises(ValueError, match="need level_r >= 1, got 0"):
+        CascadeRep(0, 0)
+    with pytest.raises(ValueError, match="need value_m >= 0, got -1"):
+        CascadeRep(-1, 2)
+
+
+def test_cascade_rep_takes_only_its_value_and_level():
+    assert list(inspect.signature(CascadeRep).parameters) == ["value_m", "level_r"]
+    with pytest.raises(TypeError):
+        CascadeRep(3, 2, ((3, 2),))
+    for m, r in ((0, 1), (17, 3), (10**30, 7)):
+        assert CascadeRep(m, r) == cascade_rep(m, r)
+        assert hash(CascadeRep(m, r)) == hash(cascade_rep(m, r))
+    moved = dataclasses.replace(cascade_rep(17, 3), value_m=18)
+    assert moved.terms == cascade_rep(18, 3).terms
 
 
 def test_kk_shadow_min_examples():
@@ -430,11 +486,9 @@ EDGE_CASES = [
     (kk_shadow_min, (4, 0), ValueError),
     (kk_shadow_min, (0, 3), 0),
     (kk_shadow_min, (1, 3), 3),
-    (CascadeRep, (0, 0, ()), ValueError),
-    (CascadeRep, (3, 2, ((2, 2),)), ValueError),
-    (CascadeRep, (1, 2, ((1, 2),)), ValueError),
-    (CascadeRep, (3, 2, ((2, 2), (2, 1))), ValueError),
-    (CascadeRep, (2, 2, ((2, 2), (1, 1))), ((2, 2), (1, 1))),
+    (CascadeRep, (0, 0), ValueError),
+    (CascadeRep, (-1, 2), ValueError),
+    (CascadeRep, (2, 2), ((2, 2), (1, 1))),
     (shadow, (SetFamily((), 3),), []),
     (shadow, (SetFamily.of([()], 3),), ValueError),
     (shadow, (SetFamily.of([[1], [1, 2]], 3),), ValueError),

@@ -1,7 +1,7 @@
 """Squashed (colex) order: comparison, ranking, segments, text forms."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import pytest
@@ -145,11 +145,15 @@ def test_from_mask_round_trip_equality_and_hash(n):
     for m in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(30)]:
         s = Subset.from_mask(m, n)
         t = Subset(tuple(e for e in range(n, 0, -1) if m >> (e - 1) & 1), n)
-        # t has not computed its mask yet; the cache must not matter
         assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
         assert s.mask == m and t.mask == m
         assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
         assert "_mask" not in repr(s)
+
+
+def test_subset_stores_only_its_elements_and_ground_set():
+    # the mask is derived on each read, not cached on the instance
+    assert [f.name for f in fields(Subset)] == ["elements", "ground_n"]
 
 
 def test_text_forms():
