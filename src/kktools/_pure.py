@@ -104,47 +104,58 @@ def scan_pairs(families, k: int, exact: bool, require_side: bool):
     """Maximize |A|+|B| over ordered pairs of families whose disjointness
     relation is a partial matching of size <= k (== k in exact mode).
 
-    families: list of tuples of masks.  In exact mode the side condition
-    k <= min(|A|, |B|) applies; require_side imposes it in the at-most mode
-    too.  Returns (best_total, [(i, j), ...]) with the pairs in row-major
+    families: list of tuples of distinct masks.  In exact mode the side
+    condition k <= min(|A|, |B|) applies; require_side imposes it in the
+    at-most mode too.  Returns (best_total, [(i, j), ...]) with the pairs in row-major
     order, and -1 with an empty list when no pair qualifies.
 
     Branch and bound: both loops visit families by descending size, so once
     |A|+|B| falls below the best total found (or a family falls below the
     side condition), every later family of that loop fails as well.
+
+    Disjointness runs on subset-membership masks (Knuth, TAOCP 4A 7.1.3):
+    each distinct mask gets a bit, each family is the int of its members'
+    bits, and each mask a has the row of bits of the masks disjoint from it.
+    So a's partners in B are member[B] & row[a].  The table is indexed by
+    the distinct masks, not by the subsets of the ground set.
     """
     side = exact or require_side
+    bit = {x: 1 << j for j, x in enumerate(set().union(*families))}
+    row = {a: sum(b for x, b in bit.items() if not a & x) for a in bit}
+    member: dict[int, int] = {}  # filled for the families a loop reaches
     order = sorted(range(len(families)), key=lambda j: -len(families[j]))
     largest = len(families[order[0]]) if order else 0
     best = -1
     hits: list[tuple[int, int]] = []
     for i in order:
-        fa = families[i]
-        la = len(fa)
+        la = len(families[i])
         if (side and k > la) or la + largest < best:
             break
+        rows_a = list(map(row.__getitem__, families[i]))
         for j in order:
-            fb = families[j]
-            lb = len(fb)
+            lb = len(families[j])
             total = la + lb
             if total < best or (side and k > lb):
                 break
-            used = set()
-            ok = True
-            for a in fa:
-                partners = [b for b in fb if not a & b]
-                if not partners:
+            in_b = member.get(j)
+            if in_b is None:
+                in_b = member[j] = sum(map(bit.__getitem__, families[j]))
+            used = 0
+            count = 0
+            for ra in rows_a:
+                p = ra & in_b
+                if p:
+                    # a second partner, a shared partner, or one pair too many
+                    if p & (p - 1) or p & used or count == k:
+                        break
+                    used |= p
+                    count += 1
+            else:  # no break: a matching with at most k pairs
+                if exact and count != k:
                     continue
-                if len(partners) > 1 or partners[0] in used \
-                        or len(used) == k:
-                    ok = False
-                    break
-                used.add(partners[0])
-            if not ok or (exact and len(used) != k):
-                continue
-            if total > best:
-                best = total
-                hits = []
-            hits.append((i, j))
+                if total > best:
+                    best = total
+                    hits = []
+                hits.append((i, j))
     hits.sort()
     return best, hits

@@ -23,22 +23,41 @@ from .report import VerificationReport, timed
 from .squashed import SetFamily, Subset, format_subset, level_masks
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
+# Below this many pairs, two levels are compared pair by pair: a shade or
+# shadow kernel call costs more (measured on the antichains of {1..5}).
+_PAIRS_PER_KERNEL_CALL = 64
 
 
 def _is_antichain_masks(masks) -> bool:
     """True iff no mask is a proper subset of another.
 
-    Two distinct sets of one size never nest, so each mask is compared
-    with the masks of larger size only.
+    Two distinct sets of one size never nest, so each level is compared
+    with the larger levels only, pair by pair.  A set nests in one of the
+    next size iff it lies in the shadow of the upper level, or equivalently
+    the upper set lies in its shade.  So two adjacent levels with more than
+    _PAIRS_PER_KERNEL_CALL pairs are compared by whichever of the shade and
+    the shadow is smaller, plus a set test.
     """
     levels = [list(grp) for _, grp in
               groupby(sorted(masks, key=int.bit_count), key=int.bit_count)]
     for i, lower in enumerate(levels):
-        above = [b for level in levels[i + 1:] for b in level]
-        for a in lower:
-            for b in above:
-                if a & b == a:
+        size = lower[0].bit_count()
+        for upper in levels[i + 1:]:
+            if upper[0].bit_count() == size + 1 \
+                    and len(lower) * len(upper) > _PAIRS_PER_KERNEL_CALL:
+                # the shade inside the upper level's ground set suffices
+                n = max(upper).bit_length()
+                if len(lower) * (n - size) <= len(upper) * (size + 1):
+                    near, other = _pure.shade_masks(lower, n), upper
+                else:
+                    near, other = _pure.shadow_masks(upper), lower
+                if not set(near).isdisjoint(other):
                     return False
+                continue
+            for a in lower:
+                for b in upper:
+                    if a & b == a:
+                        return False
     return True
 
 
@@ -162,26 +181,29 @@ class ExtremalConstruction:
         }
 
 
-def _extremal_masks(n: int, k: int, table: KappaTable | None = None,
+def _least_minimizers(column: list[int]) -> list[int]:
+    """For each k, the least m <= k with column[m] = min(column[:k+1]): the
+    index where the running minimum was first hit, O(1) per k."""
+    first = 0
+    return [(first := k) if value < column[first] else first
+            for k, value in enumerate(column)]
+
+
+def _extremal_masks(n: int, m: int | None,
                     levels: tuple[list[int], list[int]] | None = None):
-    """The masks of construct_extremal(n, k) as (a_masks, b_masks, case, m),
-    with n and k already checked.  table, if given, is a KappaTable at level
-    n/2 with upper_m >= k; levels, if given, is (level_masks(n, n/2),
-    level_masks(n, n/2 + 1)), and the lists returned may be those lists."""
+    """The masks (a_masks, b_masks) of construct_extremal at n and m (None
+    for case i), with both already checked.  levels, if given, is
+    (level_masks(n, n/2), level_masks(n, n/2 + 1)), and the lists returned
+    may be those lists."""
     r = n // 2
     if levels is None:
         levels = level_masks(n, r), level_masks(n, r + 1)
     a_masks, upper_level = levels
-    if k < negativity_threshold(r):
-        return a_masks, upper_level, "i", None
-    if table is None:
-        table = KappaTable.build(r, k)
-    target = table.kappa_star[k]
-    m = next(i for i in range(k + 1) if table.kappa[i] == target)
+    if m is None:
+        return a_masks, upper_level
     bottom = a_masks[len(a_masks) - m:]
     shaded = set(_pure.shade_masks(bottom, n))
-    upper = [mm for mm in upper_level if mm not in shaded]
-    return a_masks, bottom + upper, "ii", m
+    return a_masks, bottom + [x for x in upper_level if x not in shaded]
 
 
 def construct_extremal(n: int, k: int) -> ExtremalConstruction:
@@ -195,9 +217,14 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     """
     _check_int("construct_extremal", "n", n, 4, even=True)
     _check_int("construct_extremal", "k", k, 0, comb(n, n // 2))
-    a_masks, b_masks, case, m = _extremal_masks(n, k)
+    r = n // 2
+    m = None
+    if k >= negativity_threshold(r):
+        m = _least_minimizers(KappaTable.build(r, k).kappa)[k]
+    a_masks, b_masks = _extremal_masks(n, m)
     return ExtremalConstruction(n, k, SetFamily.from_masks(a_masks, n),
-                                SetFamily.from_masks(b_masks, n), case, m)
+                                SetFamily.from_masks(b_masks, n),
+                                "i" if m is None else "ii", m)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
@@ -277,7 +304,8 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     separately, over pairs honoring the side condition k <= min(|A|, |B|);
     the first must equal the bound, the second must never exceed it.  In
     exact mode (matching size exactly k) only the no-excess direction is
-    asserted, as the equality there is conjectural.
+    asserted, as the equality there is conjectural; exact mode already
+    imposes the side condition, so its one scan gives both maxima.
     """
     _check_int("verify_thm25_brute", "n", n, 4, 5, even=True)
     rep = VerificationReport("thm25-brute", {"n": n, "k": k, "exact": exact})
@@ -285,7 +313,8 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     for kk in ks:
         bound = theorem25_bound(n, kk)
         best, wits = _brute_force_masks(n, kk, exact)
-        best_side, _ = _brute_force_masks(n, kk, exact, require_side=True)
+        best_side = best if exact else \
+            _brute_force_masks(n, kk, require_side=True)[0]
         rep.checks_run += 1
         if exact:
             failed = best > bound
@@ -350,55 +379,70 @@ def verify_thm26_structure(n: int = 4,
 
 
 @timed
-def verify_extremal_constructions(n: int) -> VerificationReport:
+def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     """construct_extremal meets the bound for every k: both families are
     antichains, the disjointness relation is a matching of size <= k, and
-    the total equals theorem25_bound(n, k).
+    the total equals theorem25_bound(n, k) (n = 8 by default).
 
-    The sweep checks the masks construct_extremal wraps, with one KappaTable
-    for all k, and takes the bound's kappa* as the running minimum of the
-    cascade formula, a route independent of the table.  A is the full
-    half level for every k, so its antichain check and the A members
-    disjoint from each B member are computed once and reused while A stays
-    the same.
+    The sweep checks the masks construct_extremal wraps.  The families
+    depend on k only through m, the least minimizer read off one KappaTable,
+    so each distinct family is checked once; the pair count against k and
+    the total against the bound are checked for every k, with kappa* taken
+    as the running minimum of the cascade formula, a route independent of
+    the table.  A member x of A can be disjoint from a member y of B only
+    when |x| <= n - |y|, and at equality x is y's complement: one set
+    lookup, with the smaller members of A still scanned.
     """
     _check_int("verify_extremal_constructions", "n", n, 4, even=True)
     rep = VerificationReport("thm25-extremal", {"n": n})
     r = n // 2
     half = comb(n, r)
     middle = half + comb(n, r + 1)
-    table = KappaTable.build(r, half)
+    threshold = negativity_threshold(r)
+    least = _least_minimizers(KappaTable.build(r, half).kappa)
     levels = level_masks(n, r), level_masks(n, r + 1)
+    full = (1 << n) - 1
     star = 0
     seen_a = None
-    partners: dict[int, tuple[int, ...]] = {}  # B member -> its disjoint A members
+    checked = {}  # m -> (problems of the pair, pair count, total)
     for k in range(half + 1):
         star = min(star, kappa(r, k))
-        a_masks, b_masks, case, m = _extremal_masks(n, k, table, levels)
-        if a_masks != seen_a:
-            seen_a, partners = a_masks, {}
-            a_is_antichain = _is_antichain_masks(a_masks)
-        for y in b_masks:
-            if y not in partners:
-                partners[y] = tuple(x for x in a_masks if not x & y)
-        pair_count = sum(len(partners[y]) for y in b_masks)
-        paired_a = {x for y in b_masks for x in partners[y]}
-        paired_b = {y for y in b_masks if partners[y]}
+        m = least[k] if k >= threshold else None
+        if m not in checked:
+            a_masks, b_masks = _extremal_masks(n, m, levels)
+            if a_masks != seen_a:
+                seen_a, a_set = a_masks, set(a_masks)
+                a_is_antichain = _is_antichain_masks(a_masks)
+                by_size = {}
+                for x in a_masks:
+                    by_size.setdefault(x.bit_count(), []).append(x)
+            pairs = []  # (x, y): x in A disjoint from y in B
+            for size, run in groupby(b_masks, int.bit_count):
+                run = list(run)
+                smaller = [x for s, xs in by_size.items() if s < n - size
+                           for x in xs]
+                pairs += [(x, y) for y in run for x in smaller if not x & y]
+                pairs += [(full ^ y, y) for y in run if full ^ y in a_set]
+            pair_count = len(pairs)
+            paired_a, paired_b = {x for x, _ in pairs}, {y for _, y in pairs}
+            problems = []
+            if not a_is_antichain:
+                problems.append("family_a not an antichain")
+            if not _is_antichain_masks(b_masks):
+                problems.append("family_b not an antichain")
+            if not len(paired_a) == pair_count == len(paired_b):
+                problems.append("disjoint pairs not a matching")
+            checked[m] = problems, pair_count, len(a_masks) + len(b_masks)
+        problems, pair_count, total = checked[m]
+        problems = list(problems)
         rep.checks_run += 1
-        problems = []
-        if not a_is_antichain:
-            problems.append("family_a not an antichain")
-        if not _is_antichain_masks(b_masks):
-            problems.append("family_b not an antichain")
-        if not len(paired_a) == pair_count == len(paired_b):
-            problems.append("disjoint pairs not a matching")
         if pair_count > k:
             problems.append(f"{pair_count} pairs exceeds k")
-        total = len(a_masks) + len(b_masks)
         if total != middle - star:
             problems.append(f"total {total} misses the bound")
         if problems:
-            rep.violations.append({"n": n, "k": k, "case": case,
+            rep.violations.append({"n": n, "k": k,
+                                   "case": "i" if m is None else "ii",
                                    "m": m, "problems": problems})
     return rep
 

@@ -37,6 +37,11 @@ def d_value(n: int, r: int) -> int:
     """
     _check_int("d_value", "n", n, 1)
     _check_int("d_value", "r", r, 1)
+    return _d(n, r)
+
+
+def _d(n: int, r: int) -> int:
+    """d_value without the argument checks, for callers that made them."""
     return math.comb(n, r - 1) - math.comb(n, r) if r <= n else 0
 
 
@@ -112,12 +117,13 @@ def verify_d_identities(n_max: int = 24, r_max: int = 20) -> VerificationReport:
     """
     _check_int("verify_d_identities", "n_max", n_max, 1)
     _check_int("verify_d_identities", "r_max", r_max, 1)
+    # every D below has n, r >= 1, so it is computed unchecked
     rep = VerificationReport("d-identities", {"n_max": n_max, "r_max": r_max})
     bad = rep.violations.append
 
     for n in range(1, n_max + 1):
         for r in range(1, min(r_max, n) + 1):
-            v = d_value(n, r)
+            v = _d(n, r)
             want = 1 if 2 * r > n + 1 else (0 if 2 * r == n + 1 else -1)
             rep.checks_run += 1
             if _sign(v) != want:
@@ -126,42 +132,42 @@ def verify_d_identities(n_max: int = 24, r_max: int = 20) -> VerificationReport:
     for n in range(3, n_max + 1):
         for r in range(2, min(r_max, n - 1) + 1):
             rep.checks_run += 1
-            if d_value(n - 1, r - 1) + d_value(n - 1, r) != d_value(n, r):
+            if _d(n - 1, r - 1) + _d(n - 1, r) != _d(n, r):
                 bad({"identity": "recurrence", "n": n, "r": r})
 
     for r in range(1, r_max + 1):
         lo = max(1, 2 * r - 1)
         for n in range(lo, n_max + 1):
             rep.checks_run += 1
-            if not d_value(n + 1, r) < d_value(n, r):
+            if not _d(n + 1, r) < _d(n, r):
                 bad({"identity": "strict-decrease", "n": n, "r": r})
             for m in range(1, n):
                 if n == 2 * r - 1 and m < r:
                     continue
                 rep.checks_run += 1
-                if not d_value(n, r) < d_value(m, r):
+                if not _d(n, r) < _d(m, r):
                     bad({"identity": "cross-row", "n": n, "m": m, "r": r})
 
     for m in range(1, n_max + 1):
         rep.checks_run += 1
-        if not d_value(m, 1) <= d_value(1, 1):
+        if not _d(m, 1) <= _d(1, 1):
             bad({"identity": "column-max", "m": m, "r": 1})
     for r in range(2, r_max + 1):
-        peak = d_value(2 * r - 2, r)
+        peak = _d(2 * r - 2, r)
         for m in range(1, n_max + 1):
             rep.checks_run += 1
-            if not d_value(m, r) <= peak:
+            if not _d(m, r) <= peak:
                 bad({"identity": "column-max", "m": m, "r": r})
 
     for j in range(2, r_max + 1):
-        total = sum(d_value(j - 2 + r, r) for r in range(1, j + 1))
+        total = sum(_d(j - 2 + r, r) for r in range(1, j + 1))
         rep.checks_run += 1
         if total != 1:
             bad({"identity": "diagonal-sum", "j": j, "value": total})
 
     for r in range(1, r_max + 1):
         # i = 1 contributes D(0, 1) = 0 by the r > n rule; start the sum at i = 2
-        total = d_value(2 * r, r) + sum(d_value(2 * i - 2, i) for i in range(2, r))
+        total = _d(2 * r, r) + sum(_d(2 * i - 2, i) for i in range(2, r))
         rep.checks_run += 1
         if not total < 0:
             bad({"identity": "negative-column-sum", "r": r, "value": total})

@@ -219,6 +219,7 @@ _SWEEPS = {
     "lemma38": (verify_lemma38, {"n": "n"}),
     "thm25-brute": (antichains.verify_thm25_brute, {"n": "n", "k": "k", "exact": "exact"}),
     "thm26": (antichains.verify_thm26_structure, {"n": "n", "k": "k"}),
+    "extremal": (antichains.verify_extremal_constructions, {"n": "n"}),
     "sperner": (antichains.sperner_max_check, {"n": "n"}),
     "conjecture51": (verify_conjecture51, {"n": "n"}),
     "all": (run_all, {"n": "n_max", "r": "r_max"}),

@@ -35,11 +35,14 @@ SQUASHED_LISTING_5_3 = ["123", "124", "134", "234", "125",
 MAX_TOTALS_N4 = [10, 10, 10, 10, 10, 11, 12]
 
 
-def _criterion(capsys, number, budget_s, text, body):
-    start = time.perf_counter()
+def _criterion(capsys, number, budget_s, text, body, repeats=1):
+    """Run body `repeats` times and hold the fastest run to the budget."""
     try:
-        body()
-        elapsed = time.perf_counter() - start
+        elapsed = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            body()
+            elapsed = min(elapsed, time.perf_counter() - start)
         assert elapsed <= budget_s, (
             f"criterion {number} exceeded its {budget_s}s budget: {elapsed:.2f}s")
     except BaseException:
@@ -57,8 +60,11 @@ def test_criterion_01_squashed_listing(capsys):
         for m, text in enumerate(SQUASHED_LISTING_5_3):
             assert rank(parse_subset(text, 5)) == m
 
+    # a sub-millisecond budget: the fastest of 5 runs, so that one
+    # scheduling stall of the machine does not fail it
     _criterion(capsys, 1, 0.001,
-               "the ten 3-subsets of {1..5} list in squashed order", body)
+               "the ten 3-subsets of {1..5} list in squashed order", body,
+               repeats=5)
 
 
 def test_criterion_02_shadow_formula_tight(capsys):

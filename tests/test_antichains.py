@@ -46,6 +46,60 @@ def test_is_antichain():
     assert not is_antichain(SetFamily.of([(), (3,)], 4))
 
 
+def oracle_is_antichain(masks):
+    """No member is a proper subset of another, pair by pair."""
+    return not any(a != b and a & b == a for a in masks for b in masks)
+
+
+def random_mask(rng, n, size):
+    return sum(1 << e for e in rng.sample(range(n), size))
+
+
+@pytest.mark.parametrize("n", [5, 8, 64, 65, 70, 130])
+def test_is_antichain_masks_matches_the_pairwise_oracle(monkeypatch, n):
+    # mixed levels, levels two or more apart only, and one level; half the
+    # families get one member's neighbour one element up or down, so they
+    # nest.  Large adjacent levels go through the shade or the shadow
+    # kernel, small ones pair by pair: all three routes must run.
+    calls = []
+    for name in ("shade_masks", "shadow_masks"):
+        kernel = getattr(_pure, name)
+        monkeypatch.setattr(_pure, name, lambda *args, kernel=kernel, name=name:
+                            calls.append(name) or kernel(*args))
+    rng = random.Random(700 + n)
+    outcomes = {"mixed": set(), "apart": set(), "one level": set()}
+    for _ in range(300):
+        kind = rng.choice(sorted(outcomes))
+        low = rng.randint(0, n - 2)
+        if kind == "one level":
+            sizes = [low]
+        elif kind == "apart":
+            sizes = [low, rng.randint(low + 2, n)]
+        else:
+            sizes = [low + rng.randint(0, 2) for _ in range(rng.randint(2, 4))]
+        masks = [random_mask(rng, n, rng.choice(sizes))
+                 for _ in range(rng.randint(1, 40))]
+        if rng.random() < 0.5:
+            masks.append(rng.choice(masks) ^ 1 << rng.randrange(n))
+        assert antichains._is_antichain_masks(masks) == oracle_is_antichain(masks)
+        outcomes[kind].add(oracle_is_antichain(masks))
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+    assert set(calls) == {"shade_masks", "shadow_masks"}
+
+
+@pytest.mark.parametrize("n", [16, 70])
+def test_is_antichain_masks_sees_a_nesting_through_the_top_bit(n):
+    # few lower sets and many upper ones take the shade route, whose ground
+    # set must reach bit n - 1, the one bit the nesting set adds
+    rng = random.Random(n)
+    lower = [random_mask(rng, n - 1, n // 2) for _ in range(5)]
+    upper = [u for u in (random_mask(rng, n - 1, n // 2 + 1) for _ in range(30))
+             if not any(x & u == x for x in lower)][:20]
+    assert len(upper) == 20
+    assert antichains._is_antichain_masks(lower + upper)
+    assert not antichains._is_antichain_masks(lower + upper + [lower[0] | 1 << (n - 1)])
+
+
 def test_is_antichain_matches_all_pairs_definition():
     # enumerated antichains span several levels; one more set may nest
     # into any of them
@@ -458,8 +512,10 @@ def test_brute_force_sweeps_and_oracles_agree_on_a_wrong_maximum(monkeypatch):
     real = antichains._brute_force_masks
 
     def faulty(n, k, exact=False, require_side=False):
+        # exact mode imposes the side condition itself, so its scans with
+        # and without require_side are one scan and both carry the fault
         best, wits = real(n, k, exact, require_side)
-        return (best + 1 if k == 3 and not require_side else best), wits
+        return (best + 1 if k == 3 and (exact or not require_side) else best), wits
 
     monkeypatch.setattr(antichains, "_brute_force_masks", faulty)
     for exact in (False, True):
@@ -497,18 +553,24 @@ def oracle_extremal(n, k):
 
 
 def oracle_extremal_report(n):
-    """The per-k sweep on the public objects: construct_extremal,
-    disjoint_pairs, is_antichain and theorem25_bound.  Returns
-    (checks_run, violations)."""
+    """The per-k sweep on the public objects: construct_extremal, the
+    pairwise antichain oracle, disjoint_pairs (a scan of every pair) and
+    theorem25_bound.  The verdicts on a pair of families are kept for the
+    next k that builds the same pair.  Returns (checks_run, violations)."""
     checks, violations = 0, []
+    verdicts = {}
     for k in range(binom(n, n // 2) + 1):
         built = construct_extremal(n, k)
-        report = disjoint_pairs(built.family_a, built.family_b)
+        key = tuple(built.family_a.masks()), tuple(built.family_b.masks())
+        if key not in verdicts:
+            verdicts[key] = (oracle_is_antichain(key[0]), oracle_is_antichain(key[1]),
+                             disjoint_pairs(built.family_a, built.family_b))
+        a_ok, b_ok, report = verdicts[key]
         checks += 1
         problems = []
-        if not is_antichain(built.family_a):
+        if not a_ok:
             problems.append("family_a not an antichain")
-        if not is_antichain(built.family_b):
+        if not b_ok:
             problems.append("family_b not an antichain")
         if not report.is_matching:
             problems.append("disjoint pairs not a matching")
@@ -531,7 +593,7 @@ def test_construct_extremal_matches_segment_rebuild():
                 (a_fam, b_fam, case, m), (n, k)
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_extremal_sweep_matches_per_k_oracle(n):
     rep = verify_extremal_constructions(n)
     assert rep.passed
@@ -539,37 +601,44 @@ def test_extremal_sweep_matches_per_k_oracle(n):
 
 
 @pytest.mark.parametrize("fault", ["m + 1", "shade kept", "empty set added",
-                                   "top set dropped", "A changes with k"])
+                                   "top set dropped", "A changes with odd m"])
 def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
     real = antichains._extremal_masks
 
-    def faulty(n, k, table=None, levels=None):
-        a_masks, b_masks, case, m = real(n, k, table, levels)
+    def faulty(n, m, levels=None):
+        a_masks, b_masks = real(n, m, levels)
         upper = level_masks(n, n // 2 + 1)
-        if fault == "m + 1" and case == "ii" and m < len(a_masks):
-            m += 1
-            bottom = a_masks[len(a_masks) - m:]
+        if fault == "m + 1" and m is not None and m < len(a_masks):
+            bottom = a_masks[len(a_masks) - m - 1:]
             shaded = set(_pure.shade_masks(bottom, n))
             b_masks = bottom + [x for x in upper if x not in shaded]
-        elif fault == "shade kept" and case == "ii":
+        elif fault == "shade kept" and m is not None:
             b_masks = b_masks[:m] + upper
         elif fault == "empty set added":
             b_masks = [0] + b_masks
         elif fault == "top set dropped":
             b_masks = b_masks[:-1]
-        elif fault == "A changes with k" and case == "ii" and k % 2:
+        elif fault == "A changes with odd m" and m is not None and m % 2:
             # a second A set disjoint from the last half-size B set breaks
-            # the matching at odd k only: the sweep must not reuse the
+            # the matching at odd m only: the sweep must not reuse the
             # partners it found for another A
             spare = (1 << n) - 1 - b_masks[m - 1]
             a_masks = a_masks + [spare & (spare - 1)]
-        return a_masks, b_masks, case, m
+        return a_masks, b_masks
 
     monkeypatch.setattr(antichains, "_extremal_masks", faulty)
     for n in (4, 6):
         rep = verify_extremal_constructions(n)
         assert rep.violations, n
         assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
+
+
+def test_least_minimizers_is_the_first_hit_of_the_running_minimum():
+    rng = random.Random(61)
+    for _ in range(200):
+        column = [rng.randint(-3, 3) for _ in range(rng.randint(1, 30))]
+        want = [column.index(min(column[:k + 1])) for k in range(len(column))]
+        assert antichains._least_minimizers(column) == want
 
 
 def fam(*element_sets, n=4):

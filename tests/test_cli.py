@@ -237,6 +237,7 @@ READS = {
     "lemma38": ("--n", "4"),
     "thm25-brute": ("--n", "4", "--k", "3", "--exact"),
     "thm26": ("--n", "4", "--k", "2"),
+    "extremal": ("--n", "4"),
     "sperner": ("--n", "3"),
     "conjecture51": ("--n", "4"),
     "all": ("--n", "2", "--r", "1"),
@@ -352,6 +353,7 @@ DEFAULT_PARAMS = {
     "lemma38": {"n": 8, "r": 4, "M": 70},
     "thm25-brute": {"n": 4, "k": None, "exact": False},
     "thm26": {"n": 4, "k": None},
+    "extremal": {"n": 8},
     "sperner": {"n": 4},
     "conjecture51": {"n": 8, "r": 4, "M": 70},
 }

@@ -186,3 +186,26 @@ def test_pair_scan_matches_oracle_on_random_antichain_lists(kernels):
                     want = oracle_scan_pairs(part, k, exact, side)
                     got = kernels.scan_pairs(part, k, exact, side)
                     assert (got[0], list(got[1])) == want, (k, exact, side, cut)
+
+
+@pytest.mark.parametrize("n", [8, 71])
+def test_pair_scan_matches_oracle_on_masks_reaching_a_high_bit(n):
+    # the masks reach bit n - 1 (bit 7, bit 70); drawn from a small pool over
+    # six elements, so families share members and pairs are often disjoint
+    rng = random.Random(80 + n)
+    elements = [0] + list(range(n - 5, n))
+    pool = sorted({sum(1 << e for e in rng.sample(elements, rng.randint(1, 3)))
+                   for _ in range(30)})
+    assert max(pool).bit_length() == n
+    bests = set()
+    for _ in range(6):
+        families = [tuple(rng.sample(pool, rng.randint(0, 6)))
+                    for _ in range(rng.randint(5, 40))]
+        for k in (0, 1, 2, 3, rng.randint(4, 6)):
+            for exact, side in SCAN_MODES:
+                want = oracle_scan_pairs(families, k, exact, side)
+                got = _pure.scan_pairs(families, k, exact, side)
+                assert (got[0], list(got[1])) == want, (k, exact, side)
+                bests.add((exact, k, want[0]))
+    # exact scans both find and miss pairs with k disjoint pairs
+    assert {best > 0 for exact, k, best in bests if exact and k} == {True, False}
