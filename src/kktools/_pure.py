@@ -1,5 +1,6 @@
 """The mask kernels: shadow, shade, new shadow, new shade, prefix-shadow and
-suffix-shade sizes, and the antichain pair scan.
+suffix-shade sizes, the shadow size on membership bitsets, and the
+antichain pair scan with its index.
 
 Masks are plain ints with bit e-1 for element e, so ground sets of any size
 work.  The new-shadow/new-shade kernels use closed forms: a k-set owns the
@@ -100,30 +101,68 @@ def suffix_shade_sizes(masks, n: int) -> list[int]:
     return sizes
 
 
-def scan_pairs(families, k: int, exact: bool, require_side: bool):
+def _membership_columns(n: int) -> list[int]:
+    """For each element bit e < n, the 2**n-bit int whose bit x is set iff
+    mask x contains bit e.  Its bits run in blocks of 2**e zeros then 2**e
+    ones, so it is the all-ones int divided by 2**(2**(e+1)) - 1 (one bit
+    per period), times one block of ones."""
+    ones = (1 << (1 << n)) - 1
+    return [ones // ((1 << (2 << e)) - 1) * (((1 << (1 << e)) - 1) << (1 << e))
+            for e in range(n)]
+
+
+def _shadow_size(masks, columns) -> int:
+    """|shadow of masks| on membership bitsets, for distinct masks on a
+    ground set of len(columns) elements; columns is _membership_columns.
+
+    The family is the int with bit x for each member x.  Its members holding
+    bit e are family & columns[e], and deleting e moves bit x to bit
+    x - 2**e, so the shadow is the OR over e of that AND shifted down by
+    2**e.  Private because it returns an int: perfbench's tracer measures
+    len() of a public kernel's result."""
+    family = 0
+    for m in masks:
+        family |= 1 << m
+    shadow = 0
+    for e, column in enumerate(columns):
+        shadow |= (family & column) >> (1 << e)
+    return shadow.bit_count()
+
+
+def pair_index(families):
+    """The index scan_pairs reads, built once per list of families and
+    shared by every scan of that list: (order, bit, row).
+
+    order lists the family positions by descending size.  Disjointness runs
+    on subset-membership masks (Knuth, TAOCP 4A 7.1.3): each distinct mask x
+    gets the bit bit[x], a family is the int of its members' bits, and
+    row[a] holds the bits of the masks disjoint from a.  So a's partners in
+    family B are member(B) & row[a].  The table is indexed by the distinct
+    masks, not by the subsets of the ground set.
+    """
+    bit = {x: 1 << j for j, x in enumerate(set().union(*families))}
+    row = {a: sum(b for x, b in bit.items() if not a & x) for a in bit}
+    order = sorted(range(len(families)), key=lambda j: -len(families[j]))
+    return order, bit, row
+
+
+def scan_pairs(families, index, k: int, exact: bool, require_side: bool):
     """Maximize |A|+|B| over ordered pairs of families whose disjointness
     relation is a partial matching of size <= k (== k in exact mode).
 
-    families: list of tuples of distinct masks.  In exact mode the side
-    condition k <= min(|A|, |B|) applies; require_side imposes it in the
-    at-most mode too.  Returns (best_total, [(i, j), ...]) with the pairs in row-major
-    order, and -1 with an empty list when no pair qualifies.
+    families: list of tuples of distinct masks; index: pair_index(families).
+    In exact mode the side condition k <= min(|A|, |B|) applies;
+    require_side imposes it in the at-most mode too.  Returns (best_total,
+    [(i, j), ...]) with the pairs in row-major order, and -1 with an empty
+    list when no pair qualifies.
 
     Branch and bound: both loops visit families by descending size, so once
     |A|+|B| falls below the best total found (or a family falls below the
     side condition), every later family of that loop fails as well.
-
-    Disjointness runs on subset-membership masks (Knuth, TAOCP 4A 7.1.3):
-    each distinct mask gets a bit, each family is the int of its members'
-    bits, and each mask a has the row of bits of the masks disjoint from it.
-    So a's partners in B are member[B] & row[a].  The table is indexed by
-    the distinct masks, not by the subsets of the ground set.
     """
     side = exact or require_side
-    bit = {x: 1 << j for j, x in enumerate(set().union(*families))}
-    row = {a: sum(b for x, b in bit.items() if not a & x) for a in bit}
+    order, bit, row = index
     member: dict[int, int] = {}  # filled for the families a loop reaches
-    order = sorted(range(len(families)), key=lambda j: -len(families[j]))
     largest = len(families[order[0]]) if order else 0
     best = -1
     hits: list[tuple[int, int]] = []

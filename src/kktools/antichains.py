@@ -20,7 +20,8 @@ from . import _pure
 from .binomials import binom, _check_int
 from .kappa import KappaTable, kappa, kappa_star, negativity_threshold
 from .report import VerificationReport, timed
-from .squashed import SetFamily, Subset, format_subset, level_masks
+from .squashed import (SetFamily, Subset, _format_elements, elements_of,
+                       format_subset, level_masks)
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 # Below this many pairs, two levels are compared pair by pair: a shade or
@@ -259,13 +260,12 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _brute_force_masks(n: int, k: int, exact: bool = False,
+def _brute_force_masks(families, index, k: int, exact: bool = False,
                        require_side: bool = False):
-    """brute_force_max on masks: (max_total, [(masks_a, masks_b), ...]),
-    each family the tuple enumerate_antichains gives, in canonical order."""
-    _check_int("brute_force_max", "k", k, 0)
-    families = enumerate_antichains(n)
-    best, hits = _pure.scan_pairs(families, k, exact, require_side)
+    """One pair scan of families (enumerate_antichains' tuples) through
+    their _pure.pair_index: brute_force_max's (max_total, witnesses) with
+    each witness a pair of those tuples."""
+    best, hits = _pure.scan_pairs(families, index, k, exact, require_side)
     return best, [(families[i], families[j]) for i, j in hits]
 
 
@@ -279,18 +279,25 @@ def brute_force_max(n: int, k: int, exact: bool = False,
     Returns (max_total, witnesses) with every maximizing pair as
     (SetFamily, SetFamily); (-1, []) if no pair qualifies.
     """
-    best, hits = _brute_force_masks(n, k, exact, require_side)
+    _check_int("brute_force_max", "k", k, 0)
+    families = enumerate_antichains(n)
+    best, hits = _brute_force_masks(families, _pure.pair_index(families), k,
+                                    exact, require_side)
     return best, [(SetFamily.from_masks(a, n), SetFamily.from_masks(b, n))
                   for a, b in hits]
 
 
-def _witness_json(a: SetFamily, b: SetFamily) -> dict:
-    report = disjoint_pairs(a, b)
+def _masks_text(masks, n: int) -> list[str]:
+    """format_subset's text of each mask, with no Subset built."""
+    return [_format_elements(elements_of(m), n) for m in masks]
+
+
+def _witness_json(masks_a, masks_b, n: int) -> dict:
     return {
-        "family_a": [format_subset(s) for s in a],
-        "family_b": [format_subset(s) for s in b],
-        "total": len(a) + len(b),
-        "pair_count": report.pair_count,
+        "family_a": _masks_text(masks_a, n),
+        "family_b": _masks_text(masks_b, n),
+        "total": len(masks_a) + len(masks_b),
+        "pair_count": sum(not x & y for x in masks_a for y in masks_b),
     }
 
 
@@ -305,16 +312,20 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     the first must equal the bound, the second must never exceed it.  In
     exact mode (matching size exactly k) only the no-excess direction is
     asserted, as the equality there is conjectural; exact mode already
-    imposes the side condition, so its one scan gives both maxima.
+    imposes the side condition, so its one scan gives both maxima.  Every
+    scan reads one pair index of the antichains, and the witnesses are
+    rendered from their masks.
     """
     _check_int("verify_thm25_brute", "n", n, 4, 5, even=True)
     rep = VerificationReport("thm25-brute", {"n": n, "k": k, "exact": exact})
     ks = [k] if k is not None else list(range(comb(n, n // 2) + 1))
+    families = enumerate_antichains(n)
+    index = _pure.pair_index(families)
     for kk in ks:
         bound = theorem25_bound(n, kk)
-        best, wits = _brute_force_masks(n, kk, exact)
+        best, wits = _brute_force_masks(families, index, kk, exact)
         best_side = best if exact else \
-            _brute_force_masks(n, kk, require_side=True)[0]
+            _brute_force_masks(families, index, kk, require_side=True)[0]
         rep.checks_run += 1
         if exact:
             failed = best > bound
@@ -327,9 +338,7 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
             "k": kk, "bound": bound, "max_total": best,
             "max_total_side_condition": best_side,
             "maximizer_count": len(wits),
-            "maximizers": [_witness_json(SetFamily.from_masks(a, n),
-                                         SetFamily.from_masks(b, n))
-                           for a, b in wits[:8]],
+            "maximizers": [_witness_json(a, b, n) for a, b in wits[:8]],
         })
     return rep
 
@@ -342,7 +351,9 @@ def verify_thm26_structure(n: int = 4,
     shade of the half-size part; and that shade is as small as the last
     segment's of the same length.
 
-    The checks run on masks; a family is rendered only when it is reported.
+    The checks run on masks, every scan through one pair index; the last
+    segment's shade is counted once per length, and a family is rendered
+    only when it is reported.
     """
     _check_int("verify_thm26_structure", "n", n, 4, 5, even=True)
     r = n // 2
@@ -352,8 +363,11 @@ def verify_thm26_structure(n: int = 4,
     rep = VerificationReport("thm26", {"n": n, "k": k})
     upper_level = set(level_masks(n, r + 1))
     ks = [k] if k is not None else list(range(len(half_level) + 1))
+    families = enumerate_antichains(n)
+    index = _pure.pair_index(families)
+    segment_shade = {}  # length -> shade size of the last segment that long
     for kk in ks:
-        _, wits = _brute_force_masks(n, kk)
+        _, wits = _brute_force_masks(families, index, kk)
         for masks_a, masks_b in wits:
             for side, masks in (("A", masks_a), ("B", masks_b)):
                 rep.checks_run += 1
@@ -366,12 +380,14 @@ def verify_thm26_structure(n: int = 4,
                     shade_of_half = set(_pure.shade_masks(half, n))
                     if rest != upper_level - shade_of_half:
                         parts.append("upper-complement")
-                    segment = half_level[len(half_level) - len(half):]
-                    if len(shade_of_half) != len(_pure.shade_masks(segment, n)):
+                    size = len(half)
+                    if size not in segment_shade:
+                        segment = half_level[len(half_level) - size:]
+                        segment_shade[size] = len(_pure.shade_masks(segment, n))
+                    if len(shade_of_half) != segment_shade[size]:
                         parts.append("minimal-shade")
                 if parts:
-                    family = [format_subset(Subset.from_mask(m, n))
-                              for m in masks]
+                    family = _masks_text(masks, n)
                     rep.violations += [{"k": kk, "side": side,
                                         "family": family, "part": part}
                                        for part in parts]
@@ -466,6 +482,5 @@ def sperner_max_check(n: int = 4) -> VerificationReport:
             "n": n, "part": "maximizers",
             "got": sorted(sorted(f) for f in maximizers),
             "expected": sorted(sorted(f) for f in expected)})
-    rep.witnesses = [[format_subset(Subset.from_mask(m, n)) for m in f]
-                     for f in sorted(maximizers)]
+    rep.witnesses = [_masks_text(f, n) for f in sorted(maximizers)]
     return rep

@@ -196,11 +196,17 @@ class SetFamily:
 def format_subset(s: Subset) -> str:
     """Text form: digit string for ground sets up to 9, braces with commas
     beyond; the empty set prints as {} in both regimes."""
-    if not s.elements:
+    return _format_elements(s.elements, s.ground_n)
+
+
+def _format_elements(elements: tuple[int, ...], ground_n: int) -> str:
+    """format_subset's text of the subset with these sorted elements, for
+    callers that hold masks and build no Subset."""
+    if not elements:
         return "{}"
-    if s.ground_n <= 9:
-        return "".join(str(e) for e in s.elements)
-    return "{" + ",".join(str(e) for e in s.elements) + "}"
+    if ground_n <= 9:
+        return "".join(str(e) for e in elements)
+    return "{" + ",".join(str(e) for e in elements) + "}"
 
 
 def parse_elements(text: str) -> tuple[int, ...]:

@@ -433,9 +433,18 @@ def oracle_thm25_report(n, exact=False):
             "k": k, "bound": bound, "max_total": best,
             "max_total_side_condition": best_side,
             "maximizer_count": len(wits),
-            "maximizers": [antichains._witness_json(a, b) for a, b in wits[:8]],
+            "maximizers": [oracle_witness_json(a, b) for a, b in wits[:8]],
         })
     return checks, violations, witnesses
+
+
+def oracle_witness_json(a, b):
+    """A maximizer as the sweep reports it, rendered from the public
+    SetFamily members and disjoint_pairs."""
+    return {"family_a": [format_subset(s) for s in a],
+            "family_b": [format_subset(s) for s in b],
+            "total": len(a) + len(b),
+            "pair_count": disjoint_pairs(a, b).pair_count}
 
 
 def oracle_thm26_report(n):
@@ -489,9 +498,10 @@ def test_brute_force_sweeps_and_oracles_agree_on_faulty_witnesses(
         monkeypatch, fault):
     real = antichains._brute_force_masks
 
-    def faulty(n, k, exact=False, require_side=False):
-        best, wits = real(n, k, exact, require_side)
-        return best, [faulty_witness(fault, n, a, b) for a, b in wits]
+    def faulty(families, index, k, exact=False, require_side=False):
+        best, wits = real(families, index, k, exact, require_side)
+        # every sweep and oracle below runs at n = 4
+        return best, [faulty_witness(fault, 4, a, b) for a, b in wits]
 
     monkeypatch.setattr(antichains, "_brute_force_masks", faulty)
     rep = verify_thm26_structure(4)
@@ -511,10 +521,10 @@ def test_brute_force_sweeps_and_oracles_agree_on_faulty_witnesses(
 def test_brute_force_sweeps_and_oracles_agree_on_a_wrong_maximum(monkeypatch):
     real = antichains._brute_force_masks
 
-    def faulty(n, k, exact=False, require_side=False):
+    def faulty(families, index, k, exact=False, require_side=False):
         # exact mode imposes the side condition itself, so its scans with
         # and without require_side are one scan and both carry the fault
-        best, wits = real(n, k, exact, require_side)
+        best, wits = real(families, index, k, exact, require_side)
         return (best + 1 if k == 3 and (exact or not require_side) else best), wits
 
     monkeypatch.setattr(antichains, "_brute_force_masks", faulty)

@@ -167,7 +167,8 @@ def test_pair_scan_matches_row_major_oracle_at_four(kernels):
     for k in range(8):
         for exact, side in SCAN_MODES:
             want = oracle_scan_pairs(families, k, exact, side)
-            got = kernels.scan_pairs(families, k, exact, side)
+            got = kernels.scan_pairs(families, kernels.pair_index(families),
+                                     k, exact, side)
             assert (got[0], list(got[1])) == want, (k, exact, side)
 
 
@@ -184,7 +185,8 @@ def test_pair_scan_matches_oracle_on_random_antichain_lists(kernels):
             for exact, side in SCAN_MODES:
                 for part in (families, families[:cut], families[cut:]):
                     want = oracle_scan_pairs(part, k, exact, side)
-                    got = kernels.scan_pairs(part, k, exact, side)
+                    got = kernels.scan_pairs(part, kernels.pair_index(part),
+                                             k, exact, side)
                     assert (got[0], list(got[1])) == want, (k, exact, side, cut)
 
 
@@ -204,8 +206,55 @@ def test_pair_scan_matches_oracle_on_masks_reaching_a_high_bit(n):
         for k in (0, 1, 2, 3, rng.randint(4, 6)):
             for exact, side in SCAN_MODES:
                 want = oracle_scan_pairs(families, k, exact, side)
-                got = _pure.scan_pairs(families, k, exact, side)
+                got = _pure.scan_pairs(families, _pure.pair_index(families),
+                                       k, exact, side)
                 assert (got[0], list(got[1])) == want, (k, exact, side)
                 bests.add((exact, k, want[0]))
     # exact scans both find and miss pairs with k disjoint pairs
     assert {best > 0 for exact, k, best in bests if exact and k} == {True, False}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bitset_shadow_size_matches_the_listed_shadow(n):
+    # the count on membership bitsets against len(shadow_masks) and the
+    # deletion oracle: the empty family, {∅}, every full level (k = 0..n),
+    # random subfamilies of each level and random mixed-size families
+    columns = _pure._membership_columns(n)
+    assert columns == [sum(1 << x for x in range(1 << n) if x >> e & 1)
+                       for e in range(n)]
+    rng = random.Random(1200 + n)
+    cases = [[], [0]]
+    for k in range(n + 1):
+        level = level_masks(n, k)
+        cases += [level] + [rng.sample(level, rng.randint(0, len(level)))
+                            for _ in range(3)]
+    cases += [rng.sample(range(1 << n), rng.randint(1, min(1 << n, 60)))
+              for _ in range(4)]
+    for fam in cases:
+        want = len(_pure.shadow_masks(fam))
+        assert _pure._shadow_size(fam, columns) == want == len(oracle_shadow(fam))
+
+
+def _scans_match_fresh_index(families, ks):
+    """Every scan of families through one shared pair_index gives the
+    (best, hits) of a scan through an index built for it alone, and no scan
+    changes the shared index."""
+    shared = _pure.pair_index(families)
+    before = repr(shared)
+    for k in ks:
+        for exact, side in SCAN_MODES:
+            fresh = _pure.pair_index(families)
+            got = _pure.scan_pairs(families, shared, k, exact, side)
+            assert got == _pure.scan_pairs(families, fresh, k, exact, side), \
+                (k, exact, side)
+    assert repr(shared) == before
+
+
+def test_pair_scan_through_a_shared_index_matches_a_fresh_index():
+    families = enumerate_antichains(4)
+    _scans_match_fresh_index(families, range(binom(4, 2) + 1))
+    pool = list(enumerate_antichains(5))
+    rng = random.Random(56)
+    for _ in range(4):
+        part = rng.sample(pool, rng.randint(10, 120))
+        _scans_match_fresh_index(part, (0, 1, 2, 3, rng.randint(4, 10)))

@@ -341,8 +341,7 @@ def test_kkt_reports_a_wrong_formula_at_every_cell_that_uses_it(monkeypatch):
 def test_kkt_lower_bound_reports_the_sampled_families(monkeypatch):
     # a shadow-size kernel that counts nothing fails every nonempty sample;
     # each reported family must still be m distinct k-subsets of {1..n}
-    monkeypatch.setattr(_pure, "prefix_shadow_sizes",
-                        lambda masks: [0] * (len(masks) + 1))
+    monkeypatch.setattr(_pure, "_shadow_size", lambda masks, columns: 0)
     rep = verify_kkt(n_max=1, samples=60, seed=5, sample_n_max=6)
     found = [v for v in rep.violations if v["part"] == "lower-bound"]
     assert len(found) >= 30

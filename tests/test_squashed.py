@@ -160,6 +160,9 @@ def test_text_forms():
     assert format_subset(Subset((), 4)) == "{}"
     assert format_subset(Subset((1, 3, 4), 5)) == "134"
     assert format_subset(Subset((2, 10), 12)) == "{2,10}"
+    # the ground set's size picks the form: digits up to 9, braces beyond
+    assert format_subset(Subset((1, 9), 9)) == "19"
+    assert format_subset(Subset((1, 9), 10)) == "{1,9}"
     for text in ("134", "{1,3,4}", "1,3,4", "1 3 4"):
         assert parse_subset(text, 5).elements == (1, 3, 4)
     assert parse_subset("{}", 4).elements == ()
