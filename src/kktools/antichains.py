@@ -17,7 +17,7 @@ from itertools import groupby
 from math import comb
 
 from . import _pure
-from .binomials import binom, _check_int
+from .binomials import binom, _check_int, _check_type
 from .kappa import KappaTable, kappa, kappa_star, negativity_threshold
 from .report import VerificationReport, timed
 from .squashed import (SetFamily, Subset, _format_elements, elements_of,
@@ -64,6 +64,7 @@ def _is_antichain_masks(masks) -> bool:
 
 def is_antichain(fam: SetFamily) -> bool:
     """True iff no member contains another."""
+    _check_type("is_antichain", "fam", fam, SetFamily)
     return _is_antichain_masks(fam.masks())
 
 
@@ -78,6 +79,7 @@ def _sperner_move(fam: SetFamily, op: str, down: bool) -> SetFamily:
     """sperner_down (down) or sperner_up on the member masks.  The masks
     come in canonical order, sizes ascending, so the top level is a suffix
     and the bottom level a prefix."""
+    _check_type(op, "fam", fam, SetFamily)
     _require_antichain(fam, op)
     masks = fam.masks()
     n = fam.ground_n
@@ -127,19 +129,20 @@ class DisjointPairReport:
 
 def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     """All (x, y) with x in a, y in b and x ∩ y = ∅, in canonical order;
-    is_matching records whether no set occurs in two pairs."""
+    is_matching records whether no set occurs in two pairs.  A Subset is
+    built only for a member that occurs in a pair, once."""
+    _check_type("disjoint_pairs", "a", a, SetFamily)
+    _check_type("disjoint_pairs", "b", b, SetFamily)
     if a.ground_n != b.ground_n:
         raise ValueError("families must share a ground set")
     right = b.masks()
     hits = [(i, j) for i, x in enumerate(a.masks())
             for j, y in enumerate(right) if not x & y]
-    pairs = ()
-    if hits:
-        xs, ys = a.members, b.members
-        pairs = tuple((xs[i], ys[j]) for i, j in hits)
+    xs = a._members_at({i for i, _ in hits})
+    ys = b._members_at({j for _, j in hits})
     # members are distinct: a matching names each set in one pair at most
-    ok = len({i for i, _ in hits}) == len(hits) == len({j for _, j in hits})
-    return DisjointPairReport(pairs, len(hits), ok)
+    ok = len(xs) == len(hits) == len(ys)
+    return DisjointPairReport(tuple((xs[i], ys[j]) for i, j in hits), len(hits), ok)
 
 
 def theorem25_bound(n: int, k: int) -> int:
@@ -167,6 +170,9 @@ class ExtremalConstruction:
         return len(self.family_a) + len(self.family_b)
 
     def to_json(self) -> dict:
+        # the members are built first, so disjoint_pairs reuses them
+        family_a = [format_subset(s) for s in self.family_a]
+        family_b = [format_subset(s) for s in self.family_b]
         report = disjoint_pairs(self.family_a, self.family_b)
         return {
             "n": self.n,
@@ -175,8 +181,8 @@ class ExtremalConstruction:
             "m": self.chosen_m,
             "total": self.total,
             "bound": theorem25_bound(self.n, self.k),
-            "family_a": [format_subset(s) for s in self.family_a],
-            "family_b": [format_subset(s) for s in self.family_b],
+            "family_a": family_a,
+            "family_b": family_b,
             "pair_count": report.pair_count,
             "is_matching": report.is_matching,
         }
@@ -292,10 +298,11 @@ def _masks_text(masks, n: int) -> list[str]:
     return [_format_elements(elements_of(m), n) for m in masks]
 
 
-def _witness_json(masks_a, masks_b, n: int) -> dict:
+def _witness_json(masks_a, masks_b, text: dict[int, str]) -> dict:
+    """One maximizer's report, each mask rendered by the text map."""
     return {
-        "family_a": _masks_text(masks_a, n),
-        "family_b": _masks_text(masks_b, n),
+        "family_a": [text[m] for m in masks_a],
+        "family_b": [text[m] for m in masks_b],
         "total": len(masks_a) + len(masks_b),
         "pair_count": sum(not x & y for x in masks_a for y in masks_b),
     }
@@ -313,14 +320,18 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     exact mode (matching size exactly k) only the no-excess direction is
     asserted, as the equality there is conjectural; exact mode already
     imposes the side condition, so its one scan gives both maxima.  Every
-    scan reads one pair index of the antichains, and the witnesses are
-    rendered from their masks.
+    scan reads one pair index of the antichains, and each distinct mask is
+    rendered once per call.
     """
     _check_int("verify_thm25_brute", "n", n, 4, 5, even=True)
+    half = comb(n, n // 2)
+    if k is not None:
+        _check_int("verify_thm25_brute", "k", k, 0, half)
     rep = VerificationReport("thm25-brute", {"n": n, "k": k, "exact": exact})
-    ks = [k] if k is not None else list(range(comb(n, n // 2) + 1))
+    ks = [k] if k is not None else list(range(half + 1))
     families = enumerate_antichains(n)
     index = _pure.pair_index(families)
+    text = {m: _format_elements(elements_of(m), n) for m in index[1]}
     for kk in ks:
         bound = theorem25_bound(n, kk)
         best, wits = _brute_force_masks(families, index, kk, exact)
@@ -338,7 +349,7 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
             "k": kk, "bound": bound, "max_total": best,
             "max_total_side_condition": best_side,
             "maximizer_count": len(wits),
-            "maximizers": [_witness_json(a, b, n) for a, b in wits[:8]],
+            "maximizers": [_witness_json(a, b, text) for a, b in wits[:8]],
         })
     return rep
 
@@ -470,7 +481,7 @@ def sperner_max_check(n: int = 4) -> VerificationReport:
     _check_int("sperner_max_check", "n", n, 1, 5)
     rep = VerificationReport("sperner", {"n": n})
     families = enumerate_antichains(n)
-    best = max(len(f) for f in families)
+    best = max(map(len, families))
     maximizers = {f for f in families if len(f) == best}
     want_best = comb(n, n // 2)
     expected = {tuple(level_masks(n, n // 2)), tuple(level_masks(n, (n + 1) // 2))}

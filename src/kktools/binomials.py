@@ -22,6 +22,13 @@ def _check_int(op: str, name: str, value, lo: int | None = None,
         raise ValueError(f"{op}: need {'even ' if even else ''}{span}, got {value}")
 
 
+def _check_type(op: str, name: str, value, cls: type) -> None:
+    """Raise a ValueError naming op and the argument unless value is an
+    instance of cls (a Subset, a SetFamily or a str)."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{op}: {name} must be a {cls.__name__}, got {value!r}")
+
+
 def binom(n: int, k: int) -> int:
     """C(n, k) as an exact integer; 0 when k < 0 or k > n.  Requires n >= 0."""
     _check_int("binom", "n", n, 0)

@@ -14,14 +14,16 @@ from itertools import accumulate, compress
 from math import comb
 from operator import eq, ne, not_, or_
 
-from .binomials import _check_int
+from .binomials import _cascade_terms, _check_int
 from .report import VerificationReport, timed
-from .shadows import kk_shadow_min
+from .shadows import _shadow_formula, kk_shadow_min
 
 
 def kappa(r: int, m: int) -> int:
     """kappa_r(m) = (minimum shadow size of m r-sets) - m."""
-    return kk_shadow_min(m, r) - m
+    _check_int("kappa", "r", r, 1)
+    _check_int("kappa", "m", m, 0)
+    return _shadow_formula(_cascade_terms(m, r)) - m  # kk_shadow_min, unchecked
 
 
 def kappa_star(r: int, m: int) -> int:

@@ -17,7 +17,7 @@ from itertools import accumulate
 from math import comb
 
 from . import _pure
-from .binomials import _cascade_terms, _check_int
+from .binomials import _cascade_terms, _check_int, _check_type
 from .report import VerificationReport, timed
 from .squashed import SetFamily, level_masks
 
@@ -25,6 +25,7 @@ from .squashed import SetFamily, level_masks
 def _level_move(fam: SetFamily, op: str, kernel, down: bool) -> SetFamily:
     """kernel(masks, ground_n) on a uniform family, a level down or up; an
     empty family is its own image."""
+    _check_type(op, "fam", fam, SetFamily)
     if len(fam) == 0:
         return fam
     if not fam.is_uniform:

@@ -11,10 +11,12 @@ definition-level comparator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import islice
 from math import comb
+from operator import lt, or_
 
-from .binomials import _cascade_terms, _check_int
+from .binomials import _cascade_terms, _check_int, _check_type
 
 # The one element type of a subset or mask list: int itself, so no bool.
 _INT_ONLY = frozenset((int,))
@@ -39,12 +41,24 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Subset:
-    """A subset of {1, ..., ground_n}; elements are kept sorted ascending."""
+    """A subset of {1, ..., ground_n}; elements are kept sorted ascending.
+
+    Canonical input, a tuple of strictly increasing ints inside
+    1..ground_n (what elements_of gives), is kept as it is; any other input
+    is sorted, deduplicated and checked element by element."""
 
     elements: tuple[int, ...]
     ground_n: int
 
     def __post_init__(self):
+        elems, n = self.elements, self.ground_n
+        if type(elems) is tuple and type(n) is int \
+                and _INT_ONLY.issuperset(map(type, elems)):
+            if not elems:
+                if n >= 1:
+                    return
+            elif 0 < elems[0] and elems[-1] <= n and all(map(lt, elems, elems[1:])):
+                return
         try:
             elems = tuple(sorted(set(self.elements)))
         except TypeError:  # unhashable or unorderable elements
@@ -52,8 +66,7 @@ class Subset:
         if elems is None or not _INT_ONLY.issuperset(map(type, elems)):
             raise ValueError(f"Subset: elements must be integers, "
                              f"got {self.elements!r}")
-        if elems != tuple(self.elements):
-            object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", elems)  # a list becomes a tuple
         if type(self.ground_n) is not int or self.ground_n < 1:
             raise ValueError(f"ground set size must be a positive integer, "
                              f"got {self.ground_n!r}")
@@ -115,7 +128,13 @@ class SetFamily:
     def __init__(self, members, ground_n: int):
         _check_family_ground(ground_n)
         by_mask: dict[int, Subset] = {}
+        try:
+            members = iter(members)
+        except TypeError:
+            raise ValueError(f"SetFamily: members must be an iterable of "
+                             f"Subsets, got {members!r}") from None
         for s in members:
+            _check_type("SetFamily", "members", s, Subset)
             if s.ground_n != ground_n:
                 raise ValueError(
                     f"member {s.elements} has ground set size {s.ground_n}, "
@@ -133,11 +152,17 @@ class SetFamily:
     @classmethod
     def from_masks(cls, masks, ground_n: int) -> "SetFamily":
         """The family of the given masks, in any order and with repeats;
-        no Subset is built."""
-        masks = tuple(masks)
+        no Subset is built.  Valid masks are checked in one pass: ints all
+        lie in [0, 2**ground_n) iff their OR shifted down by ground_n is 0,
+        as a negative OR stays negative.  On a bad mask the masks are
+        replayed one by one for the first one's own error."""
+        try:
+            masks = tuple(masks)
+        except TypeError:
+            raise ValueError(f"SetFamily.from_masks: masks must be an iterable "
+                             f"of integers, got {masks!r}") from None
         if not (_INT_ONLY.issuperset(map(type, masks)) and type(ground_n) is int
-                and ground_n >= 1 and min(masks, default=0) >= 0
-                and not max(masks, default=0) >> ground_n):
+                and ground_n >= 1 and not reduce(or_, masks, 0) >> ground_n):
             # the error the first bad member gives as a Subset; with no
             # members, the family's own ground-size error
             for m in masks:
@@ -159,6 +184,16 @@ class SetFamily:
             members = tuple(Subset.from_mask(m, n) for m in self._masks)
             object.__setattr__(self, "_members", members)
         return members
+
+    def _members_at(self, positions) -> dict[int, Subset]:
+        """{i: the member at canonical position i} for the given positions:
+        the kept members if built, else one new Subset per position, none
+        kept."""
+        members = self._members
+        if members is not None:
+            return {i: members[i] for i in positions}
+        masks, n = self._masks, self.ground_n
+        return {i: Subset.from_mask(masks[i], n) for i in positions}
 
     def masks(self) -> list[int]:
         return list(self._masks)
@@ -196,6 +231,7 @@ class SetFamily:
 def format_subset(s: Subset) -> str:
     """Text form: digit string for ground sets up to 9, braces with commas
     beyond; the empty set prints as {} in both regimes."""
+    _check_type("format_subset", "s", s, Subset)
     return _format_elements(s.elements, s.ground_n)
 
 
@@ -236,6 +272,7 @@ def parse_elements(text: str) -> tuple[int, ...]:
 
 def parse_subset(text: str, ground_n: int) -> Subset:
     """Parse either text form (digit string or braces-with-commas)."""
+    _check_type("parse_subset", "text", text, str)
     return Subset(parse_elements(text), ground_n)
 
 
@@ -244,6 +281,8 @@ def compare_squashed(a: Subset, b: Subset) -> int:
 
     Only sets of equal size are comparable.
     """
+    _check_type("compare_squashed", "a", a, Subset)
+    _check_type("compare_squashed", "b", b, Subset)
     if a.size != b.size:
         raise ValueError(
             f"squashed order compares sets of equal size, got {a.size} and {b.size}")
@@ -259,6 +298,7 @@ def rank(s: Subset) -> int:
     rank {s_1 < ... < s_k} = sum of C(s_i - 1, i); independent of the
     ground set.  The empty set has rank 0.
     """
+    _check_type("rank", "s", s, Subset)
     return sum(comb(e - 1, i) for i, e in enumerate(s.elements, start=1))
 
 

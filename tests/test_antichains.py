@@ -764,3 +764,87 @@ def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     enumerate_antichains(3)
     with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
         call(*args)
+
+
+def count_subset_builds(monkeypatch):
+    """The list that each Subset.__init__ call appends its arguments to."""
+    built = []
+    real = Subset.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subset, "__init__", counting)
+    return built
+
+
+def pairwise_disjoint_pairs(masks_a, masks_b):
+    """(pairs as masks, is_matching) by testing every pair of members."""
+    pairs = [(x, y) for x in masks_a for y in masks_b if x & y == 0]
+    lefts, rights = [x for x, _ in pairs], [y for _, y in pairs]
+    return pairs, len(set(lefts)) == len(lefts) and len(set(rights)) == len(rights)
+
+
+def antichain_pairs_to_check():
+    """Every ordered pair of antichains of {1..3} and 300 random ordered
+    pairs of antichains of {1..5}, as (n, masks_a, masks_b)."""
+    three = enumerate_antichains(3)
+    yield from ((3, a, b) for a in three for b in three)
+    five = enumerate_antichains(5)
+    rng = random.Random(1805)
+    yield from ((5, rng.choice(five), rng.choice(five)) for _ in range(300))
+
+
+def test_disjoint_pairs_match_the_pairwise_oracle_and_build_each_member_once(
+        monkeypatch):
+    outcomes = set()
+    for n, masks_a, masks_b in antichain_pairs_to_check():
+        want, matching = pairwise_disjoint_pairs(masks_a, masks_b)
+        fam_a, fam_b = SetFamily.from_masks(masks_a, n), SetFamily.from_masks(masks_b, n)
+        built = count_subset_builds(monkeypatch)
+        got = disjoint_pairs(fam_a, fam_b)
+        monkeypatch.undo()
+        assert [(x.mask, y.mask) for x, y in got.pairs] == want
+        assert (got.pair_count, got.is_matching) == (len(want), matching)
+        assert got.to_json() == oracle_disjoint_pairs(fam_a, fam_b).to_json()
+        # one Subset per distinct paired member on each side, shared by its pairs
+        paired = len({x for x, _ in want}) + len({y for _, y in want})
+        assert len(built) == paired
+        assert len({id(x) for x, _ in got.pairs} | {id(y) for _, y in got.pairs}) \
+            == paired
+        outcomes.add((got.pair_count > 0, got.is_matching))
+    assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def test_disjoint_pairs_reuse_the_members_a_family_holds(monkeypatch):
+    n = 5
+    for masks_a, masks_b in [((1, 6, 24), (2, 8, 16)), ((3,), (4, 12, 28)),
+                             ((0,), (31,))]:
+        members_a = tuple(Subset.from_mask(m, n) for m in masks_a)
+        fam_a = SetFamily(members_a, n)
+        fam_b = SetFamily.from_masks(masks_b, n)
+        built = count_subset_builds(monkeypatch)
+        got = disjoint_pairs(fam_a, fam_b)
+        monkeypatch.undo()
+        assert len(built) == len({y for _, y in got.pairs})
+        assert all(any(x is s for s in members_a) for x, _ in got.pairs)
+        assert got == oracle_disjoint_pairs(fam_a, fam_b)
+
+
+def test_thm25_sweep_names_itself_for_a_bad_k():
+    for bad in (-1, 7, 99):
+        with pytest.raises(ValueError,
+                           match=rf"^verify_thm25_brute: need 0 <= k <= 6, got {bad}$"):
+            verify_thm25_brute(4, k=bad)
+
+
+def test_extremal_report_builds_each_member_once(monkeypatch):
+    for n, k in ((4, 0), (6, 20), (8, 60)):
+        built_pair = construct_extremal(n, k)
+        built = count_subset_builds(monkeypatch)
+        report = built_pair.to_json()
+        monkeypatch.undo()
+        assert len(built) == built_pair.total
+        assert report["pair_count"] == disjoint_pairs(built_pair.family_a,
+                                                      built_pair.family_b).pair_count

@@ -1,5 +1,6 @@
 """Every integer parameter of the public API, found by inspect.signature: a
-bool, a float or a string in its place raises a ValueError naming it."""
+bool, a float or a string in its place raises a ValueError naming it.  So
+does a wrong-typed value for every Subset, SetFamily and str parameter."""
 
 import inspect
 
@@ -107,3 +108,54 @@ def test_a_bad_integer_argument_is_named(name, call, param, bad):
     with pytest.raises(ValueError,
                        match=rf"\b(?:{label}) must be (?:an|a positive) integer"):
         call(**kwargs)
+
+
+# The same rule for the Subset, SetFamily and str parameters: one valid call
+# per public callable that has one, each case replacing one of them.
+SUBSET = kktools.Subset((1, 3), 4)
+FAMILY = kktools.SetFamily.of([[1], [2, 3]], 4)
+OBJECT_BASE_CALLS = {
+    "compare_squashed": {"a": SUBSET, "b": kktools.Subset((2, 3), 4)},
+    "disjoint_pairs": {"a": FAMILY, "b": FAMILY},
+    "format_subset": {"s": SUBSET},
+    "is_antichain": {"fam": FAMILY},
+    "new_shade": {"fam": kktools.SetFamily.of([[1, 2]], 4)},
+    "new_shadow": {"fam": kktools.SetFamily.of([[1, 2]], 4)},
+    "parse_subset": {"text": "13", "ground_n": 4},
+    "rank": {"s": SUBSET},
+    "shade": {"fam": kktools.SetFamily.of([[1, 2]], 4)},
+    "shadow": {"fam": kktools.SetFamily.of([[1, 2]], 4)},
+    "sperner_down": {"fam": FAMILY},
+    "sperner_up": {"fam": FAMILY},
+}
+
+OBJECT_CASES = [(name, call, param.name, param.annotation)
+                for name, call in public_callables()
+                for param in inspect.signature(call).parameters.values()
+                if param.annotation in ("Subset", "SetFamily", "str")]
+
+OBJECT_BAD_VALUES = (None, 3, [1])
+
+
+def test_every_object_parameter_has_a_base_call():
+    missing = [f"{name}({param})" for name, _, param, _ in OBJECT_CASES
+               if param not in OBJECT_BASE_CALLS.get(name, {})]
+    assert missing == []
+    assert sorted(OBJECT_BASE_CALLS) == sorted({name for name, *_ in OBJECT_CASES})
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_BASE_CALLS))
+def test_object_base_call_is_valid(name):
+    call = dict((n, c) for n, c, *_ in OBJECT_CASES)[name]
+    call(**OBJECT_BASE_CALLS[name])
+
+
+@pytest.mark.parametrize("bad", OBJECT_BAD_VALUES, ids=repr)
+@pytest.mark.parametrize("name, call, param, kind", OBJECT_CASES,
+                         ids=[f"{name}-{param}" for name, _, param, _ in OBJECT_CASES])
+def test_a_wrong_typed_object_argument_is_named(name, call, param, kind, bad):
+    # these used to raise AttributeError or TypeError from inside the call
+    kwargs = dict(OBJECT_BASE_CALLS[name], **{param: bad})
+    with pytest.raises(ValueError) as info:
+        call(**kwargs)
+    assert str(info.value) == f"{name}: {param} must be a {kind}, got {bad!r}"

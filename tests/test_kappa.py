@@ -653,3 +653,16 @@ def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     # a float used to fail inside math.comb or a list index with a TypeError
     with pytest.raises(ValueError, match=rf"\b{name}\b.*integer|integer {name}\b"):
         call(*args)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 5), "kappa: need r >= 1, got 0"),
+    ((-2, 5), "kappa: need r >= 1, got -2"),
+    ((3, -1), "kappa: need m >= 0, got -1"),
+    ((0, -1), "kappa: need r >= 1, got 0"),
+])
+def test_kappa_names_itself_for_a_bad_argument(args, message):
+    # it used to report kk_shadow_min, the function it called
+    with pytest.raises(ValueError) as info:
+        kappa(*args)
+    assert str(info.value) == message

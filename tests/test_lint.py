@@ -127,3 +127,26 @@ def test_binomials_catches_no_type_error():
               and any(isinstance(sub, ast.Name) and sub.id == "TypeError"
                       for sub in ast.walk(node.type))]
     assert caught == []
+
+
+def test_subsets_are_built_through_init_only():
+    # perfbench's squashed.subsets_built counter and the tests' build counts
+    # wrap Subset.__init__, so no Subset may come from a bare __new__:
+    # neither Subset.__new__(...) nor object.__new__(Subset), nor a __new__
+    # inside the class
+    found = []
+    for name, tree in _library_trees():
+        in_subset = {id(node) for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) and cls.name == "Subset"
+                     for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "__new__" \
+                    and id(node) in in_subset:
+                found.append(f"{name}:{node.lineno}")
+            if not (isinstance(node, ast.Call) and _called_name(node) == "__new__"):
+                continue
+            names = {sub.id for part in (node.func, *node.args)
+                     for sub in ast.walk(part) if isinstance(sub, ast.Name)}
+            if "Subset" in names or id(node) in in_subset:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []

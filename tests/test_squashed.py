@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -447,3 +447,119 @@ def test_subset_length_membership_and_str():
     assert 3 in s and 2 not in s and 5 not in s
     assert str(s) == "134" and str(Subset((2, 10), 12)) == "{2,10}"
     assert str(Subset((), 4)) == "{}"
+
+
+def reference_subset_elements(elements, ground_n):
+    """The elements Subset(elements, ground_n) holds, by the normalising
+    check every input took before canonical tuples were accepted as they
+    are; raises its ValueError on a bad input."""
+    try:
+        elems = tuple(sorted(set(elements)))
+    except TypeError:
+        elems = None
+    if elems is None or not {int}.issuperset(map(type, elems)):
+        raise ValueError(f"Subset: elements must be integers, got {elements!r}")
+    if type(ground_n) is not int or ground_n < 1:
+        raise ValueError(f"ground set size must be a positive integer, "
+                         f"got {ground_n!r}")
+    if elems and not (1 <= elems[0] and elems[-1] <= ground_n):
+        raise ValueError(
+            f"elements {elems} out of range for ground set {{1..{ground_n}}}")
+    return elems
+
+
+def subset_outcome(elements, ground_n):
+    """("value", the elements with their types) or ("error", the text)."""
+    try:
+        got = Subset(elements, ground_n).elements
+    except ValueError as exc:
+        return "error", str(exc)
+    return "value", got, type(got), tuple(map(type, got))
+
+
+def reference_outcome(elements, ground_n):
+    try:
+        got = reference_subset_elements(elements, ground_n)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "value", got, type(got), tuple(map(type, got))
+
+
+# ints around the ground set, repeats, bools and floats
+SUBSET_ALPHABET = (-1, 0, 1, 2, 3, 4, 5, 6, True, False, 2.0, 2.5)
+
+
+@pytest.mark.parametrize("n", [1, 5, 70])
+def test_subset_fast_path_matches_the_normalising_reference(n):
+    # every tuple of length <= 4 over the alphabet, sorted or not
+    for length in range(5):
+        for elements in product(SUBSET_ALPHABET, repeat=length):
+            assert subset_outcome(elements, n) == reference_outcome(elements, n)
+
+
+def test_subset_checks_the_ground_set_on_canonical_elements():
+    for bad in (0, -1, True, 5.0, "5", None):
+        for elements in ((), (1,), (1, 2, 4)):
+            assert subset_outcome(elements, bad) == reference_outcome(elements, bad)
+            assert subset_outcome(elements, bad)[0] == "error"
+
+
+def test_subset_from_a_list_holds_a_tuple():
+    # a sorted list used to be kept as it was, so the Subset was unhashable
+    # and unequal to the same set from a tuple
+    for elements in ([], [1, 2], [2, 1], [3, 3, 1]):
+        s = Subset(elements, 4)
+        assert type(s.elements) is tuple
+        assert s == Subset(tuple(sorted(set(elements))), 4)
+        assert hash(s) == hash(Subset(tuple(sorted(set(elements))), 4))
+
+
+# (masks, ground_n, the error) for from_masks: each text is the error the
+# masks' first bad member gives, as before masks were checked in one pass.
+FROM_MASKS_ERRORS = [
+    ([-1], 3, "elements_of: need mask >= 0, got -1"),
+    ([8], 3, "elements (4,) out of range for ground set {1..3}"),
+    ([1, 8], 3, "elements (4,) out of range for ground set {1..3}"),
+    ([7, -2], 3, "elements_of: need mask >= 0, got -2"),
+    ([8, -2], 3, "elements (4,) out of range for ground set {1..3}"),
+    ([1 << 70], 70, "elements (71,) out of range for ground set {1..70}"),
+    ([(1 << 70) - 1, -1], 70, "elements_of: need mask >= 0, got -1"),
+    ([True], 3, "SetFamily: masks must be integers, got True"),
+    ([1.0], 3, "SetFamily: masks must be integers, got 1.0"),
+    ([2.5], 3, "SetFamily: masks must be integers, got 2.5"),
+    ([1, "3"], 3, "SetFamily: masks must be integers, got '3'"),
+    ([1, 2], 0, "ground set size must be a positive integer, got 0"),
+    ([1], 3.0, "ground set size must be a positive integer, got 3.0"),
+    ([], 0, "SetFamily: ground_n must be a positive integer, got 0"),
+    ([], True, "SetFamily: ground_n must be a positive integer, got True"),
+    ((m for m in [1, -4]), 3, "elements_of: need mask >= 0, got -4"),
+    # not iterable: a ValueError naming the method (it was a TypeError)
+    (None, 3, "SetFamily.from_masks: masks must be an iterable of integers, got None"),
+    (3, 3, "SetFamily.from_masks: masks must be an iterable of integers, got 3"),
+]
+
+
+@pytest.mark.parametrize("masks, ground_n, message", FROM_MASKS_ERRORS)
+def test_from_masks_errors_are_the_first_bad_members(masks, ground_n, message):
+    with pytest.raises(ValueError) as info:
+        SetFamily.from_masks(masks, ground_n)
+    assert str(info.value) == message
+
+
+def test_from_masks_accepts_the_whole_mask_range():
+    for n in (1, 5, 63, 64, 65, 130):
+        fam = SetFamily.from_masks([0, (1 << n) - 1, 1 << (n - 1)], n)
+        assert fam.masks() == sorted({0, 1 << (n - 1), (1 << n) - 1},
+                                     key=lambda m: (m.bit_count(), m))
+
+
+@pytest.mark.parametrize("members, message", [
+    (None, "SetFamily: members must be an iterable of Subsets, got None"),
+    (3, "SetFamily: members must be an iterable of Subsets, got 3"),
+    ([1], "SetFamily: members must be a Subset, got 1"),
+    ([Subset((1,), 3), (1, 2)], "SetFamily: members must be a Subset, got (1, 2)"),
+])
+def test_family_members_must_be_subsets(members, message):
+    with pytest.raises(ValueError) as info:
+        SetFamily(members, 3)
+    assert str(info.value) == message
