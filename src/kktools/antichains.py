@@ -20,8 +20,7 @@ from . import _pure
 from .binomials import binom, _check_int, _check_type
 from .kappa import KappaTable, kappa, kappa_star, negativity_threshold
 from .report import VerificationReport, timed
-from .squashed import (SetFamily, Subset, _format_elements, elements_of,
-                       format_subset, level_masks)
+from .squashed import SetFamily, Subset, _masks_text, format_subset, level_masks
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 # Below this many pairs, two levels are compared pair by pair: a shade or
@@ -127,6 +126,15 @@ class DisjointPairReport:
         }
 
 
+def _disjoint_masks(masks_a, masks_b):
+    """The pairs (x, y) with x in masks_a, y in masks_b and x & y = 0, in
+    order, and whether no mask occurs in two of them (the masks of each side
+    being distinct)."""
+    hits = [(x, y) for x in masks_a for y in masks_b if not x & y]
+    matching = len({x for x, _ in hits}) == len(hits) == len({y for _, y in hits})
+    return hits, matching
+
+
 def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     """All (x, y) with x in a, y in b and x ∩ y = ∅, in canonical order;
     is_matching records whether no set occurs in two pairs.  A Subset is
@@ -135,14 +143,12 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     _check_type("disjoint_pairs", "b", b, SetFamily)
     if a.ground_n != b.ground_n:
         raise ValueError("families must share a ground set")
-    right = b.masks()
-    hits = [(i, j) for i, x in enumerate(a.masks())
-            for j, y in enumerate(right) if not x & y]
-    xs = a._members_at({i for i, _ in hits})
-    ys = b._members_at({j for _, j in hits})
-    # members are distinct: a matching names each set in one pair at most
-    ok = len(xs) == len(hits) == len(ys)
-    return DisjointPairReport(tuple((xs[i], ys[j]) for i, j in hits), len(hits), ok)
+    hits, matching = _disjoint_masks(a.masks(), b.masks())
+    n = a.ground_n
+    xs = {x: Subset.from_mask(x, n) for x in {x for x, _ in hits}}
+    ys = {y: Subset.from_mask(y, n) for y in {y for _, y in hits}}
+    return DisjointPairReport(tuple((xs[x], ys[y]) for x, y in hits), len(hits),
+                              matching)
 
 
 def theorem25_bound(n: int, k: int) -> int:
@@ -170,10 +176,8 @@ class ExtremalConstruction:
         return len(self.family_a) + len(self.family_b)
 
     def to_json(self) -> dict:
-        # the members are built first, so disjoint_pairs reuses them
-        family_a = [format_subset(s) for s in self.family_a]
-        family_b = [format_subset(s) for s in self.family_b]
-        report = disjoint_pairs(self.family_a, self.family_b)
+        masks_a, masks_b = self.family_a.masks(), self.family_b.masks()
+        hits, matching = _disjoint_masks(masks_a, masks_b)
         return {
             "n": self.n,
             "k": self.k,
@@ -181,10 +185,10 @@ class ExtremalConstruction:
             "m": self.chosen_m,
             "total": self.total,
             "bound": theorem25_bound(self.n, self.k),
-            "family_a": family_a,
-            "family_b": family_b,
-            "pair_count": report.pair_count,
-            "is_matching": report.is_matching,
+            "family_a": _masks_text(masks_a, self.n),
+            "family_b": _masks_text(masks_b, self.n),
+            "pair_count": len(hits),
+            "is_matching": matching,
         }
 
 
@@ -293,11 +297,6 @@ def brute_force_max(n: int, k: int, exact: bool = False,
                   for a, b in hits]
 
 
-def _masks_text(masks, n: int) -> list[str]:
-    """format_subset's text of each mask, with no Subset built."""
-    return [_format_elements(elements_of(m), n) for m in masks]
-
-
 def _witness_json(masks_a, masks_b, text: dict[int, str]) -> dict:
     """One maximizer's report, each mask rendered by the text map."""
     return {
@@ -331,7 +330,7 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     ks = [k] if k is not None else list(range(half + 1))
     families = enumerate_antichains(n)
     index = _pure.pair_index(families)
-    text = {m: _format_elements(elements_of(m), n) for m in index[1]}
+    text = dict(zip(index[1], _masks_text(index[1], n)))
     for kk in ks:
         bound = theorem25_bound(n, kk)
         best, wits = _brute_force_masks(families, index, kk, exact)

@@ -10,7 +10,7 @@ definition-level comparator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from math import comb
@@ -43,36 +43,30 @@ def elements_of(mask: int) -> tuple[int, ...]:
 class Subset:
     """A subset of {1, ..., ground_n}; elements are kept sorted ascending.
 
-    Canonical input, a tuple of strictly increasing ints inside
-    1..ground_n (what elements_of gives), is kept as it is; any other input
-    is sorted, deduplicated and checked element by element."""
+    The elements are type-tested as given, then sorted and deduplicated
+    unless already strictly increasing; a tuple in canonical order (what
+    elements_of gives) is kept as it is."""
 
     elements: tuple[int, ...]
     ground_n: int
 
     def __post_init__(self):
-        elems, n = self.elements, self.ground_n
-        if type(elems) is tuple and type(n) is int \
-                and _INT_ONLY.issuperset(map(type, elems)):
-            if not elems:
-                if n >= 1:
-                    return
-            elif 0 < elems[0] and elems[-1] <= n and all(map(lt, elems, elems[1:])):
-                return
         try:
-            elems = tuple(sorted(set(self.elements)))
-        except TypeError:  # unhashable or unorderable elements
+            elems = tuple(self.elements)
+        except TypeError:  # not iterable
             elems = None
         if elems is None or not _INT_ONLY.issuperset(map(type, elems)):
             raise ValueError(f"Subset: elements must be integers, "
                              f"got {self.elements!r}")
-        object.__setattr__(self, "elements", elems)  # a list becomes a tuple
-        if type(self.ground_n) is not int or self.ground_n < 1:
-            raise ValueError(f"ground set size must be a positive integer, "
-                             f"got {self.ground_n!r}")
-        if elems and not (1 <= elems[0] and elems[-1] <= self.ground_n):
-            raise ValueError(
-                f"elements {elems} out of range for ground set {{1..{self.ground_n}}}")
+        if not all(map(lt, elems, elems[1:])):
+            elems = tuple(sorted(set(elems)))
+        n = self.ground_n
+        if type(n) is not int or n < 1:
+            raise ValueError(f"ground set size must be a positive integer, got {n!r}")
+        if elems and not (1 <= elems[0] and elems[-1] <= n):
+            raise ValueError(f"elements {elems} out of range for ground set {{1..{n}}}")
+        if elems is not self.elements:  # a list or an unsorted tuple
+            object.__setattr__(self, "elements", elems)
 
     @classmethod
     def from_mask(cls, mask: int, ground_n: int) -> "Subset":
@@ -116,34 +110,30 @@ class SetFamily:
     order: sizes ascending, squashed order inside a size class.
 
     The family is the tuple of its member masks in that order; equality,
-    hashing, length and sizes read the masks only.  The Subset members are
-    built from the masks on the first read of .members (iteration, `in` and
-    str go through it) and kept on the instance.
+    hashing, length, sizes, `in` and str read the masks only.  Each read of
+    .members (and each iteration) builds the Subsets afresh.
     """
 
     _masks: tuple[int, ...]
     ground_n: int
-    _members: tuple[Subset, ...] | None = field(default=None, compare=False)
 
     def __init__(self, members, ground_n: int):
         _check_family_ground(ground_n)
-        by_mask: dict[int, Subset] = {}
         try:
             members = iter(members)
         except TypeError:
             raise ValueError(f"SetFamily: members must be an iterable of "
                              f"Subsets, got {members!r}") from None
+        masks = set()
         for s in members:
             _check_type("SetFamily", "members", s, Subset)
             if s.ground_n != ground_n:
                 raise ValueError(
                     f"member {s.elements} has ground set size {s.ground_n}, "
                     f"family has {ground_n}")
-            by_mask.setdefault(s.mask, s)
-        masks = _canonical(by_mask)
-        object.__setattr__(self, "_masks", masks)
+            masks.add(s.mask)
+        object.__setattr__(self, "_masks", _canonical(masks))
         object.__setattr__(self, "ground_n", ground_n)
-        object.__setattr__(self, "_members", tuple(by_mask[m] for m in masks))
 
     @classmethod
     def of(cls, element_sets, ground_n: int) -> "SetFamily":
@@ -178,22 +168,8 @@ class SetFamily:
     @property
     def members(self) -> tuple[Subset, ...]:
         """The members as Subsets, in canonical order."""
-        members = self._members
-        if members is None:
-            n = self.ground_n
-            members = tuple(Subset.from_mask(m, n) for m in self._masks)
-            object.__setattr__(self, "_members", members)
-        return members
-
-    def _members_at(self, positions) -> dict[int, Subset]:
-        """{i: the member at canonical position i} for the given positions:
-        the kept members if built, else one new Subset per position, none
-        kept."""
-        members = self._members
-        if members is not None:
-            return {i: members[i] for i in positions}
-        masks, n = self._masks, self.ground_n
-        return {i: Subset.from_mask(masks[i], n) for i in positions}
+        n = self.ground_n
+        return tuple(Subset.from_mask(m, n) for m in self._masks)
 
     def masks(self) -> list[int]:
         return list(self._masks)
@@ -219,10 +195,11 @@ class SetFamily:
         return iter(self.members)
 
     def __contains__(self, s: Subset) -> bool:
-        return s in self.members
+        return type(s) is Subset and s.ground_n == self.ground_n \
+            and s.mask in self._masks
 
     def __str__(self) -> str:
-        return "{" + ", ".join(format_subset(s) for s in self.members) + "}"
+        return "{" + ", ".join(_masks_text(self._masks, self.ground_n)) + "}"
 
     def __repr__(self) -> str:
         return f"SetFamily(members={self.members!r}, ground_n={self.ground_n!r})"
@@ -236,13 +213,17 @@ def format_subset(s: Subset) -> str:
 
 
 def _format_elements(elements: tuple[int, ...], ground_n: int) -> str:
-    """format_subset's text of the subset with these sorted elements, for
-    callers that hold masks and build no Subset."""
+    """format_subset's text of the subset with these sorted elements."""
     if not elements:
         return "{}"
     if ground_n <= 9:
         return "".join(str(e) for e in elements)
     return "{" + ",".join(str(e) for e in elements) + "}"
+
+
+def _masks_text(masks, ground_n: int) -> list[str]:
+    """format_subset's text of each mask, with no Subset built."""
+    return [_format_elements(elements_of(m), ground_n) for m in masks]
 
 
 def parse_elements(text: str) -> tuple[int, ...]:
@@ -302,8 +283,8 @@ def rank(s: Subset) -> int:
     return sum(comb(e - 1, i) for i, e in enumerate(s.elements, start=1))
 
 
-def _check_level(op: str, n: int, k: int) -> None:
-    _check_int(op, "n", n, 0)
+def _check_level(op: str, n: int, k: int, least_n: int = 1) -> None:
+    _check_int(op, "n", n, least_n)
     _check_int(op, "k", k, 0, n)
 
 
@@ -366,5 +347,5 @@ def last_segment(n: int, k: int, m: int) -> SetFamily:
 
 def level_masks(n: int, k: int) -> list[int]:
     """All k-subsets of {1..n} as bitmasks, ascending (= squashed order)."""
-    _check_level("level_masks", n, k)
+    _check_level("level_masks", n, k, 0)
     return list(islice(_squashed_walk((1 << k) - 1), comb(n, k)))

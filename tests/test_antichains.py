@@ -232,7 +232,6 @@ def test_mask_paths_build_no_subset(monkeypatch):
     assert built == []
     assert [s.elements for s in fam] == [(4,), (1, 2), (2, 3)]
     assert len(built) == 3
-    assert list(fam.members) == list(fam) and len(built) == 3  # kept
 
 
 def oracle_disjoint_pairs(a, b):
@@ -817,21 +816,6 @@ def test_disjoint_pairs_match_the_pairwise_oracle_and_build_each_member_once(
     assert outcomes == {(False, True), (True, True), (True, False)}
 
 
-def test_disjoint_pairs_reuse_the_members_a_family_holds(monkeypatch):
-    n = 5
-    for masks_a, masks_b in [((1, 6, 24), (2, 8, 16)), ((3,), (4, 12, 28)),
-                             ((0,), (31,))]:
-        members_a = tuple(Subset.from_mask(m, n) for m in masks_a)
-        fam_a = SetFamily(members_a, n)
-        fam_b = SetFamily.from_masks(masks_b, n)
-        built = count_subset_builds(monkeypatch)
-        got = disjoint_pairs(fam_a, fam_b)
-        monkeypatch.undo()
-        assert len(built) == len({y for _, y in got.pairs})
-        assert all(any(x is s for s in members_a) for x, _ in got.pairs)
-        assert got == oracle_disjoint_pairs(fam_a, fam_b)
-
-
 def test_thm25_sweep_names_itself_for_a_bad_k():
     for bad in (-1, 7, 99):
         with pytest.raises(ValueError,
@@ -839,12 +823,15 @@ def test_thm25_sweep_names_itself_for_a_bad_k():
             verify_thm25_brute(4, k=bad)
 
 
-def test_extremal_report_builds_each_member_once(monkeypatch):
-    for n, k in ((4, 0), (6, 20), (8, 60)):
+def test_extremal_report_builds_no_subset(monkeypatch):
+    for n, k in ((4, 0), (4, 6), (6, 20), (8, 60)):
         built_pair = construct_extremal(n, k)
         built = count_subset_builds(monkeypatch)
         report = built_pair.to_json()
         monkeypatch.undo()
-        assert len(built) == built_pair.total
-        assert report["pair_count"] == disjoint_pairs(built_pair.family_a,
-                                                      built_pair.family_b).pair_count
+        assert built == []
+        pairs = disjoint_pairs(built_pair.family_a, built_pair.family_b)
+        assert (report["pair_count"], report["is_matching"]) == \
+            (pairs.pair_count, pairs.is_matching)
+        assert report["family_a"] == [format_subset(s) for s in built_pair.family_a]
+        assert report["family_b"] == [format_subset(s) for s in built_pair.family_b]

@@ -212,6 +212,19 @@ def test_brute_force_reports_match_golden_files(capsys, argv, golden):
     assert json.dumps(payload, indent=2) + "\n" == path.read_text()
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("--n", "4", "--k", "6", "--format", "json"), "extremal_n4_k6.json"),
+    (("--n", "10", "--k", "200", "--format", "json"), "extremal_n10_k200.json"),
+    (("--n", "10", "--k", "200"), "extremal_n10_k200.txt"),
+])
+def test_extremal_output_matches_golden_files(capsys, argv, golden):
+    # recorded while the report rendered Subset members; n = 10 prints the
+    # {a,b} text form.  Rendering from masks must give the same bytes.
+    code, out, _ = run_cli(capsys, "extremal", *argv)
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
 def test_structure_sweep_rejects_k_past_the_half_level(capsys):
     code, out, err = run_cli(capsys, "verify", "thm26", "--n", "4", "--k", "99")
     assert code == 2

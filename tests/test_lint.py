@@ -1,6 +1,7 @@
 """Source-level rules for the library code."""
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -150,3 +151,13 @@ def test_subsets_are_built_through_init_only():
             if "Subset" in names or id(node) in in_subset:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_set_family_holds_masks_only():
+    # a family is its masks and ground set; Subset members are built on
+    # each read of .members, which only squashed.py makes
+    assert [f.name for f in dataclasses.fields(kktools.SetFamily)] == ["_masks", "ground_n"]
+    readers = [f"{name}:{node.lineno}" for name, tree in _library_trees()
+               if name != "squashed.py" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "members"]
+    assert readers == []

@@ -1,6 +1,7 @@
 """Squashed (colex) order: comparison, ranking, segments, text forms."""
 
 import random
+import re
 from dataclasses import dataclass, fields
 from itertools import combinations, product
 
@@ -452,13 +453,15 @@ def test_subset_length_membership_and_str():
 def reference_subset_elements(elements, ground_n):
     """The elements Subset(elements, ground_n) holds, by the normalising
     check every input took before canonical tuples were accepted as they
-    are; raises its ValueError on a bad input."""
+    are, with the element types tested before set() merges 1 with True or
+    2 with 2.0; raises its ValueError on a bad input."""
     try:
-        elems = tuple(sorted(set(elements)))
+        elems = tuple(elements)
     except TypeError:
         elems = None
     if elems is None or not {int}.issuperset(map(type, elems)):
         raise ValueError(f"Subset: elements must be integers, got {elements!r}")
+    elems = tuple(sorted(set(elems)))
     if type(ground_n) is not int or ground_n < 1:
         raise ValueError(f"ground set size must be a positive integer, "
                          f"got {ground_n!r}")
@@ -495,6 +498,44 @@ def test_subset_fast_path_matches_the_normalising_reference(n):
     for length in range(5):
         for elements in product(SUBSET_ALPHABET, repeat=length):
             assert subset_outcome(elements, n) == reference_outcome(elements, n)
+
+
+@pytest.mark.parametrize("elements", [(1, True), (2, 2.0), (True, 1), (2.0, 2)])
+def test_an_int_equal_to_a_bool_or_float_is_no_integer_element(elements):
+    # set() merges 1 with True and 2 with 2.0, so the element types are
+    # tested on the elements as given, whichever of the two comes first
+    message = rf"^Subset: elements must be integers, got {re.escape(repr(elements))}$"
+    with pytest.raises(ValueError, match=message):
+        Subset(elements, 3)
+    with pytest.raises(ValueError, match=message):
+        SetFamily.of([(1,), elements], 3)
+
+
+def test_subset_keeps_a_canonical_tuple_and_replaces_any_other():
+    canonical = (1, 3, 4)
+    assert Subset(canonical, 5).elements is canonical
+    for elements in ((4, 3, 1), (1, 3, 3, 4), [1, 3, 4]):
+        assert Subset(elements, 5).elements == canonical
+
+
+@pytest.mark.parametrize("call, args", [
+    (unrank, (0, 0, 0)),
+    (first_segment, (0, 0, 1)),
+    (first_segment, (0, 0, 0)),
+    (segment_after, (0, 0, 0, 1)),
+    (last_segment, (0, 0, 0)),
+])
+def test_subset_builders_name_themselves_for_an_empty_ground_set(call, args):
+    with pytest.raises(ValueError, match=rf"^{call.__name__}: need n >= 1, got 0$"):
+        call(*args)
+    assert level_masks(0, 0) == [0]
+
+
+def test_family_holds_only_subsets_of_its_ground_set():
+    fam = SetFamily.of([(1,), (1, 2)], 3)
+    assert Subset((1,), 3) in fam and Subset((1, 2), 3) in fam
+    assert Subset((1,), 4) not in fam and Subset((2,), 3) not in fam
+    assert 3 not in fam and (1,) not in fam and 1 not in fam
 
 
 def test_subset_checks_the_ground_set_on_canonical_elements():
