@@ -17,9 +17,10 @@ from itertools import groupby
 from math import comb
 
 from . import _pure
-from .binomials import binom, _check_int, _check_type
-from .kappa import KappaTable, kappa, kappa_star, negativity_threshold
+from .binomials import binom, _cascade_terms, _check_int, _check_type
+from .kappa import _least_minimizer, kappa_star
 from .report import VerificationReport, timed
+from .shadows import _shadow_formula
 from .squashed import SetFamily, Subset, _masks_text, format_subset, level_masks
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
@@ -192,26 +193,11 @@ class ExtremalConstruction:
         }
 
 
-def _least_minimizers(column: list[int]) -> list[int]:
-    """For each k, the least m <= k with column[m] = min(column[:k+1]): the
-    index where the running minimum was first hit, O(1) per k."""
-    first = 0
-    return [(first := k) if value < column[first] else first
-            for k, value in enumerate(column)]
-
-
-def _extremal_masks(n: int, m: int | None,
-                    levels: tuple[list[int], list[int]] | None = None):
-    """The masks (a_masks, b_masks) of construct_extremal at n and m (None
-    for case i), with both already checked.  levels, if given, is
-    (level_masks(n, n/2), level_masks(n, n/2 + 1)), and the lists returned
-    may be those lists."""
-    r = n // 2
-    if levels is None:
-        levels = level_masks(n, r), level_masks(n, r + 1)
+def _extremal_masks(n: int, m: int, levels: tuple[list[int], list[int]]):
+    """The masks (a_masks, b_masks) of construct_extremal at n and m, both
+    already checked: A is levels[0], the level_masks of size n/2, and B the
+    last m sets of A plus levels[1] (size n/2 + 1) minus their shade."""
     a_masks, upper_level = levels
-    if m is None:
-        return a_masks, upper_level
     bottom = a_masks[len(a_masks) - m:]
     shaded = set(_pure.shade_masks(bottom, n))
     return a_masks, bottom + [x for x in upper_level if x not in shaded]
@@ -220,22 +206,21 @@ def _extremal_masks(n: int, m: int | None,
 def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     """An explicit pair of antichains attaining theorem25_bound(n, k).
 
-    Below the negativity threshold (case i) the two middle levels already do
-    it, with no disjoint pair at all.  From the threshold on (case ii), take
-    the least m <= k at which kappa meets kappa*(k); B becomes the last m
-    half-size sets together with the upper middle level minus their shade,
-    paired to A (the full half-size level) through the m complements.
+    Take the least m <= k at which kappa meets kappa*(k), read off the cascade
+    of k by Thm 2.3; B becomes the last m half-size sets together with the
+    upper middle level minus their shade, paired to A (the full half-size
+    level) through the m complements.  Below the negativity threshold m = 0
+    (case i): the two middle levels already do it, with no disjoint pair.
     """
     _check_int("construct_extremal", "n", n, 4, even=True)
     _check_int("construct_extremal", "k", k, 0, comb(n, n // 2))
     r = n // 2
-    m = None
-    if k >= negativity_threshold(r):
-        m = _least_minimizers(KappaTable.build(r, k).kappa)[k]
-    a_masks, b_masks = _extremal_masks(n, m)
+    m = _least_minimizer(_cascade_terms(k, r))
+    a_masks, b_masks = _extremal_masks(n, m, (level_masks(n, r),
+                                              level_masks(n, r + 1)))
     return ExtremalConstruction(n, k, SetFamily.from_masks(a_masks, n),
                                 SetFamily.from_masks(b_masks, n),
-                                "i" if m is None else "ii", m)
+                                "ii" if m else "i", m or None)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
@@ -289,7 +274,10 @@ def brute_force_max(n: int, k: int, exact: bool = False,
     Returns (max_total, witnesses) with every maximizing pair as
     (SetFamily, SetFamily); (-1, []) if no pair qualifies.
     """
+    _check_int("brute_force_max", "n", n, 1, 5)
     _check_int("brute_force_max", "k", k, 0)
+    _check_type("brute_force_max", "exact", exact, bool)
+    _check_type("brute_force_max", "require_side", require_side, bool)
     families = enumerate_antichains(n)
     best, hits = _brute_force_masks(families, _pure.pair_index(families), k,
                                     exact, require_side)
@@ -326,6 +314,7 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     half = comb(n, n // 2)
     if k is not None:
         _check_int("verify_thm25_brute", "k", k, 0, half)
+    _check_type("verify_thm25_brute", "exact", exact, bool)
     rep = VerificationReport("thm25-brute", {"n": n, "k": k, "exact": exact})
     ks = [k] if k is not None else list(range(half + 1))
     families = enumerate_antichains(n)
@@ -411,11 +400,11 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     the total equals theorem25_bound(n, k) (n = 8 by default).
 
     The sweep checks the masks construct_extremal wraps.  The families
-    depend on k only through m, the least minimizer read off one KappaTable,
-    so each distinct family is checked once; the pair count against k and
-    the total against the bound are checked for every k, with kappa* taken
-    as the running minimum of the cascade formula, a route independent of
-    the table.  A member x of A can be disjoint from a member y of B only
+    depend on k only through m, the least minimizer read off k's cascade, so
+    each distinct family is checked once; the pair count against k and the
+    total against the bound are checked for every k, with kappa* taken as
+    the running minimum of the cascade formula, a route independent of
+    Thm 2.3.  A member x of A can be disjoint from a member y of B only
     when |x| <= n - |y|, and at equality x is y's complement: one set
     lookup, with the smaller members of A still scanned.
     """
@@ -424,16 +413,15 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     r = n // 2
     half = comb(n, r)
     middle = half + comb(n, r + 1)
-    threshold = negativity_threshold(r)
-    least = _least_minimizers(KappaTable.build(r, half).kappa)
     levels = level_masks(n, r), level_masks(n, r + 1)
     full = (1 << n) - 1
     star = 0
     seen_a = None
     checked = {}  # m -> (problems of the pair, pair count, total)
     for k in range(half + 1):
-        star = min(star, kappa(r, k))
-        m = least[k] if k >= threshold else None
+        terms = _cascade_terms(k, r)
+        star = min(star, _shadow_formula(terms) - k)  # kappa(r, k)
+        m = _least_minimizer(terms)
         if m not in checked:
             a_masks, b_masks = _extremal_masks(n, m, levels)
             if a_masks != seen_a:
@@ -467,9 +455,8 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
         if total != middle - star:
             problems.append(f"total {total} misses the bound")
         if problems:
-            rep.violations.append({"n": n, "k": k,
-                                   "case": "i" if m is None else "ii",
-                                   "m": m, "problems": problems})
+            rep.violations.append({"n": n, "k": k, "case": "ii" if m else "i",
+                                   "m": m or None, "problems": problems})
     return rep
 
 

@@ -24,7 +24,7 @@ def _check_int(op: str, name: str, value, lo: int | None = None,
 
 def _check_type(op: str, name: str, value, cls: type) -> None:
     """Raise a ValueError naming op and the argument unless value is an
-    instance of cls (a Subset, a SetFamily or a str)."""
+    instance of cls (a Subset, a SetFamily, a str or a bool)."""
     if not isinstance(value, cls):
         raise ValueError(f"{op}: {name} must be a {cls.__name__}, got {value!r}")
 

@@ -177,6 +177,8 @@ def run_all(n_max: int = 8, r_max: int = 6):
     per-ground-set checks for n up to n_max, per-level checks for r up to
     r_max, and the brute-force checks at their enumerable sizes.
     """
+    binomials._check_int("run_all", "n_max", n_max, 1)
+    binomials._check_int("run_all", "r_max", r_max, 1)
     out: list[tuple[str, VerificationReport]] = []
 
     def log(name, rep):

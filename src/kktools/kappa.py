@@ -39,6 +39,22 @@ def negativity_threshold(r: int) -> int:
     return 1 + sum(comb(2 * i - 1, i) for i in range(1, r + 1))
 
 
+def _least_minimizer(terms) -> int:
+    """The least m <= k with kappa_r(m) = kappa*_r(k), from the cascade terms
+    (a_i, i) of k (binomials._cascade_terms).  By Thm 2.3 the cascade cut
+    before its first a_i < 2i - 1 is a minimizer; each trailing a_i = 2i - 1
+    adds C(2i-1, i-1) - C(2i-1, i) = 0 to kappa, and dropping it gives the
+    least one.  So m = 0 exactly below the negativity threshold."""
+    m = least = 0
+    for a, i in terms:
+        if a < 2 * i - 1:
+            break
+        m += comb(a, i)
+        if a > 2 * i - 1:
+            least = m
+    return least
+
+
 def _level_blocks(j: int, count: int) -> list[tuple[int, int]]:
     """(a, size) for the blocks that hold ranks 1..count-1 of level j in
     squashed order.  After the rank-0 set [j], block a = j+1, j+2, ... holds

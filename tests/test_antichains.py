@@ -33,6 +33,8 @@ from kktools import (
     verify_thm25_brute,
     verify_thm26_structure,
 )
+from kktools.binomials import _cascade_terms
+from kktools.kappa import _least_minimizer
 
 DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 MAX_TOTALS_N4 = [10, 10, 10, 10, 10, 11, 12]
@@ -614,20 +616,20 @@ def test_extremal_sweep_matches_per_k_oracle(n):
 def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
     real = antichains._extremal_masks
 
-    def faulty(n, m, levels=None):
+    def faulty(n, m, levels):
         a_masks, b_masks = real(n, m, levels)
         upper = level_masks(n, n // 2 + 1)
-        if fault == "m + 1" and m is not None and m < len(a_masks):
+        if fault == "m + 1" and m and m < len(a_masks):
             bottom = a_masks[len(a_masks) - m - 1:]
             shaded = set(_pure.shade_masks(bottom, n))
             b_masks = bottom + [x for x in upper if x not in shaded]
-        elif fault == "shade kept" and m is not None:
+        elif fault == "shade kept" and m:
             b_masks = b_masks[:m] + upper
         elif fault == "empty set added":
             b_masks = [0] + b_masks
         elif fault == "top set dropped":
             b_masks = b_masks[:-1]
-        elif fault == "A changes with odd m" and m is not None and m % 2:
+        elif fault == "A changes with odd m" and m and m % 2:
             # a second A set disjoint from the last half-size B set breaks
             # the matching at odd m only: the sweep must not reuse the
             # partners it found for another A
@@ -642,12 +644,74 @@ def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
         assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
 
 
+def least_minimizers(column):
+    """For each k, the least m <= k with column[m] = min(column[:k+1]): the
+    index where the running minimum was first hit, O(1) per k."""
+    first = 0
+    return [(first := k) if value < column[first] else first
+            for k, value in enumerate(column)]
+
+
 def test_least_minimizers_is_the_first_hit_of_the_running_minimum():
     rng = random.Random(61)
     for _ in range(200):
         column = [rng.randint(-3, 3) for _ in range(rng.randint(1, 30))]
         want = [column.index(min(column[:k + 1])) for k in range(len(column))]
-        assert antichains._least_minimizers(column) == want
+        assert least_minimizers(column) == want
+
+
+def least_minimizer(k, r):
+    return _least_minimizer(_cascade_terms(k, r))
+
+
+@pytest.mark.parametrize("r, top", [(r, binom(2 * r, r) + 300) for r in range(1, 10)]
+                         + [(10, binom(20, 10))])
+def test_least_minimizer_is_the_first_hit_of_the_kappa_table(r, top):
+    # the table's first-hit scan; 0 exactly below the negativity threshold,
+    # where construct_extremal keeps both middle levels
+    want = least_minimizers(KappaTable.build(r, top).kappa)
+    assert [least_minimizer(k, r) for k in range(top + 1)] == want
+    threshold = negativity_threshold(r)
+    assert [k for k, m in enumerate(want) if m == 0] == list(range(threshold))
+
+
+def test_least_minimizer_meets_kappa_star():
+    # kappa(m) = kappa*(k) with m <= k, the value a cascade-read kappa_star
+    # would return: against the running minimum of kappa at every k, and
+    # against kappa_star itself (O(k) a call) at 12 k spread over the range
+    for r in range(1, 9):
+        top = binom(2 * r, r) + 2 * r
+        star = 0
+        for k in range(top + 1):
+            star = min(star, kappa(r, k))
+            m = least_minimizer(k, r)
+            assert m <= k and kappa(r, m) == star, (r, k)
+            if k % (top // 11 + 1) == 0:
+                assert star == kappa_star(r, k), (r, k)
+
+
+def test_least_minimizer_on_huge_arguments():
+    # past any table: m <= k, every kept term has a_i >= 2i - 1 (Thm 2.3's
+    # condition), and kappa(m) <= kappa(k)
+    rng = random.Random(20)
+    cases = [(r, k) for r in (1, 2, 3, 10, 64, 130)
+             for k in (0, 1, 10**6, binom(2 * r, r), 10**40)]
+    cases += [(rng.randint(1, 130), rng.randint(0, 10**40)) for _ in range(300)]
+    for r, k in cases:
+        m = least_minimizer(k, r)
+        assert 0 <= m <= k, (r, k)
+        assert all(a >= 2 * i - 1 for a, i in _cascade_terms(m, r)), (r, k)
+        assert kappa(r, m) <= kappa(r, k), (r, k)
+
+
+def test_construct_extremal_builds_no_kappa_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("KappaTable.build called")
+
+    monkeypatch.setattr(KappaTable, "build", no_table)
+    for n in (4, 6, 8, 10):
+        for k in range(binom(n, n // 2) + 1):
+            construct_extremal(n, k)
 
 
 def fam(*element_sets, n=4):

@@ -1,6 +1,7 @@
 """Every integer parameter of the public API, found by inspect.signature: a
-bool, a float or a string in its place raises a ValueError naming it.  So
-does a wrong-typed value for every Subset, SetFamily and str parameter."""
+bool, a float or a string in its place raises a ValueError naming it, and
+the error for a bad value names the callable.  So does a wrong-typed value
+for every bool, Subset, SetFamily and str parameter."""
 
 import inspect
 
@@ -108,6 +109,62 @@ def test_a_bad_integer_argument_is_named(name, call, param, bad):
     with pytest.raises(ValueError,
                        match=rf"\b(?:{label}) must be (?:an|a positive) integer"):
         call(**kwargs)
+
+
+# Where an integer argument's error starts with another word than the
+# callable's name: the documented messages of the value types.
+OTHER_PREFIX = {
+    # one ground-set message for Subset, SetFamily and parse_subset, which
+    # the SetFamily oracle tests compare
+    **{(name, "ground_n"): "ground set size must be"
+       for name in ("Subset", "Subset.from_mask", "SetFamily.of",
+                    "SetFamily.from_masks", "parse_subset")},
+    # the builder checks its arguments under the class's name
+    ("KappaTable.build", "r"): "KappaTable:",
+    ("KappaTable.build", "upper_m"): "KappaTable:",
+    # the mask is read by squashed.elements_of, which names itself
+    ("Subset.from_mask", "mask"): "elements_of:",
+}
+
+
+def test_other_prefixes_name_real_parameters():
+    assert set(OTHER_PREFIX) <= {(name, param) for name, _, param in CASES}
+
+
+@pytest.mark.parametrize("name, call, param", CASES,
+                         ids=[f"{name}-{param}" for name, _, param in CASES])
+def test_an_integer_argument_error_names_the_callable(name, call, param):
+    # not a helper it calls: brute_force_max(-5, 0) used to raise
+    # "enumerate_antichains: ...", and run_all(0) "verify_d_identities: ..."
+    prefix = OTHER_PREFIX.get((name, param), f"{name}:")
+    for bad in BAD_VALUES + (0, -5):
+        try:
+            call(**dict(BASE_CALLS[name], **{param: bad}))
+        except ValueError as exc:
+            assert str(exc).startswith(prefix), (bad, str(exc))
+
+
+# The bool flags, found by annotation, take only True and False: "no" used
+# to run verify_thm25_brute's exact sweep and report "exact": "no".
+BOOL_CASES = [(name, call, param.name)
+              for name, call in public_callables()
+              for param in inspect.signature(call).parameters.values()
+              if param.annotation == "bool"]
+
+
+def test_every_bool_parameter_has_a_valid_base_call():
+    assert BOOL_CASES
+    for name, call, param in BOOL_CASES:
+        call(**dict(BASE_CALLS[name], **{param: True}))
+
+
+@pytest.mark.parametrize("bad", (1, "no", None), ids=repr)
+@pytest.mark.parametrize("name, call, param", BOOL_CASES,
+                         ids=[f"{name}-{param}" for name, _, param in BOOL_CASES])
+def test_a_non_bool_flag_is_named(name, call, param, bad):
+    with pytest.raises(ValueError) as info:
+        call(**dict(BASE_CALLS[name], **{param: bad}))
+    assert str(info.value) == f"{name}: {param} must be a bool, got {bad!r}"
 
 
 # The same rule for the Subset, SetFamily and str parameters: one valid call

@@ -161,3 +161,16 @@ def test_set_family_holds_masks_only():
                if name != "squashed.py" for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "members"]
     assert readers == []
+
+
+def test_kappa_table_stays_out_of_the_other_modules():
+    # the Thm 2.5 path reads its m off a cascade (kappa._least_minimizer);
+    # only kappa.py, the CLI's kappa-table command and the exports use tables
+    found = [f"{name}:{node.lineno}" for name, tree in _library_trees()
+             if name not in ("kappa.py", "cli.py", "__init__.py")
+             for node in ast.walk(tree)
+             if getattr(node, "id", None) == "KappaTable"
+             or getattr(node, "attr", None) == "KappaTable"
+             or isinstance(node, ast.ImportFrom)
+             and any(alias.name == "KappaTable" for alias in node.names)]
+    assert found == []
