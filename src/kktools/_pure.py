@@ -131,19 +131,33 @@ def _shadow_size(masks, columns) -> int:
 
 def pair_index(families):
     """The index scan_pairs reads, built once per list of families and
-    shared by every scan of that list: (order, bit, row).
+    shared by every scan of that list: (order, bit, member, once, twice).
 
     order lists the family positions by descending size.  Disjointness runs
     on subset-membership masks (Knuth, TAOCP 4A 7.1.3): each distinct mask x
-    gets the bit bit[x], a family is the int of its members' bits, and
-    row[a] holds the bits of the masks disjoint from a.  So a's partners in
-    family B are member(B) & row[a].  The table is indexed by the distinct
-    masks, not by the subsets of the ground set.
+    gets the bit bit[x], and a mask's row is the int of the bits of the
+    masks disjoint from it.  For the family at position f, member[f] holds
+    its members' bits, once[f] the bits of the masks disjoint from at least
+    one member (the OR of the rows) and twice[f] those disjoint from at
+    least two.  The masks are indexed by the distinct members, not by the
+    subsets of the ground set.  All three are built for every family, so a
+    single scan pays for families its bounds never reach.
     """
     bit = {x: 1 << j for j, x in enumerate(set().union(*families))}
     row = {a: sum(b for x, b in bit.items() if not a & x) for a in bit}
+    member, once, twice = [], [], []
+    for fam in families:
+        in_f = one = two = 0
+        for a in fam:
+            r = row[a]
+            two |= one & r
+            one |= r
+            in_f |= bit[a]
+        member.append(in_f)
+        once.append(one)
+        twice.append(two)
     order = sorted(range(len(families)), key=lambda j: -len(families[j]))
-    return order, bit, row
+    return order, bit, tuple(member), tuple(once), tuple(twice)
 
 
 def scan_pairs(families, index, k: int, exact: bool, require_side: bool):
@@ -156,13 +170,18 @@ def scan_pairs(families, index, k: int, exact: bool, require_side: bool):
     [(i, j), ...]) with the pairs in row-major order, and -1 with an empty
     list when no pair qualifies.
 
+    A pair is three bit operations on the index: the relation is a
+    matching iff no member of B is disjoint from two members of A
+    (member[j] & twice[i]) and no member of A from two members of B
+    (member[i] & twice[j]); then its size is the number of members of B
+    disjoint from some member of A, (member[j] & once[i]).bit_count().
+
     Branch and bound: both loops visit families by descending size, so once
     |A|+|B| falls below the best total found (or a family falls below the
     side condition), every later family of that loop fails as well.
     """
     side = exact or require_side
-    order, bit, row = index
-    member: dict[int, int] = {}  # filled for the families a loop reaches
+    order, _, member, once, twice = index
     largest = len(families[order[0]]) if order else 0
     best = -1
     hits: list[tuple[int, int]] = []
@@ -170,31 +189,21 @@ def scan_pairs(families, index, k: int, exact: bool, require_side: bool):
         la = len(families[i])
         if (side and k > la) or la + largest < best:
             break
-        rows_a = list(map(row.__getitem__, families[i]))
+        in_a, once_a, twice_a = member[i], once[i], twice[i]
         for j in order:
             lb = len(families[j])
             total = la + lb
             if total < best or (side and k > lb):
                 break
-            in_b = member.get(j)
-            if in_b is None:
-                in_b = member[j] = sum(map(bit.__getitem__, families[j]))
-            used = 0
-            count = 0
-            for ra in rows_a:
-                p = ra & in_b
-                if p:
-                    # a second partner, a shared partner, or one pair too many
-                    if p & (p - 1) or p & used or count == k:
-                        break
-                    used |= p
-                    count += 1
-            else:  # no break: a matching with at most k pairs
-                if exact and count != k:
-                    continue
-                if total > best:
-                    best = total
-                    hits = []
-                hits.append((i, j))
+            in_b = member[j]
+            if in_b & twice_a or in_a & twice[j]:
+                continue
+            count = (in_b & once_a).bit_count()
+            if count > k or (exact and count != k):
+                continue
+            if total > best:
+                best = total
+                hits = []
+            hits.append((i, j))
     hits.sort()
     return best, hits

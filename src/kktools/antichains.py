@@ -23,7 +23,7 @@ from .report import VerificationReport, timed
 from .shadows import _shadow_formula
 from .squashed import SetFamily, Subset, _masks_text, format_subset, level_masks
 
-DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
+DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
 # Below this many pairs, two levels are compared pair by pair: a shade or
 # shadow kernel call costs more (measured on the antichains of {1..5}).
 _PAIRS_PER_KERNEL_CALL = 64
@@ -223,6 +223,20 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
                                 "ii" if m else "i", m or None)
 
 
+def _antichain_steps(n: int):
+    """The DFS transitions shared by enumerate_antichains and the Sperner
+    count: (order, keep) with order the subsets of {1..n} in canonical
+    (size, squashed) order and keep[i] the bitset of the later positions j
+    whose subset does not contain order[i].  An antichain whose lowest
+    member is order[i] takes its other members from keep[i].  Not cached,
+    so a sweep that does not enumerate pays for its own table.
+    """
+    order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    keep = [sum(1 << j for j in range(i + 1, len(order)) if a & ~order[j])
+            for i, a in enumerate(order)]
+    return order, keep
+
+
 @lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not hit the entry of 3
 def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     """Every antichain of subsets of {1..n}, each as a tuple of masks in
@@ -230,14 +244,12 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
 
     Subsets are visited level by level, by a DFS over the bitset of the
     subsets still allowed: each branch takes the lowest allowed subset and
-    clears its comparables from the rest of the branch.  The total count is
-    checked against the known values (168 at n = 4, 7581 at n = 5).
+    keeps only the later subsets incomparable to it (_antichain_steps).
+    The total count is checked against the known values (168 at n = 4,
+    7581 at n = 5).
     """
     _check_int("enumerate_antichains", "n", n, 1, 5)
-    order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    # comparable[i]: bit j set iff order[j] is a proper subset or superset
-    comparable = [sum(1 << j for j, b in enumerate(order)
-                      if a != b and a & b in (a, b)) for a in order]
+    order, keep = _antichain_steps(n)
     out: list[tuple[int, ...]] = []
 
     def visit(prefix: tuple[int, ...], allowed: int) -> None:
@@ -246,13 +258,68 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
             low = allowed & -allowed
             allowed ^= low
             i = low.bit_length() - 1
-            visit(prefix + (order[i],), allowed & ~comparable[i])
+            visit(prefix + (order[i],), allowed & keep[i])
 
     visit((), (1 << len(order)) - 1)
     if len(out) != DEDEKIND_COUNTS[n]:
         raise RuntimeError(f"enumerated {len(out)} antichains at n={n}, "
                            f"expected {DEDEKIND_COUNTS[n]}")
     return tuple(out)
+
+
+def _antichain_profiles(keep) -> dict[int, tuple[int, int]]:
+    """The memoized count over enumerate_antichains' DFS states: for every
+    bitset `allowed` the DFS reaches from the full one, (how many antichains
+    have all their members in allowed, their largest size).
+
+    A state's antichains are the empty one plus, for each allowed position
+    i, those whose lowest member is order[i], which are counted by the state
+    allowed & keep[i].  Distinct states are few (499 at n = 5, 36,751 at
+    n = 6), so the count never lists a family: 7,828,354 at n = 6.
+    """
+    memo = {0: (1, 0)}
+
+    def profile(allowed: int) -> tuple[int, int]:
+        got = memo.get(allowed)
+        if got is None:
+            count, largest = 1, 0
+            rest = allowed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                more, deepest = profile(allowed & keep[low.bit_length() - 1])
+                count += more
+                if deepest >= largest:
+                    largest = deepest + 1
+            got = memo[allowed] = (count, largest)
+        return got
+
+    profile((1 << len(keep)) - 1)
+    return memo
+
+
+def _antichains_of_size(order, keep, memo, size: int) -> list[tuple[int, ...]]:
+    """The antichains with `size` members, each a tuple of masks, in
+    enumerate_antichains' order.  The same DFS, pruned: it enters a state
+    only when the state's largest antichain (memo, _antichain_profiles) can
+    still fill the members missing.  Antichains inside a state are closed
+    under taking subfamilies, so every size up to that largest occurs."""
+    out: list[tuple[int, ...]] = []
+
+    def visit(prefix: tuple[int, ...], allowed: int, need: int) -> None:
+        if not need:
+            out.append(prefix)
+            return
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            child = allowed & keep[i]
+            if memo[child][1] >= need - 1:
+                visit(prefix + (order[i],), child, need - 1)
+
+    visit((), (1 << len(order)) - 1, size)
+    return out
 
 
 def _brute_force_masks(families, index, k: int, exact: bool = False,
@@ -463,15 +530,27 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
 @timed
 def sperner_max_check(n: int = 4) -> VerificationReport:
     """Largest antichain size is C(n, floor(n/2)), and the only maximizers
-    are the full middle level(s), both of them for odd n (n = 4 by default)."""
-    _check_int("sperner_max_check", "n", n, 1, 5)
+    are the full middle level(s), both of them for odd n (1 <= n <= 6,
+    n = 4 by default).
+
+    Counts instead of listing: _antichain_profiles gives the number of
+    antichains and their largest size from the DFS states alone, and a
+    pruned DFS lists only the families of that size.  checks_run is the
+    number of antichains, checked against Dedekind's M(n) (7,828,354 at
+    n = 6).
+    """
+    _check_int("sperner_max_check", "n", n, 1, 6)
     rep = VerificationReport("sperner", {"n": n})
-    families = enumerate_antichains(n)
-    best = max(map(len, families))
-    maximizers = {f for f in families if len(f) == best}
+    order, keep = _antichain_steps(n)
+    memo = _antichain_profiles(keep)
+    count, best = memo[(1 << len(order)) - 1]
+    maximizers = set(_antichains_of_size(order, keep, memo, best))
     want_best = comb(n, n // 2)
     expected = {tuple(level_masks(n, n // 2)), tuple(level_masks(n, (n + 1) // 2))}
-    rep.checks_run = len(families)
+    rep.checks_run = count
+    if count != DEDEKIND_COUNTS[n]:
+        rep.violations.append({"n": n, "part": "count", "got": count,
+                               "expected": DEDEKIND_COUNTS[n]})
     if best != want_best:
         rep.violations.append({"n": n, "max_size": best, "expected": want_best})
     if maximizers != expected:

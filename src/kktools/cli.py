@@ -48,7 +48,11 @@ _VERIFY_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The kktools parser.  Given one of the commands, only that command's
+    subparser is built, which is most of the cost; usage, help and error
+    text are the same as the full parser's for every argument list that
+    starts with that command."""
     parser = argparse.ArgumentParser(
         prog="kktools",
         description="Exact computations around minimum shadows, the squashed "
@@ -58,24 +62,32 @@ def build_parser() -> argparse.ArgumentParser:
                         default="pretty", help="output format")
     common.add_argument("--out", metavar="FILE",
                         help="write the result to FILE instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, parents=[common], help=text)
+    narrow = command in _COMMANDS
+    # a narrow parser's usage line still lists every command; it reports no
+    # error on the command argument, whose name the metavar would change
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if narrow else None)
+    for name in [command] if narrow else _COMMANDS:
+        text, flags = _COMMANDS[name]
+        p = sub.add_parser(name, parents=[common], help=text)
         for flag in flags:
             p.add_argument(f"--{flag}", type=int, required=True)
 
-    p = sub.choices["rank"]
-    p.add_argument("--set", required=True, dest="set_text", metavar="SET",
-                   help="digit string (n <= 9) or {a,b,...}")
-    p.add_argument("--n", type=int, help="ground set size (default: largest element)")
+    if "rank" in sub.choices:
+        p = sub.choices["rank"]
+        p.add_argument("--set", required=True, dest="set_text", metavar="SET",
+                       help="digit string (n <= 9) or {a,b,...}")
+        p.add_argument("--n", type=int, help="ground set size (default: largest element)")
 
-    p = sub.choices["verify"]
-    p.add_argument("which", choices=tuple(_SWEEPS))
-    for flag, text in _VERIFY_FLAGS.items():
-        # --exact is None when absent, like the int flags: given is not None
-        kind = {"type": int} if flag != "exact" else {"action": "store_true",
-                                                       "default": None}
-        p.add_argument(f"--{flag}", help=text, **kind)
+    if "verify" in sub.choices:
+        p = sub.choices["verify"]
+        p.add_argument("which", choices=tuple(_SWEEPS))
+        for flag, text in _VERIFY_FLAGS.items():
+            # --exact is None when absent, like the int flags: given is not None
+            kind = {"type": int} if flag != "exact" else {"action": "store_true",
+                                                           "default": None}
+            p.add_argument(f"--{flag}", help=text, **kind)
     return parser
 
 
@@ -281,8 +293,9 @@ _HANDLERS = {"kappa-table": _cmd_kappa_table, "cascade": _cmd_cascade,
 
 def main(argv=None) -> int:
     """Run one kktools invocation; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = build_parser().parse_args(argv)
+        ns = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

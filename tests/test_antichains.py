@@ -546,6 +546,51 @@ def test_sperner_maximum():
     assert counts == [tuple(masks)]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_antichain_count_matches_the_enumeration(n):
+    # the memoized count and the pruned listing against the full listing:
+    # total, largest size, and the antichains of every size, in order
+    families = enumerate_antichains(n)
+    order, keep = antichains._antichain_steps(n)
+    memo = antichains._antichain_profiles(keep)
+    count, largest = memo[(1 << len(order)) - 1]
+    assert count == len(families) == DEDEKIND[n]
+    assert largest == max(map(len, families)) == binom(n, n // 2)
+    for size in range(largest + 2):
+        assert antichains._antichains_of_size(order, keep, memo, size) == \
+            [f for f in families if len(f) == size], size
+
+
+def test_sperner_check_counts_the_antichains_of_six():
+    rep = sperner_max_check(6)
+    assert rep.passed, rep.violations
+    assert rep.checks_run == 7828354
+    assert rep.witnesses == [[format_subset(s) for s in
+                              SetFamily.from_masks(level_masks(6, 3), 6)]]
+
+
+@pytest.mark.parametrize("n, lower, upper, parts", [
+    (2, 0b01, 0b11, {"count", "maximizers"}),  # {1} < {1,2}: a second maximum
+    (5, 0b00011, 0b00111, {"count"}),
+    (6, 0, 0b111111, {"count"}),
+])
+def test_sperner_check_reports_a_forgotten_comparable_pair(monkeypatch, n, lower,
+                                                           upper, parts):
+    real = antichains._antichain_steps
+
+    def forgetful(m):
+        order, keep = real(m)
+        i, j = order.index(lower), order.index(upper)
+        assert not keep[i] >> j & 1
+        keep[i] |= 1 << j
+        return order, keep
+
+    monkeypatch.setattr(antichains, "_antichain_steps", forgetful)
+    rep = sperner_max_check(n)
+    assert {v.get("part") for v in rep.violations} == parts
+    assert rep.checks_run > {**DEDEKIND, 6: 7828354}[n]
+
+
 def oracle_extremal(n, k):
     """construct_extremal as a last_segment plus a KappaTable.build(r, k)
     of its own: (family_a, family_b, case, m)."""
@@ -786,7 +831,7 @@ EDGE_CASES = [
     (verify_extremal_constructions, (4,), (True, 7)),
     (sperner_max_check, (0,), ValueError),
     (sperner_max_check, (-1,), ValueError),
-    (sperner_max_check, (6,), ValueError),
+    (sperner_max_check, (7,), ValueError),
     (sperner_max_check, (1,), (True, 3)),
 ]
 

@@ -238,6 +238,29 @@ def test_help_exits_zero(capsys):
     assert exc.value.code == 0
 
 
+def parse_outcome(capsys, parser, argv):
+    """(exit code or None, namespace or None, stdout, stderr) of one parse."""
+    try:
+        ns, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, ns, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_narrow_parser_matches_the_full_parser(capsys, command):
+    # help, missing and bad flags, a bad sweep and stray arguments, which the
+    # top-level parser reports with its own usage line
+    for tail in (["-h"], [], ["--bogus"], ["--r", "x"], ["--format", "xml"],
+                 ["--r", "1", "--m", "2", "--n", "3", "--k", "4", "stray"],
+                 ["--set", "12", "stray"], ["all", "stray"], ["nope"],
+                 ["kkt", "--n"], ["thm25-brute", "--exact", "--n", "4"]):
+        argv = [command, *tail]
+        assert parse_outcome(capsys, cli.build_parser(command), argv) == \
+            parse_outcome(capsys, cli.build_parser(), argv), argv
+
+
 # One accepted call per sweep, giving every flag that sweep reads.
 READS = {
     "d-identities": ("--n", "6", "--r", "4"),
@@ -407,11 +430,11 @@ def test_verify_names_the_sweep_for_a_bad_level(capsys, which, r, sweep):
     assert err == f"error: {sweep}: need r >= 1, got {r}\n"
 
 
-@pytest.mark.parametrize("n", ["6", "0"])
+@pytest.mark.parametrize("n", ["7", "0"])
 def test_sperner_names_itself_for_an_n_out_of_reach(capsys, n):
     code, out, err = run_cli(capsys, "verify", "sperner", "--n", n)
     assert code == 2 and out == ""
-    assert err == f"error: sperner_max_check: need 1 <= n <= 5, got {n}\n"
+    assert err == f"error: sperner_max_check: need 1 <= n <= 6, got {n}\n"
 
 
 def test_out_path_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):

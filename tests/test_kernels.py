@@ -214,6 +214,31 @@ def test_pair_scan_matches_oracle_on_masks_reaching_a_high_bit(n):
     assert {best > 0 for exact, k, best in bests if exact and k} == {True, False}
 
 
+# Each case has one pair that only one of the scan's three bit tests
+# rejects, and its total ties the best accepted total, so a scan without
+# that test reports it.  A = {12, 13} and B = {4, 23} on {1..4}: 4 is
+# disjoint from both members of A, and no other member of B misses one.
+FAM_A, FAM_B = (0b0011, 0b0101), (0b1000, 0b0110)
+ONE_TEST_REJECTS = [
+    pytest.param([FAM_A, FAM_B], 5, False, (0, 1), id="member-of-B-twice-in-A"),
+    pytest.param([FAM_A, FAM_B], 5, False, (1, 0), id="member-of-A-twice-in-B"),
+    pytest.param([(0b01,), (0b10,)], 0, False, (0, 1), id="count-over-k"),
+    pytest.param([(0b01,), (0b10,)], 1, True, (0, 0), id="count-not-k"),
+]
+
+
+@pytest.mark.parametrize("families, k, exact, rejected", ONE_TEST_REJECTS)
+def test_pair_scan_rejects_a_pair_failing_one_bit_test(families, k, exact,
+                                                       rejected):
+    want = oracle_scan_pairs(families, k, exact, False)
+    got = _pure.scan_pairs(families, _pure.pair_index(families), k, exact,
+                           False)
+    assert (got[0], list(got[1])) == want
+    i, j = rejected
+    assert rejected not in got[1]
+    assert len(families[i]) + len(families[j]) == got[0]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_bitset_shadow_size_matches_the_listed_shadow(n):
     # the count on membership bitsets against len(shadow_masks) and the
