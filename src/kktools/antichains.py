@@ -18,7 +18,7 @@ from math import comb
 
 from . import _pure
 from .binomials import binom, _cascade_terms, _check_int, _check_type
-from .kappa import _least_minimizer, kappa_star
+from .kappa import _least_minimizer, kappa
 from .report import VerificationReport, timed
 from .shadows import _shadow_formula
 from .squashed import SetFamily, Subset, _masks_text, format_subset, level_masks
@@ -143,7 +143,8 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     _check_type("disjoint_pairs", "a", a, SetFamily)
     _check_type("disjoint_pairs", "b", b, SetFamily)
     if a.ground_n != b.ground_n:
-        raise ValueError("families must share a ground set")
+        raise ValueError(f"disjoint_pairs: families must share a ground set, "
+                         f"got {a.ground_n} and {b.ground_n}")
     hits, matching = _disjoint_masks(a.masks(), b.masks())
     n = a.ground_n
     xs = {x: Subset.from_mask(x, n) for x in {x for x, _ in hits}}
@@ -154,11 +155,19 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
 
 def theorem25_bound(n: int, k: int) -> int:
     """C(n, n/2) + C(n, n/2+1) - kappa*_{n/2}(k) for even n >= 4 and
-    0 <= k <= C(n, n/2)."""
+    0 <= k <= C(n, n/2).
+
+    kappa* is read off Thm 2.3, not taken as a running minimum: with r = n/2,
+    kappa*_r(k) = kappa_r(m) for m the least minimizer, the cascade of k cut
+    before its first a_i < 2i - 1 (kappa._least_minimizer).  So the cost is
+    O(r): two cascades of at most r terms each, one of k and one of m, where
+    kappa_star's running minimum computes k + 1 cascades.
+    """
     _check_int("theorem25_bound", "n", n, 4, even=True)
     half = binom(n, n // 2)
     _check_int("theorem25_bound", "k", k, 0, half)
-    return half + binom(n, n // 2 + 1) - kappa_star(n // 2, k)
+    r = n // 2
+    return half + binom(n, r + 1) - kappa(r, _least_minimizer(_cascade_terms(k, r)))
 
 
 @dataclass(frozen=True)

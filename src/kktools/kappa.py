@@ -27,7 +27,15 @@ def kappa(r: int, m: int) -> int:
 
 
 def kappa_star(r: int, m: int) -> int:
-    """min of kappa_r over 0..m; never positive beyond m = 0, nonincreasing."""
+    """min of kappa_r over 0..m; never positive beyond m = 0, nonincreasing.
+
+    This is the definition, computed as written: a running minimum over
+    m + 1 cascades, O(m).  Thm 2.3 gives the same value in O(r) as
+    kappa(r, _least_minimizer(_cascade_terms(m, r))), the route
+    theorem25_bound takes.  kappa_star keeps the definition until the
+    benchmark's peak-memory meter reads each run's own process; until then
+    it is the oracle the cascade route is tested against.
+    """
     _check_int("kappa_star", "r", r, 1)
     _check_int("kappa_star", "m", m, 0)
     return min(kk_shadow_min(j, r) - j for j in range(m + 1))  # kappa(r, j), one call less

@@ -228,11 +228,12 @@ def _masks_text(masks, ground_n: int) -> list[str]:
 
 def parse_elements(text: str) -> tuple[int, ...]:
     """The elements written in either subset text form (digit string or
-    braces-with-commas), unchecked against any ground set."""
+    braces-with-commas), unchecked against any ground set.  parse_subset's
+    parser, whose errors it names."""
     t = text.strip()
     if t.startswith("{"):
         if not t.endswith("}"):
-            raise ValueError(f"unbalanced braces in subset text {text!r}")
+            raise ValueError(f"parse_subset: unbalanced braces in subset text {text!r}")
         t = t[1:-1].strip()
         if not t:
             return ()
@@ -244,11 +245,11 @@ def parse_elements(text: str) -> tuple[int, ...]:
     elif t.isdigit():
         parts = list(t)
     else:
-        raise ValueError(f"cannot parse subset text {text!r}")
+        raise ValueError(f"parse_subset: cannot parse subset text {text!r}")
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"cannot parse subset text {text!r}") from None
+        raise ValueError(f"parse_subset: cannot parse subset text {text!r}") from None
 
 
 def parse_subset(text: str, ground_n: int) -> Subset:
@@ -266,7 +267,8 @@ def compare_squashed(a: Subset, b: Subset) -> int:
     _check_type("compare_squashed", "b", b, Subset)
     if a.size != b.size:
         raise ValueError(
-            f"squashed order compares sets of equal size, got {a.size} and {b.size}")
+            f"compare_squashed: squashed order compares sets of equal size, "
+            f"got {a.size} and {b.size}")
     if a.elements == b.elements:
         return 0
     diff = set(a.elements) ^ set(b.elements)

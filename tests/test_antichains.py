@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kktools import (
     DisjointPairReport,
@@ -185,9 +186,11 @@ def oracle_sperner_move(fam, down):
     return SetFamily(rest + moved.members, n)
 
 
-def sperner_outcome(op, fam):
+def outcome(call, *args):
+    """The call's value, or the message of the ValueError it raised; any
+    other exception propagates and fails the test."""
     try:
-        return op(fam)
+        return call(*args)
     except ValueError as exc:
         return str(exc)
 
@@ -202,8 +205,8 @@ def test_sperner_moves_match_the_subset_oracle():
     for n, masks in families:
         fam = SetFamily.from_masks(masks, n)
         for op, down in ((sperner_down, True), (sperner_up, False)):
-            got = sperner_outcome(op, fam)
-            want = sperner_outcome(lambda f: oracle_sperner_move(f, down), fam)
+            got = outcome(op, fam)
+            want = outcome(lambda f: oracle_sperner_move(f, down), fam)
             assert got == want, (n, masks, down)
             if isinstance(got, SetFamily):
                 assert got.masks() == want.masks() and got.ground_n == n
@@ -264,6 +267,85 @@ def test_disjoint_pairs_match_the_member_loop():
         disjoint_pairs(SetFamily.from_masks([1], 2), SetFamily.from_masks([1], 3))
 
 
+@st.composite
+def mask_families(draw, n=None):
+    """(masks, n): a list of masks on {1..n}, 1 <= n <= 130, mixing random
+    masks with ones a few elements from empty or from full, so members nest
+    often on small and large ground sets alike.  Repeats are allowed."""
+    if n is None:
+        n = draw(st.integers(1, 130))
+    full = (1 << n) - 1
+    few = st.sets(st.integers(0, n - 1), max_size=3).map(
+        lambda elems: sum(1 << e for e in elems))
+    member = st.one_of(st.integers(0, full), few, few.map(full.__xor__))
+    return draw(st.lists(member, max_size=8)), n
+
+
+def canonical_masks(masks):
+    return sorted(set(masks), key=lambda m: (m.bit_count(), m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_families())
+def test_is_antichain_is_the_no_nesting_definition(drawn):
+    masks, n = drawn
+    got = outcome(is_antichain, SetFamily.from_masks(masks, n))
+    assert got is (not any(a != b and a & b == a for a in masks for b in masks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_families(), st.data())
+def test_disjoint_pairs_is_the_disjointness_definition(drawn, data):
+    masks_a, n = drawn
+    n_b = data.draw(st.sampled_from([n, n, n % 130 + 1]))
+    masks_b, _ = data.draw(mask_families(n_b))
+    a, b = SetFamily.from_masks(masks_a, n), SetFamily.from_masks(masks_b, n_b)
+    got = outcome(disjoint_pairs, a, b)
+    if n_b != n:
+        assert got == (f"disjoint_pairs: families must share a ground set, "
+                       f"got {n} and {n_b}")
+        return
+    want = [(x, y) for x in canonical_masks(masks_a)
+            for y in canonical_masks(masks_b) if not x & y]
+    assert [(x.mask, y.mask) for x, y in got.pairs] == want
+    assert got.pair_count == len(want)
+    # a matching: no member of either side in two pairs
+    assert got.is_matching is (len({x for x, _ in want}) == len(want)
+                               == len({y for _, y in want}))
+
+
+def sperner_move_by_definition(masks, n, down):
+    """The moved family's masks by the definition, or None where the move is
+    undefined: an empty family, a non-antichain, or {∅} and {[n]} alone."""
+    masks = canonical_masks(masks)
+    full = (1 << n) - 1
+    if not masks or masks in ([0], [full]) or \
+            any(a != b and a & b == a for a in masks for b in masks):
+        return None
+    size = (max if down else min)(m.bit_count() for m in masks)
+    level = [m for m in masks if m.bit_count() == size]
+    bits = [1 << e for e in range(n)]
+    if down:  # the shadow: drop one element
+        moved = {m ^ b for m in level for b in bits if m & b}
+    else:  # the shade: add one element
+        moved = {m | b for m in level for b in bits if not m & b}
+    return canonical_masks([m for m in masks if m.bit_count() != size] + list(moved))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mask_families(), st.booleans())
+def test_sperner_moves_are_the_shadow_and_shade_definitions(drawn, down):
+    masks, n = drawn
+    op = sperner_down if down else sperner_up
+    got = outcome(op, SetFamily.from_masks(masks, n))
+    want = sperner_move_by_definition(masks, n, down)
+    if want is None:
+        assert isinstance(got, str)
+    else:
+        assert (got.masks(), got.ground_n) == (want, n)
+        assert is_antichain(got)
+
+
 def test_disjoint_pairs_matching():
     a = SetFamily.of([(1, 2), (3, 4)], 4)
     b = SetFamily.of([(3, 4), (1, 2)], 4)
@@ -288,11 +370,60 @@ def test_bound_table_for_four():
 
 
 def test_bound_formula_general():
-    for n in (4, 6, 8):
+    # every k at even n <= 16, against the table's kappa* column: the running
+    # minimum of the run-sum kappa, a route that does not rest on Thm 2.3;
+    # and against kappa_star itself (O(k) a call) up to n = 8
+    for n in range(4, 17, 2):
         r = n // 2
-        for k in range(binom(n, r) + 1):
-            expected = binom(n, r) + binom(n, r + 1) - kappa_star(r, k)
-            assert theorem25_bound(n, k) == expected
+        middle = binom(n, r) + binom(n, r + 1)
+        star = KappaTable.build(r, binom(n, r)).kappa_star
+        assert [theorem25_bound(n, k) for k in range(binom(n, r) + 1)] == \
+            [middle - s for s in star], n
+        if n <= 8:
+            assert all(theorem25_bound(n, k) == middle - kappa_star(r, k)
+                       for k in range(binom(n, r) + 1)), n
+
+
+@st.composite
+def bound_arguments(draw, pairs=False):
+    """(n, k), or (n, k1, k2) with k1 <= k2, for even 4 <= n <= 1000 and k
+    anywhere in 0..C(n, n/2): small ends, the threshold's neighbourhood and
+    huge values alike."""
+    n = 2 * draw(st.integers(2, 500))
+    top = binom(n, n // 2)
+    k = st.one_of(st.integers(0, top), st.integers(0, min(top, 10**4)),
+                  st.integers(max(0, top - 10**4), top))
+    ks = sorted(draw(k) for _ in range(1 + pairs))
+    return (n, *ks)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bound_arguments(pairs=True))
+def test_bound_is_nondecreasing_in_k(args):
+    n, k1, k2 = args
+    assert theorem25_bound(n, k1) <= theorem25_bound(n, k2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 500), st.data())
+def test_bound_is_the_two_middle_levels_below_the_threshold(r, data):
+    # kappa* is 0 exactly below the negativity threshold, then negative
+    n = 2 * r
+    middle = binom(n, r) + binom(n, r + 1)
+    below = min(negativity_threshold(r), binom(n, r) + 1)
+    for k in (0, below - 1, data.draw(st.integers(0, below - 1))):
+        assert theorem25_bound(n, k) == middle, k
+    if below <= binom(n, r):
+        assert theorem25_bound(n, below) > middle
+
+
+@settings(max_examples=25, deadline=None)
+@given(bound_arguments())
+def test_bound_is_at_least_the_kappa_of_k_itself(args):
+    # kappa*(k) <= kappa(k)
+    n, k = args
+    r = n // 2
+    assert theorem25_bound(n, k) >= binom(n, r) + binom(n, r + 1) - kappa(r, k)
 
 
 def test_construct_extremal_cases():

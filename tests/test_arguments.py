@@ -216,3 +216,29 @@ def test_a_wrong_typed_object_argument_is_named(name, call, param, kind, bad):
     with pytest.raises(ValueError) as info:
         call(**kwargs)
     assert str(info.value) == f"{name}: {param} must be a {kind}, got {bad!r}"
+
+
+# Value errors past the type checks name the callable too.  Subset's range
+# message and SetFamily.uniform_size's stay as they are: the SetFamily
+# oracle tests compare them.
+VALUE_ERRORS = [
+    ("disjoint_pairs",
+     {"a": kktools.SetFamily.from_masks([1], 2), "b": kktools.SetFamily.from_masks([1], 3)},
+     "disjoint_pairs: families must share a ground set, got 2 and 3"),
+    ("compare_squashed", {"a": SUBSET, "b": kktools.Subset((2,), 4)},
+     "compare_squashed: squashed order compares sets of equal size, got 2 and 1"),
+    ("parse_subset", {"text": "1a", "ground_n": 4},
+     "parse_subset: cannot parse subset text '1a'"),
+    ("parse_subset", {"text": "{1,x}", "ground_n": 4},
+     "parse_subset: cannot parse subset text '{1,x}'"),
+    ("parse_subset", {"text": "{1,2", "ground_n": 4},
+     "parse_subset: unbalanced braces in subset text '{1,2'"),
+]
+
+
+@pytest.mark.parametrize("name, kwargs, message", VALUE_ERRORS,
+                         ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(VALUE_ERRORS)])
+def test_a_bad_value_error_names_the_callable(name, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        getattr(kktools, name)(**kwargs)
+    assert str(info.value) == message

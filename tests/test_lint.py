@@ -163,14 +163,28 @@ def test_set_family_holds_masks_only():
     assert readers == []
 
 
+def _named_outside_kappa_and_cli(target: str) -> list[str]:
+    """file:line of every mention of the name `target` (as a name, an
+    attribute or an import) in the library modules apart from kappa.py,
+    cli.py and __init__.py."""
+    return [f"{name}:{node.lineno}" for name, tree in _library_trees()
+            if name not in ("kappa.py", "cli.py", "__init__.py")
+            for node in ast.walk(tree)
+            if getattr(node, "id", None) == target
+            or getattr(node, "attr", None) == target
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name == target for alias in node.names)]
+
+
 def test_kappa_table_stays_out_of_the_other_modules():
     # the Thm 2.5 path reads its m off a cascade (kappa._least_minimizer);
     # only kappa.py, the CLI's kappa-table command and the exports use tables
-    found = [f"{name}:{node.lineno}" for name, tree in _library_trees()
-             if name not in ("kappa.py", "cli.py", "__init__.py")
-             for node in ast.walk(tree)
-             if getattr(node, "id", None) == "KappaTable"
-             or getattr(node, "attr", None) == "KappaTable"
-             or isinstance(node, ast.ImportFrom)
-             and any(alias.name == "KappaTable" for alias in node.names)]
-    assert found == []
+    assert _named_outside_kappa_and_cli("KappaTable") == []
+
+
+def test_kappa_star_stays_out_of_the_other_modules():
+    # kappa_star is the O(m) running minimum; theorem25_bound reads kappa*
+    # off Thm 2.3's cascade cut in O(r).  Only kappa.py (the definition and
+    # the table's column), the CLI's kappa-star command and the exports
+    # name it, so the bound cannot slide back onto the O(m) route
+    assert _named_outside_kappa_and_cli("kappa_star") == []
