@@ -220,8 +220,10 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     upper middle level minus their shade, paired to A (the full half-size
     level) through the m complements.  Below the negativity threshold m = 0
     (case i): the two middle levels already do it, with no disjoint pair.
+    Even n runs from 4 to 22: the pair holds about C(n, n/2) + C(n, n/2+1)
+    masks, 1,352,078 at n = 22, so a larger n is refused up front.
     """
-    _check_int("construct_extremal", "n", n, 4, even=True)
+    _check_int("construct_extremal", "n", n, 4, 22, even=True)
     _check_int("construct_extremal", "k", k, 0, comb(n, n // 2))
     r = n // 2
     m = _least_minimizer(_cascade_terms(k, r))
@@ -233,12 +235,12 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
 
 
 def _antichain_steps(n: int):
-    """The DFS transitions shared by enumerate_antichains and the Sperner
-    count: (order, keep) with order the subsets of {1..n} in canonical
-    (size, squashed) order and keep[i] the bitset of the later positions j
-    whose subset does not contain order[i].  An antichain whose lowest
-    member is order[i] takes its other members from keep[i].  Not cached,
-    so a sweep that does not enumerate pays for its own table.
+    """The DFS transitions of _antichain_walk and the Sperner count:
+    (order, keep) with order the subsets of {1..n} in canonical (size,
+    squashed) order and keep[i] the bitset of the later positions j whose
+    subset does not contain order[i].  An antichain whose lowest member is
+    order[i] takes its other members from keep[i].  Not cached, so a sweep
+    that does not enumerate pays for its own table.
     """
     order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     keep = [sum(1 << j for j in range(i + 1, len(order)) if a & ~order[j])
@@ -251,25 +253,12 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     """Every antichain of subsets of {1..n}, each as a tuple of masks in
     canonical (size, squashed) order; includes the empty family and {∅}.
 
-    Subsets are visited level by level, by a DFS over the bitset of the
-    subsets still allowed: each branch takes the lowest allowed subset and
-    keeps only the later subsets incomparable to it (_antichain_steps).
-    The total count is checked against the known values (168 at n = 4,
-    7581 at n = 5).
+    Subsets are visited level by level, by _antichain_walk's DFS with no
+    size floor.  The total count is checked against the known values (168
+    at n = 4, 7581 at n = 5).
     """
     _check_int("enumerate_antichains", "n", n, 1, 5)
-    order, keep = _antichain_steps(n)
-    out: list[tuple[int, ...]] = []
-
-    def visit(prefix: tuple[int, ...], allowed: int) -> None:
-        out.append(prefix)
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            i = low.bit_length() - 1
-            visit(prefix + (order[i],), allowed & keep[i])
-
-    visit((), (1 << len(order)) - 1)
+    out = _antichain_walk(*_antichain_steps(n), None, 0)
     if len(out) != DEDEKIND_COUNTS[n]:
         raise RuntimeError(f"enumerated {len(out)} antichains at n={n}, "
                            f"expected {DEDEKIND_COUNTS[n]}")
@@ -277,7 +266,7 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _antichain_profiles(keep) -> dict[int, tuple[int, int]]:
-    """The memoized count over enumerate_antichains' DFS states: for every
+    """The memoized count over _antichain_walk's DFS states: for every
     bitset `allowed` the DFS reaches from the full one, (how many antichains
     have all their members in allowed, their largest size).
 
@@ -307,27 +296,35 @@ def _antichain_profiles(keep) -> dict[int, tuple[int, int]]:
     return memo
 
 
-def _antichains_of_size(order, keep, memo, size: int) -> list[tuple[int, ...]]:
-    """The antichains with `size` members, each a tuple of masks, in
-    enumerate_antichains' order.  The same DFS, pruned: it enters a state
-    only when the state's largest antichain (memo, _antichain_profiles) can
-    still fill the members missing.  Antichains inside a state are closed
-    under taking subfamilies, so every size up to that largest occurs."""
+def _antichain_walk(order, keep, memo, min_size: int) -> list[tuple[int, ...]]:
+    """The antichains with at least min_size members, each a tuple of masks
+    in canonical (size, squashed) order, listed in enumerate_antichains'
+    order.
+
+    A DFS over the bitset of the subsets still allowed: each branch takes
+    the lowest allowed subset and keeps only the later subsets incomparable
+    to it (_antichain_steps).  It enters a state only when the state's
+    largest antichain (memo, _antichain_profiles) can still fill the members
+    missing; antichains inside a state are closed under taking subfamilies,
+    so every size up to that largest occurs.  Once at most one member is
+    missing every child qualifies and memo is not read, so min_size <= 1
+    takes memo = None.
+    """
     out: list[tuple[int, ...]] = []
 
     def visit(prefix: tuple[int, ...], allowed: int, need: int) -> None:
-        if not need:
+        if need <= 0:
             out.append(prefix)
-            return
+        need -= 1  # the members each child state must still supply
         while allowed:
             low = allowed & -allowed
             allowed ^= low
             i = low.bit_length() - 1
             child = allowed & keep[i]
-            if memo[child][1] >= need - 1:
-                visit(prefix + (order[i],), child, need - 1)
+            if need <= 0 or memo[child][1] >= need:
+                visit(prefix + (order[i],), child, need)
 
-    visit((), (1 << len(order)) - 1, size)
+    visit((), (1 << len(order)) - 1, min_size)
     return out
 
 
@@ -543,8 +540,8 @@ def sperner_max_check(n: int = 4) -> VerificationReport:
     n = 4 by default).
 
     Counts instead of listing: _antichain_profiles gives the number of
-    antichains and their largest size from the DFS states alone, and a
-    pruned DFS lists only the families of that size.  checks_run is the
+    antichains and their largest size from the DFS states alone, and
+    _antichain_walk lists only the families of that size.  checks_run is the
     number of antichains, checked against Dedekind's M(n) (7,828,354 at
     n = 6).
     """
@@ -553,7 +550,7 @@ def sperner_max_check(n: int = 4) -> VerificationReport:
     order, keep = _antichain_steps(n)
     memo = _antichain_profiles(keep)
     count, best = memo[(1 << len(order)) - 1]
-    maximizers = set(_antichains_of_size(order, keep, memo, best))
+    maximizers = set(_antichain_walk(order, keep, memo, best))  # none larger
     want_best = comb(n, n // 2)
     expected = {tuple(level_masks(n, n // 2)), tuple(level_masks(n, (n + 1) // 2))}
     rep.checks_run = count

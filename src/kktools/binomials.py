@@ -72,7 +72,10 @@ def _cascade_terms(m: int, r: int) -> tuple[tuple[int, int], ...]:
     is below C(a_i + 1, i) - C(a_i, i) = C(a_i, i-1), which forces strict
     decrease.  So each a_i is found by bisection on [i-1, a_{i+1}), and the
     top one on a bracket found by doubling; the work is polynomial in
-    log m and r.
+    log m and r.  When m < 2**r the doubling is skipped: with b <= r the
+    bit length of m, C(r + b, r) >= 2**b > m, so r + b brackets a_r without
+    computing C(2r, r), which for a huge r and a tiny m is slow or
+    overflows.
     """
     terms = []
     rem = m
@@ -81,7 +84,7 @@ def _cascade_terms(m: int, r: int) -> tuple[tuple[int, int], ...]:
     while rem > 0:
         lo = i - 1
         if hi is None:
-            hi = i
+            hi = i if rem >> i else i + rem.bit_length()
             while math.comb(hi, i) <= rem:
                 lo, hi = hi, 2 * hi
         # invariant: C(lo, i) <= rem < C(hi, i)

@@ -679,8 +679,9 @@ def test_sperner_maximum():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_antichain_count_matches_the_enumeration(n):
-    # the memoized count and the pruned listing against the full listing:
-    # total, largest size, and the antichains of every size, in order
+    # the memoized count and the pruned walk against the full listing:
+    # total, largest size, and at every floor the antichains at least that
+    # large, in order, as well as those of exactly that size
     families = enumerate_antichains(n)
     order, keep = antichains._antichain_steps(n)
     memo = antichains._antichain_profiles(keep)
@@ -688,8 +689,28 @@ def test_antichain_count_matches_the_enumeration(n):
     assert count == len(families) == DEDEKIND[n]
     assert largest == max(map(len, families)) == binom(n, n // 2)
     for size in range(largest + 2):
-        assert antichains._antichains_of_size(order, keep, memo, size) == \
+        walked = antichains._antichain_walk(order, keep, memo, size)
+        assert walked == [f for f in families if len(f) >= size], size
+        assert [f for f in walked if len(f) == size] == \
             [f for f in families if len(f) == size], size
+    # below two missing members the walk never reads its memo
+    for size in (0, 1):
+        assert antichains._antichain_walk(order, keep, None, size) == \
+            [f for f in families if len(f) >= size]
+
+
+def test_antichain_walk_reaches_the_large_antichains_of_six():
+    # only the families of at least min_size members are listed
+    order, keep = antichains._antichain_steps(6)
+    memo = antichains._antichain_profiles(keep)
+    walk = lambda size: antichains._antichain_walk(order, keep, memo, size)
+    assert walk(21) == []
+    assert walk(20) == [tuple(level_masks(6, 3))]
+    for size, count in ((16, 6706), (15, 25944)):
+        walked = walk(size)
+        assert len(walked) == len(set(walked)) == count
+        assert min(map(len, walked)) == size
+        assert all(antichains._is_antichain_masks(f) for f in walked[::97])
 
 
 def test_sperner_check_counts_the_antichains_of_six():

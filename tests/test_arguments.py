@@ -233,6 +233,9 @@ VALUE_ERRORS = [
      "parse_subset: cannot parse subset text '{1,x}'"),
     ("parse_subset", {"text": "{1,2", "ground_n": 4},
      "parse_subset: unbalanced braces in subset text '{1,2'"),
+    # refused before any level is built
+    *(("construct_extremal", {"n": n, "k": 0},
+       f"construct_extremal: need even 4 <= n <= 22, got {n}") for n in (24, 26, 200)),
 ]
 
 

@@ -437,6 +437,12 @@ def test_sperner_names_itself_for_an_n_out_of_reach(capsys, n):
     assert err == f"error: sperner_max_check: need 1 <= n <= 6, got {n}\n"
 
 
+def test_extremal_names_itself_for_an_n_out_of_reach(capsys):
+    code, out, err = run_cli(capsys, "extremal", "--n", "200", "--k", "0")
+    assert code == 2 and out == ""
+    assert err == "error: construct_extremal: need even 4 <= n <= 22, got 200\n"
+
+
 def test_out_path_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_verify_dispatch", lambda which, params: ran.append(which))

@@ -16,6 +16,7 @@ from kktools import (
     cascade_rep,
     first_segment,
     format_subset,
+    kappa,
     kk_shadow_min,
     last_segment,
     level_masks,
@@ -192,7 +193,9 @@ def test_cascade_oracle_rejects_every_one_step_perturbation(m, r):
 
 @pytest.mark.parametrize("m, r", [
     (10**7, 1), (10**14, 2), (10**24, 3), (10**100, 12), (binom(200, 100) - 1, 100),
-    *((random.Random(r).randrange(binom(40, r) + 1), r) for r in range(1, 13))])
+    *((random.Random(r).randrange(binom(40, r) + 1), r) for r in range(1, 13)),
+    # either side of 2**r, where the top bracket stops being r + bit length
+    *((m, r) for r in (1, 2, 3, 8, 40, 129) for m in (2**r - 1, 2**r, 2**r + 1))])
 def test_cascade_rep_is_greedy_for_huge_m(m, r):
     # each a_i is the largest with C(a_i, i) <= the remainder left at level i
     rep = cascade_rep(m, r)
@@ -203,6 +206,15 @@ def test_cascade_rep_is_greedy_for_huge_m(m, r):
     assert rem == 0
     if r == 1:
         assert kk_shadow_min(m, 1) == 1
+
+
+@pytest.mark.parametrize("r", [10**5, 10**6, 2**70])
+def test_cascade_of_a_small_m_at_a_huge_level(r):
+    # m <= r takes C(r, r) + C(r-1, r-1) + ..., never C(2r, r)
+    for m in (0, 1, 2, 7, 64):
+        assert cascade_rep(m, r).terms == tuple((r - j, r - j) for j in range(m))
+        assert kk_shadow_min(m, r) == m * r - m * (m - 1) // 2
+    assert kappa(r, 1) == r - 1  # 999,999 at r = 10**6
 
 
 @pytest.mark.parametrize("m, r, terms, rule", [
