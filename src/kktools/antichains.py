@@ -479,9 +479,11 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     the running minimum of the cascade formula, a route independent of
     Thm 2.3.  A member x of A can be disjoint from a member y of B only
     when |x| <= n - |y|, and at equality x is y's complement: one set
-    lookup, with the smaller members of A still scanned.
+    lookup, with the smaller members of A still scanned.  Even n runs from
+    4 to 22, construct_extremal's range: past it a larger n is refused
+    before either middle level is built.
     """
-    _check_int("verify_extremal_constructions", "n", n, 4, even=True)
+    _check_int("verify_extremal_constructions", "n", n, 4, 22, even=True)
     rep = VerificationReport("thm25-extremal", {"n": n})
     r = n // 2
     half = comb(n, r)

@@ -12,11 +12,17 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from math import comb
-from operator import eq, ne, not_, or_
+from operator import eq, ne
 
 from .binomials import _cascade_terms, _check_int
 from .report import VerificationReport, timed
 from .shadows import _shadow_formula, kk_shadow_min
+
+# The largest upper_m a kappa table is built for: the default m_max of
+# verify_prop22 and verify_thm23 at r = 13, past C(26, 13), the level size
+# of the n = 26 sweeps.  A sweep or build past it is refused before anything
+# is allocated, instead of growing until the process is killed.
+_MAX_UPPER_M = comb(26, 13) + 26
 
 
 def kappa(r: int, m: int) -> int:
@@ -117,6 +123,40 @@ def _run_column(r: int, count: int) -> list[int]:
     return col
 
 
+def _kappa_column(r: int, upper_m: int) -> list[int]:
+    """kappa_r(0..upper_m): the running sum of _run_column, unchecked.  The
+    sweeps that read kappa alone (verify_prop22, verify_lemma38) take it
+    without a KappaTable and its kappa* column."""
+    return list(accumulate(_run_column(r, upper_m), initial=0))
+
+
+def _check_level(op: str, n: int, even: bool = False) -> tuple[int, int]:
+    """r = ceil(n/2) and M = C(n, r) for a sweep over level r of {1..n},
+    after refusing n < 2 and any n whose table on 0..M passes the row cap."""
+    _check_int(op, "n", n, 2, even=even)
+    r = (n + 1) // 2
+    # C(n, ceil(n/2)) >= 2**(n/2) for n >= 2, so a longer n passes the cap
+    # without computing the binomial
+    if n > 2 * _MAX_UPPER_M.bit_length() or comb(n, r) > _MAX_UPPER_M:
+        raise ValueError(f"{op}: need C(n, ceil(n/2)) <= {_MAX_UPPER_M}, "
+                         f"the kappa table row cap, got n = {n}")
+    return r, comb(n, r)
+
+
+def _check_m_max(op: str, r: int, m_max: int | None) -> int:
+    """m_max, C(2r, r) + 2r by default, after refusing a table on 0..m_max
+    past the row cap."""
+    if m_max is not None:
+        _check_int(op, "m_max", m_max, 0, _MAX_UPPER_M)
+        return m_max
+    # C(2r, r) >= 2**r, so a longer r passes the cap without computing it
+    if r > _MAX_UPPER_M.bit_length() or comb(2 * r, r) + 2 * r > _MAX_UPPER_M:
+        raise ValueError(f"{op}: the default m_max = C(2r, r) + 2r passes the "
+                         f"kappa table row cap {_MAX_UPPER_M} at r = {r}; "
+                         f"give m_max <= {_MAX_UPPER_M}")
+    return comb(2 * r, r) + 2 * r
+
+
 def _condition_column(r: int, count: int) -> list[bool]:
     """Thm 2.3's condition (every cascade coefficient a_i >= 2i - 1) for
     ranks 0..count-1 of level r.
@@ -183,8 +223,8 @@ class KappaTable:
     @classmethod
     def build(cls, r: int, upper_m: int) -> "KappaTable":
         _check_int("KappaTable", "r", r, 1)
-        _check_int("KappaTable", "upper_m", upper_m, 0)
-        return cls(r, upper_m, list(accumulate(_run_column(r, upper_m), initial=0)))
+        _check_int("KappaTable", "upper_m", upper_m, 0, _MAX_UPPER_M)
+        return cls(r, upper_m, _kappa_column(r, upper_m))
 
     def to_tsv(self) -> str:
         lines = ["m\tkappa\tkappa_star"]
@@ -198,34 +238,31 @@ def verify_prop22(r: int = 2, m_max: int | None = None) -> VerificationReport:
     """Sign pattern of kappa_r on 0..m_max (by default r = 2, m_max = C(2r, r) + 2r).
 
     kappa_r(m) is negative exactly from the negativity threshold on, and
-    zero exactly on {0} together with the suffix sums of C(2i-1, i).
+    zero exactly on {0} together with the suffix sums of C(2i-1, i).  The
+    whole column is decided first, by its minimum before the threshold, its
+    maximum from it on and its count of zeros; only a column that fails is
+    walked m by m for its violations.
     """
     _check_int("verify_prop22", "r", r, 1)
-    m_max = comb(2 * r, r) + 2 * r if m_max is None else m_max
-    _check_int("verify_prop22", "m_max", m_max, 0)
+    m_max = _check_m_max("verify_prop22", r, m_max)
     rep = VerificationReport("prop22", {"r": r, "m_max": m_max})
+    rep.checks_run = 2 * (m_max + 1)
     p = negativity_threshold(r)
-    zeros = {0}
-    for t in range(1, r + 1):
-        zeros.add(sum(comb(2 * i - 1, i) for i in range(t, r + 1)))
-    col = KappaTable.build(r, m_max).kappa
-    # wrong sign: negative before the threshold, nonnegative from it on
+    # the suffix sums of C(2i-1, i), summed from i = r down
+    zeros = {0, *accumulate(comb(2 * i - 1, i) for i in range(r, 0, -1))}
+    col = _kappa_column(r, m_max)
     cut = min(p, m_max + 1)
-    bad_sign = list(map((0).__gt__, col[:cut])) + list(map((0).__le__, col[cut:]))
-    # zero flags, flipped at the expected zeros: True where they disagree
-    bad_zero = list(map(not_, col))
-    for z in zeros:
-        if z <= m_max:
-            bad_zero[z] = not bad_zero[z]
-    for m in compress(range(m_max + 1), map(or_, bad_sign, bad_zero)):
-        v = col[m]
-        if bad_sign[m]:
+    seen = [z for z in zeros if z <= m_max]
+    if min(col[:cut]) >= 0 and max(col[cut:], default=-1) < 0 \
+            and col.count(0) == len(seen) and not any(col[z] for z in seen):
+        return rep
+    for m, v in enumerate(col):
+        if (v < 0) != (m >= p):
             rep.violations.append({"part": "negativity", "r": r, "m": m,
                                    "kappa": v, "threshold": p})
-        if bad_zero[m]:
+        if (v == 0) != (m in zeros):
             rep.violations.append({"part": "zero-set", "r": r, "m": m,
                                    "kappa": v})
-    rep.checks_run = 2 * (m_max + 1)
     return rep
 
 
@@ -234,8 +271,7 @@ def verify_thm23(r: int = 2, m_max: int | None = None) -> VerificationReport:
     """kappa_r(m) = kappa*_r(m) exactly when every cascade coefficient
     satisfies a_i >= 2i - 1; by default r = 2 and m_max = C(2r, r) + 2r."""
     _check_int("verify_thm23", "r", r, 1)
-    m_max = comb(2 * r, r) + 2 * r if m_max is None else m_max
-    _check_int("verify_thm23", "m_max", m_max, 0)
+    m_max = _check_m_max("verify_thm23", r, m_max)
     rep = VerificationReport("thm23", {"r": r, "m_max": m_max})
     table = KappaTable.build(r, m_max)
     cond = _condition_column(r, m_max + 1)
@@ -329,9 +365,7 @@ def verify_prop24(n: int = 6, a_only: int | None = None,
     largest segment the level admits.  Optional a_only/k_only restrict the
     grid to one row, column, or cell.
     """
-    _check_int("verify_prop24", "n", n, 2)
-    r = (n + 1) // 2
-    big_m = comb(n, r)
+    r, big_m = _check_level("verify_prop24", n)
     for name, value in (("a", a_only), ("k", k_only)):
         if value is not None:
             _check_int("verify_prop24", name, value, 0, big_m)
@@ -355,11 +389,9 @@ def verify_lemma38(n: int = 8) -> VerificationReport:
     """kappa_r(m) >= kappa_r(C(n, r)) for all 0 <= m <= C(n, r), r = ceil(n/2);
     for even n equality holds only at m = C(n, n/2) itself (and m = 0 gives
     kappa = 0 > the minimum).  n = 8 by default."""
-    _check_int("verify_lemma38", "n", n, 2)
-    r = (n + 1) // 2
-    big_m = comb(n, r)
+    r, big_m = _check_level("verify_lemma38", n)
     rep = VerificationReport("lemma38", {"n": n, "r": r, "M": big_m})
-    col = KappaTable.build(r, big_m).kappa
+    col = _kappa_column(r, big_m)
     target = col[big_m]
     # below the minimum, or (even n) on it before m = M; m = M never fails
     fails = target.__ge__ if n % 2 == 0 else target.__gt__
@@ -389,9 +421,7 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
     steps of kappa* are certified from its step list (_violating_steps),
     and the rows it cannot certify are scanned cell by cell.
     """
-    _check_int("check_conjecture51", "n", n, 2, even=True)
-    r = n // 2
-    big_m = comb(n, r)
+    r, big_m = _check_level("check_conjecture51", n, even=True)
     table = KappaTable.build(r, big_m)
     return [(a, k) for a, k, _, _ in _full_grid_violations(table)]
 
@@ -399,9 +429,7 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
 @timed
 def verify_conjecture51(n: int = 8) -> VerificationReport:
     """Report wrapper around check_conjecture51 over the full grid; n = 8 by default."""
-    _check_int("verify_conjecture51", "n", n, 2, even=True)
-    r = n // 2
-    big_m = comb(n, r)
+    r, big_m = _check_level("verify_conjecture51", n, even=True)
     rep = VerificationReport("conjecture51", {"n": n, "r": r, "M": big_m})
     rep.violations = [{"a": a, "k": k} for a, k in check_conjecture51(n)]
     rep.checks_run = (big_m + 1) ** 2

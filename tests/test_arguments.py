@@ -236,6 +236,9 @@ VALUE_ERRORS = [
     # refused before any level is built
     *(("construct_extremal", {"n": n, "k": 0},
        f"construct_extremal: need even 4 <= n <= 22, got {n}") for n in (24, 26, 200)),
+    *(("verify_extremal_constructions", {"n": n},
+       f"verify_extremal_constructions: need even 4 <= n <= 22, got {n}")
+      for n in (24, 200)),
 ]
 
 

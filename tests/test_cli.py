@@ -443,6 +443,28 @@ def test_extremal_names_itself_for_an_n_out_of_reach(capsys):
     assert err == "error: construct_extremal: need even 4 <= n <= 22, got 200\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "prop24", "--n", "27"),
+     "verify_prop24: need C(n, ceil(n/2)) <= 10400626, the kappa table row cap, "
+     "got n = 27"),
+    (("verify", "prop22", "--r", "2", "--m", "10400627"),
+     "verify_prop22: need 0 <= m_max <= 10400626, got 10400627"),
+    (("verify", "thm23", "--r", "14"),
+     "verify_thm23: the default m_max = C(2r, r) + 2r passes the kappa table "
+     "row cap 10400626 at r = 14; give m_max <= 10400626"),
+    (("kappa-table", "--r", "2", "--m", "10400627"),
+     "KappaTable: need 0 <= upper_m <= 10400626, got 10400627"),
+    (("verify", "extremal", "--n", "24"),
+     "verify_extremal_constructions: need even 4 <= n <= 22, got 24"),
+    (("verify", "extremal", "--n", "200"),
+     "verify_extremal_constructions: need even 4 <= n <= 22, got 200"),
+])
+def test_a_sweep_out_of_reach_exits_two_naming_itself(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_out_path_is_checked_before_the_sweep_runs(tmp_path, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_verify_dispatch", lambda which, params: ran.append(which))

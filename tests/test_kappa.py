@@ -259,11 +259,17 @@ def test_thm23_sweep_and_cascade_oracle_agree_on_a_faulty_table(
     assert rep.checks_run == m_max + 1
 
 
+def prop22_zeros(r):
+    """Prop 2.2's zero set: 0 and each suffix sum of C(2i-1, i), summed
+    one by one."""
+    return {0} | {sum(binom(2 * i - 1, i) for i in range(t, r + 1))
+                  for t in range(1, r + 1)}
+
+
 def oracle_prop22(table, r, m_max):
     """verify_prop22's violations by the per-m loop."""
     p = negativity_threshold(r)
-    zeros = {0} | {sum(binom(2 * i - 1, i) for i in range(t, r + 1))
-                   for t in range(1, r + 1)}
+    zeros = prop22_zeros(r)
     violations = []
     for m in range(m_max + 1):
         v = table.kappa[m]
@@ -290,30 +296,43 @@ def oracle_lemma38(table, n):
     return violations
 
 
+def faulty_columns(monkeypatch, fault):
+    """Route every kappa column, the tables' too, through fault(level,
+    upper, col), which edits the column in place."""
+    kappa_module = importlib.import_module("kktools.kappa")
+    column = kappa_module._kappa_column
+
+    def faulty(level, upper):
+        col = column(level, upper)
+        fault(level, upper, col)
+        return col
+
+    monkeypatch.setattr(kappa_module, "_kappa_column", faulty)
+
+
 def test_sign_and_minimum_sweeps_match_per_m_oracles_on_faulty_tables(
         monkeypatch):
     # an earlier entry set to the last one (Lemma 3.8's target), then a few
     # entries moved by up to 3, the last one too at odd seeds; every part of
-    # both sweeps must fire
-    build = KappaTable.build.__func__
+    # both sweeps must fire.  The faults go into the kappa column the two
+    # sweeps read, which KappaTable.build reads too, so the oracles see them
     seed = 0
 
-    def faulty(cls, level, upper):
-        table = build(cls, level, upper)
-        rng = random.Random(f"{seed} {level} {upper}")  # same faults per table
+    def fault(level, upper, col):
+        rng = random.Random(f"{seed} {level} {upper}")  # same faults per column
         if upper:
-            table.kappa[rng.randrange(upper)] = table.kappa[upper]
+            col[rng.randrange(upper)] = col[upper]
         picks = rng.sample(range(upper + 1), min(upper + 1, 6))
         if seed % 2:
             picks.append(upper)
         for m in picks:
-            table.kappa[m] += rng.choice([-3, -2, -1, 1, 2, 3])
-        return table
+            col[m] += rng.choice([-3, -2, -1, 1, 2, 3])
 
-    monkeypatch.setattr(KappaTable, "build", classmethod(faulty))
+    faulty_columns(monkeypatch, fault)
     parts = set()
     for seed in range(12):
-        for r, m_max in ((1, 5), (2, 12), (3, 30), (4, 80)):
+        # (6, 924) is the deficit-sweeps benchmark's own size
+        for r, m_max in ((1, 5), (2, 12), (3, 30), (4, 80), (6, 924)):
             rep = verify_prop22(r, m_max)
             want = oracle_prop22(KappaTable.build(r, m_max), r, m_max)
             assert rep.violations == want, (seed, r)
@@ -327,6 +346,157 @@ def test_sign_and_minimum_sweeps_match_per_m_oracles_on_faulty_tables(
             assert rep.checks_run == binom(n, r) + 1
             parts |= {v["part"] for v in want}
     assert parts == {"negativity", "zero-set", "minimum", "uniqueness"}
+
+
+def flip_sign(v):
+    # a zero goes negative; 0 is its own negation
+    return -v if v else -1
+
+
+# Where a fault sits in the column of level r: p is the negativity
+# threshold, m_max the column's last index
+EDGE_FAULTS = {
+    "zero just below the threshold": lambda r, p, m_max: [
+        (max(m for m in range(p) if m not in prop22_zeros(r)), lambda v: 0)],
+    "expected zero raised": lambda r, p, m_max: [(p - 1, lambda v: v + 1)],
+    "expected zero lowered": lambda r, p, m_max: [(p - 1, lambda v: v - 1)],
+    "first zero raised": lambda r, p, m_max: [(min(prop22_zeros(r) - {0}),
+                                               lambda v: v + 2)],
+    "sign flip at threshold - 1": lambda r, p, m_max: [(p - 1, flip_sign)],
+    "sign flip at threshold": lambda r, p, m_max: [(p, flip_sign)],
+    "sign flip at m_max": lambda r, p, m_max: [(m_max, flip_sign)],
+    "zero at m_max": lambda r, p, m_max: [(m_max, lambda v: 0)],
+    # the count of zeros stays right, only their places change
+    "zero moved below the threshold": lambda r, p, m_max: [
+        (p - 1, lambda v: v + 1),
+        (max(m for m in range(p) if m not in prop22_zeros(r)), lambda v: 0)],
+    "zero moved past the threshold": lambda r, p, m_max: [
+        (min(prop22_zeros(r) - {0}), lambda v: v + 2), (p, lambda v: 0)],
+    "flips at all three": lambda r, p, m_max: [
+        (m, flip_sign) for m in sorted({p - 1, p, m_max})],
+}
+
+
+@pytest.mark.parametrize("r, m_max", [(2, 12), (3, 40), (6, 924)])
+@pytest.mark.parametrize("name", EDGE_FAULTS)
+def test_prop22_reports_faults_at_the_edges_as_the_per_m_oracle(
+        monkeypatch, name, r, m_max):
+    p = negativity_threshold(r)
+    edits = EDGE_FAULTS[name](r, p, m_max)
+
+    def fault(level, upper, col):
+        for m, edit in edits:
+            col[m] = edit(col[m])
+
+    faulty_columns(monkeypatch, fault)
+    rep = verify_prop22(r, m_max)
+    want = oracle_prop22(KappaTable.build(r, m_max), r, m_max)
+    assert want
+    assert rep.violations == want
+    assert rep.checks_run == 2 * (m_max + 1)
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_prop22_sees_the_zero_at_m_max_raised_or_moved(monkeypatch, r, moved):
+    # m_max = threshold - 1 is the last expected zero; it is raised, and
+    # then maybe planted below
+    m_max = negativity_threshold(r) - 1
+    below = max(m for m in range(m_max) if m not in prop22_zeros(r))
+
+    def fault(level, upper, col):
+        col[upper] += 1
+        if moved:
+            col[below] = 0
+
+    faulty_columns(monkeypatch, fault)
+    rep = verify_prop22(r, m_max)
+    want = oracle_prop22(KappaTable.build(r, m_max), r, m_max)
+    assert [v["m"] for v in want] == ([below, m_max] if moved else [m_max])
+    assert rep.violations == want
+
+
+def test_prop22_takes_its_zero_set_in_one_pass(monkeypatch):
+    # the suffix sums of C(2i-1, i) as one running sum, r binomials, and r
+    # more for the threshold, where summing each suffix anew took r^2 / 2
+    kappa_module = importlib.import_module("kktools.kappa")
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return binom(n, k)
+
+    monkeypatch.setattr(kappa_module, "comb", counting)
+    r = 50
+    assert verify_prop22(r, 5).passed
+    assert len(calls) == 2 * r
+
+
+def test_kappa_only_sweeps_build_no_table(monkeypatch):
+    # verify_prop22 and verify_lemma38 read the kappa column alone
+    def no_table(cls, r, upper_m):
+        raise AssertionError("KappaTable.build called")
+
+    monkeypatch.setattr(KappaTable, "build", classmethod(no_table))
+    for r, m_max in ((1, 5), (4, 80), (6, 924)):
+        assert verify_prop22(r, m_max).passed
+    assert verify_prop22().passed
+    for n in range(2, 13):
+        assert verify_lemma38(n).passed
+
+
+CAP = 10_400_626  # kappa._MAX_UPPER_M: C(26, 13) + 26
+LEVEL_CAP = ("need C(n, ceil(n/2)) <= 10400626, the kappa table row cap, "
+             "got n = {}")
+DEFAULT_CAP = ("the default m_max = C(2r, r) + 2r passes the kappa table row "
+               "cap 10400626 at r = {}; give m_max <= 10400626")
+
+# Every table entry point past the row cap, and its full message
+PAST_THE_CAP = [
+    (KappaTable.build, (2, CAP + 1), "KappaTable: need 0 <= upper_m <= 10400626, "
+                                     "got 10400627"),
+    (verify_prop22, (2, CAP + 1), "verify_prop22: need 0 <= m_max <= 10400626, "
+                                  "got 10400627"),
+    (verify_thm23, (2, CAP + 1), "verify_thm23: need 0 <= m_max <= 10400626, "
+                                 "got 10400627"),
+    *((sweep, (r,), f"{sweep.__name__}: {DEFAULT_CAP.format(r)}")
+      for sweep in (verify_prop22, verify_thm23) for r in (14, 10**9)),
+    *((sweep, (n,), f"{sweep.__name__}: {LEVEL_CAP.format(n)}")
+      for sweep in (verify_prop24, verify_lemma38) for n in (27, 10**9)),
+    *((sweep, (n,), f"{sweep.__name__}: {LEVEL_CAP.format(n)}")
+      for sweep in (check_conjecture51, verify_conjecture51) for n in (28, 10**9)),
+]
+
+
+@pytest.mark.parametrize("call, args, message", PAST_THE_CAP,
+                         ids=[f"{c.__name__}-{a}" for c, a, _ in PAST_THE_CAP])
+def test_a_table_past_the_row_cap_is_refused_before_it_is_built(
+        monkeypatch, call, args, message):
+    kappa_module = importlib.import_module("kktools.kappa")
+
+    def no_build(*_):
+        raise AssertionError("a column was built")
+
+    for name in ("_run_column", "_condition_column"):
+        monkeypatch.setattr(kappa_module, name, no_build)
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, args", [
+    (verify_prop24, (26, 0, 0)), (verify_prop22, (13,)), (verify_thm23, (13,)),
+    (KappaTable.build, (2, 0)), (verify_prop22, (3, CAP)), (verify_thm23, (3, CAP))])
+def test_the_row_cap_admits_n_26_and_m_max_at_the_cap(monkeypatch, call, args):
+    # the checks pass; the (stubbed) build is the next step
+    kappa_module = importlib.import_module("kktools.kappa")
+
+    def stub(*_):
+        raise LookupError("built")
+
+    monkeypatch.setattr(kappa_module, "_kappa_column", stub)
+    with pytest.raises(LookupError):
+        call(*args)
 
 
 def test_large_coefficients_give_monotone_suffix():
