@@ -127,15 +127,6 @@ class DisjointPairReport:
         }
 
 
-def _disjoint_masks(masks_a, masks_b):
-    """The pairs (x, y) with x in masks_a, y in masks_b and x & y = 0, in
-    order, and whether no mask occurs in two of them (the masks of each side
-    being distinct)."""
-    hits = [(x, y) for x in masks_a for y in masks_b if not x & y]
-    matching = len({x for x, _ in hits}) == len(hits) == len({y for _, y in hits})
-    return hits, matching
-
-
 def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     """All (x, y) with x in a, y in b and x ∩ y = ∅, in canonical order;
     is_matching records whether no set occurs in two pairs.  A Subset is
@@ -145,12 +136,12 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
     if a.ground_n != b.ground_n:
         raise ValueError(f"disjoint_pairs: families must share a ground set, "
                          f"got {a.ground_n} and {b.ground_n}")
-    hits, matching = _disjoint_masks(a.masks(), b.masks())
-    n = a.ground_n
+    n, masks_b = a.ground_n, b.masks()
+    hits = [(x, y) for x in a.masks() for y in masks_b if not x & y]
     xs = {x: Subset.from_mask(x, n) for x in {x for x, _ in hits}}
     ys = {y: Subset.from_mask(y, n) for y in {y for _, y in hits}}
     return DisjointPairReport(tuple((xs[x], ys[y]) for x, y in hits), len(hits),
-                              matching)
+                              len(xs) == len(hits) == len(ys))
 
 
 def theorem25_bound(n: int, k: int) -> int:
@@ -187,7 +178,7 @@ class ExtremalConstruction:
 
     def to_json(self) -> dict:
         masks_a, masks_b = self.family_a.masks(), self.family_b.masks()
-        hits, matching = _disjoint_masks(masks_a, masks_b)
+        pair_count, matching = _count_disjoint(_size_index(masks_a), masks_b, self.n)
         return {
             "n": self.n,
             "k": self.k,
@@ -197,9 +188,32 @@ class ExtremalConstruction:
             "bound": theorem25_bound(self.n, self.k),
             "family_a": _masks_text(masks_a, self.n),
             "family_b": _masks_text(masks_b, self.n),
-            "pair_count": len(hits),
+            "pair_count": pair_count,
             "is_matching": matching,
         }
+
+
+def _size_index(masks) -> dict[int, set[int]]:
+    """The masks by size, as sets: the index _count_disjoint reads."""
+    by_size = groupby(sorted(masks, key=int.bit_count), int.bit_count)
+    return {size: set(run) for size, run in by_size}
+
+
+def _count_disjoint(index, b_masks, n: int) -> tuple[int, bool]:
+    """(pair count, is_matching) between A, by its _size_index, and B's
+    distinct masks on {1..n}.  A member x of A misses a member y of B only
+    when |x| <= n - |y|, and at equality x is y's complement: one set
+    lookup, with the smaller members of A still scanned."""
+    full = (1 << n) - 1
+    pairs = []  # (x, y): x in A disjoint from y in B
+    for size, run in groupby(b_masks, int.bit_count):
+        run = list(run)
+        smaller = [x for s, xs in index.items() if s < n - size for x in xs]
+        pairs += [(x, y) for y in run for x in smaller if not x & y]
+        same = index.get(n - size, ())
+        pairs += [(full ^ y, y) for y in run if full ^ y in same]
+    return len(pairs), \
+        len({x for x, _ in pairs}) == len(pairs) == len({y for _, y in pairs})
 
 
 def _extremal_masks(n: int, m: int, levels: tuple[list[int], list[int]]):
@@ -364,6 +378,7 @@ def _witness_json(masks_a, masks_b, text: dict[int, str]) -> dict:
         "family_a": [text[m] for m in masks_a],
         "family_b": [text[m] for m in masks_b],
         "total": len(masks_a) + len(masks_b),
+        # all pairs: at n = 4 the size rule's index costs more than it saves
         "pair_count": sum(not x & y for x in masks_a for y in masks_b),
     }
 
@@ -477,11 +492,8 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     each distinct family is checked once; the pair count against k and the
     total against the bound are checked for every k, with kappa* taken as
     the running minimum of the cascade formula, a route independent of
-    Thm 2.3.  A member x of A can be disjoint from a member y of B only
-    when |x| <= n - |y|, and at equality x is y's complement: one set
-    lookup, with the smaller members of A still scanned.  Even n runs from
-    4 to 22, construct_extremal's range: past it a larger n is refused
-    before either middle level is built.
+    Thm 2.3.  Even n runs from 4 to 22, construct_extremal's range: past it
+    a larger n is refused before either middle level is built.
     """
     _check_int("verify_extremal_constructions", "n", n, 4, 22, even=True)
     rep = VerificationReport("thm25-extremal", {"n": n})
@@ -489,7 +501,6 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     half = comb(n, r)
     middle = half + comb(n, r + 1)
     levels = level_masks(n, r), level_masks(n, r + 1)
-    full = (1 << n) - 1
     star = 0
     seen_a = None
     checked = {}  # m -> (problems of the pair, pair count, total)
@@ -499,27 +510,16 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
         m = _least_minimizer(terms)
         if m not in checked:
             a_masks, b_masks = _extremal_masks(n, m, levels)
-            if a_masks != seen_a:
-                seen_a, a_set = a_masks, set(a_masks)
+            if a_masks != seen_a:  # _count_disjoint's index of A
+                seen_a, index = a_masks, _size_index(a_masks)
                 a_is_antichain = _is_antichain_masks(a_masks)
-                by_size = {}
-                for x in a_masks:
-                    by_size.setdefault(x.bit_count(), []).append(x)
-            pairs = []  # (x, y): x in A disjoint from y in B
-            for size, run in groupby(b_masks, int.bit_count):
-                run = list(run)
-                smaller = [x for s, xs in by_size.items() if s < n - size
-                           for x in xs]
-                pairs += [(x, y) for y in run for x in smaller if not x & y]
-                pairs += [(full ^ y, y) for y in run if full ^ y in a_set]
-            pair_count = len(pairs)
-            paired_a, paired_b = {x for x, _ in pairs}, {y for _, y in pairs}
+            pair_count, matching = _count_disjoint(index, b_masks, n)
             problems = []
             if not a_is_antichain:
                 problems.append("family_a not an antichain")
             if not _is_antichain_masks(b_masks):
                 problems.append("family_b not an antichain")
-            if not len(paired_a) == pair_count == len(paired_b):
+            if not matching:
                 problems.append("disjoint pairs not a matching")
             checked[m] = problems, pair_count, len(a_masks) + len(b_masks)
         problems, pair_count, total = checked[m]

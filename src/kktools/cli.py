@@ -167,15 +167,15 @@ def _cmd_unrank(ns: argparse.Namespace) -> int:
 
 
 def _cmd_extremal(ns: argparse.Namespace) -> int:
-    built = antichains.construct_extremal(ns.n, ns.k)
-    info = built.to_json()
+    info = antichains.construct_extremal(ns.n, ns.k).to_json()
     if ns.format == "json":
         _emit_json(info, ns)
     else:
+        a, b = info["family_a"], info["family_b"]  # str(SetFamily)'s text
         _emit("\n".join([
             f"case {info['case']}" + ("" if info["m"] is None else f", m = {info['m']}"),
-            f"A ({len(built.family_a)} sets): {built.family_a}",
-            f"B ({len(built.family_b)} sets): {built.family_b}",
+            f"A ({len(a)} sets): {{{', '.join(a)}}}",
+            f"B ({len(b)} sets): {{{', '.join(b)}}}",
             f"total {info['total']} = bound {info['bound']}, "
             f"{info['pair_count']} disjoint pairs (matching: {info['is_matching']})",
         ]), ns)

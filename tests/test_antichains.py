@@ -1,6 +1,7 @@
 """Antichain operations, pair matching, extremal constructions, brute force."""
 
 import random
+import timeit
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1085,7 +1086,7 @@ def test_thm25_sweep_names_itself_for_a_bad_k():
 
 
 def test_extremal_report_builds_no_subset(monkeypatch):
-    for n, k in ((4, 0), (4, 6), (6, 20), (8, 60)):
+    for n, k in [(n, k) for n in (4, 6, 8) for k in range(binom(n, n // 2) + 1)]:
         built_pair = construct_extremal(n, k)
         built = count_subset_builds(monkeypatch)
         report = built_pair.to_json()
@@ -1096,3 +1097,35 @@ def test_extremal_report_builds_no_subset(monkeypatch):
             (pairs.pair_count, pairs.is_matching)
         assert report["family_a"] == [format_subset(s) for s in built_pair.family_a]
         assert report["family_b"] == [format_subset(s) for s in built_pair.family_b]
+
+
+@st.composite
+def size_rule_pairs(draw):
+    """(n, masks_a, masks_b): two canonical mask families on {1..n}, n <= 12,
+    of mixed sizes, with the empty set, the full set and complements of
+    members of A drawn often, so that both the scan of A's smaller members
+    and the complement lookup find pairs.  Either family may be empty."""
+    n = draw(st.integers(1, 12))
+    full = (1 << n) - 1
+    member = st.one_of(st.integers(0, full), st.sampled_from([0, full]))
+    masks_a = canonical_masks(draw(st.lists(member, max_size=10)))
+    if masks_a:
+        member = st.one_of(member, st.sampled_from(masks_a).map(full.__xor__))
+    return n, masks_a, canonical_masks(draw(st.lists(member, max_size=10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(size_rule_pairs())
+def test_the_size_rule_counts_the_pairs_of_the_all_pairs_definition(drawn):
+    n, masks_a, masks_b = drawn
+    pairs, matching = pairwise_disjoint_pairs(masks_a, masks_b)
+    got = antichains._count_disjoint(antichains._size_index(masks_a), masks_b, n)
+    assert got == (len(pairs), matching)
+
+
+def test_the_extremal_report_at_n_16_stays_within_its_budget():
+    # the size rule looks up one complement per half-size member of B; the
+    # all-pairs count took 6-8 s at this size on a shared 2-core VM
+    built = construct_extremal(16, 12870)
+    fastest = min(timeit.repeat(built.to_json, number=1, repeat=3))
+    assert fastest <= 2.0, f"to_json at n = 16 took {fastest:.2f} s"

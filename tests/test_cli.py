@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kktools import cli
+from kktools import antichains, cli, squashed
 from kktools.report import VerificationReport
 
 
@@ -223,6 +223,23 @@ def test_extremal_output_matches_golden_files(capsys, argv, golden):
     code, out, _ = run_cli(capsys, "extremal", *argv)
     assert code == 0
     assert out == (Path(__file__).parent / "data" / golden).read_text()
+
+
+def test_extremal_pretty_renders_each_family_once(capsys, monkeypatch):
+    calls = []
+    real = squashed._masks_text
+
+    def counting(masks, ground_n):
+        calls.append(ground_n)
+        return real(masks, ground_n)
+
+    # SetFamily.__str__ reads squashed's name, the report antichains'
+    monkeypatch.setattr(squashed, "_masks_text", counting)
+    monkeypatch.setattr(antichains, "_masks_text", counting)
+    code, out, _ = run_cli(capsys, "extremal", "--n", "10", "--k", "200")
+    assert code == 0
+    assert out == (Path(__file__).parent / "data" / "extremal_n10_k200.txt").read_text()
+    assert calls == [10, 10]
 
 
 def test_structure_sweep_rejects_k_past_the_half_level(capsys):
