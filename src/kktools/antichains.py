@@ -18,7 +18,7 @@ from math import comb
 
 from . import _pure
 from .binomials import binom, _cascade_terms, _check_int, _check_type
-from .kappa import _least_minimizer, kappa
+from .kappa import _star_cut
 from .report import VerificationReport, timed
 from .shadows import _shadow_formula
 from .squashed import SetFamily, Subset, _masks_text, format_subset, level_masks
@@ -149,16 +149,16 @@ def theorem25_bound(n: int, k: int) -> int:
     0 <= k <= C(n, n/2).
 
     kappa* is read off Thm 2.3, not taken as a running minimum: with r = n/2,
-    kappa*_r(k) = kappa_r(m) for m the least minimizer, the cascade of k cut
-    before its first a_i < 2i - 1 (kappa._least_minimizer).  So the cost is
-    O(r): two cascades of at most r terms each, one of k and one of m, where
-    kappa_star's running minimum computes k + 1 cascades.
+    kappa*_r(k) is kappa of the cascade of k cut before its first
+    a_i < 2i - 1, summed in the same pass (kappa._star_cut).  So the cost is
+    O(r): one cascade of at most r terms, where kappa_star's running minimum
+    computes k + 1 cascades.
     """
     _check_int("theorem25_bound", "n", n, 4, even=True)
     half = binom(n, n // 2)
     _check_int("theorem25_bound", "k", k, 0, half)
     r = n // 2
-    return half + binom(n, r + 1) - kappa(r, _least_minimizer(_cascade_terms(k, r)))
+    return half + binom(n, r + 1) - _star_cut(_cascade_terms(k, r))[1]
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     _check_int("construct_extremal", "n", n, 4, 22, even=True)
     _check_int("construct_extremal", "k", k, 0, comb(n, n // 2))
     r = n // 2
-    m = _least_minimizer(_cascade_terms(k, r))
+    m = _star_cut(_cascade_terms(k, r))[0]
     a_masks, b_masks = _extremal_masks(n, m, (level_masks(n, r),
                                               level_masks(n, r + 1)))
     return ExtremalConstruction(n, k, SetFamily.from_masks(a_masks, n),
@@ -507,7 +507,7 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     for k in range(half + 1):
         terms = _cascade_terms(k, r)
         star = min(star, _shadow_formula(terms) - k)  # kappa(r, k)
-        m = _least_minimizer(terms)
+        m = _star_cut(terms)[0]
         if m not in checked:
             a_masks, b_masks = _extremal_masks(n, m, levels)
             if a_masks != seen_a:  # _count_disjoint's index of A

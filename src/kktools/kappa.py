@@ -14,7 +14,7 @@ from itertools import accumulate, compress
 from math import comb
 from operator import eq, ne
 
-from .binomials import _cascade_terms, _check_int
+from .binomials import _cascade_terms, _check_int, _d
 from .report import VerificationReport, timed
 from .shadows import _shadow_formula, kk_shadow_min
 
@@ -37,10 +37,10 @@ def kappa_star(r: int, m: int) -> int:
 
     This is the definition, computed as written: a running minimum over
     m + 1 cascades, O(m).  Thm 2.3 gives the same value in O(r) as
-    kappa(r, _least_minimizer(_cascade_terms(m, r))), the route
-    theorem25_bound takes.  kappa_star keeps the definition until the
-    benchmark's peak-memory meter reads each run's own process; until then
-    it is the oracle the cascade route is tested against.
+    _star_cut(_cascade_terms(m, r))[1], which theorem25_bound reads; that
+    becomes the body here once the benchmark's peak-memory meter reads each
+    run's own process.  Until then this is the oracle the cut is tested
+    against.
     """
     _check_int("kappa_star", "r", r, 1)
     _check_int("kappa_star", "m", m, 0)
@@ -53,20 +53,20 @@ def negativity_threshold(r: int) -> int:
     return 1 + sum(comb(2 * i - 1, i) for i in range(1, r + 1))
 
 
-def _least_minimizer(terms) -> int:
-    """The least m <= k with kappa_r(m) = kappa*_r(k), from the cascade terms
-    (a_i, i) of k (binomials._cascade_terms).  By Thm 2.3 the cascade cut
-    before its first a_i < 2i - 1 is a minimizer; each trailing a_i = 2i - 1
-    adds C(2i-1, i-1) - C(2i-1, i) = 0 to kappa, and dropping it gives the
-    least one.  So m = 0 exactly below the negativity threshold."""
-    m = least = 0
+def _star_cut(terms) -> tuple[int, int]:
+    """(m, kappa*_r(k)) in one pass over the cascade terms (a_i, i) of k: m is
+    the least m <= k with kappa_r(m) = kappa*_r(k), kappa being the sum of
+    D(a_i, i) over a cascade.  By Thm 2.3 and D's sign trichotomy the cut
+    before the first D > 0 (a_i < 2i - 1) is a minimizer; dropping its
+    trailing D = 0 terms gives the least m (0 below negativity_threshold)."""
+    m = least = star = 0
     for a, i in terms:
-        if a < 2 * i - 1:
+        if (d := _d(a, i)) > 0:
             break
         m += comb(a, i)
-        if a > 2 * i - 1:
-            least = m
-    return least
+        if d:
+            least, star = m, star + d
+    return least, star
 
 
 def _level_blocks(j: int, count: int) -> list[tuple[int, int]]:
@@ -130,7 +130,7 @@ def _kappa_column(r: int, upper_m: int) -> list[int]:
     return list(accumulate(_run_column(r, upper_m), initial=0))
 
 
-def _check_level(op: str, n: int, even: bool = False) -> tuple[int, int]:
+def _half_level(op: str, n: int, even: bool = False) -> tuple[int, int]:
     """r = ceil(n/2) and M = C(n, r) for a sweep over level r of {1..n},
     after refusing n < 2 and any n whose table on 0..M passes the row cap."""
     _check_int(op, "n", n, 2, even=even)
@@ -365,7 +365,7 @@ def verify_prop24(n: int = 6, a_only: int | None = None,
     largest segment the level admits.  Optional a_only/k_only restrict the
     grid to one row, column, or cell.
     """
-    r, big_m = _check_level("verify_prop24", n)
+    r, big_m = _half_level("verify_prop24", n)
     for name, value in (("a", a_only), ("k", k_only)):
         if value is not None:
             _check_int("verify_prop24", name, value, 0, big_m)
@@ -389,7 +389,7 @@ def verify_lemma38(n: int = 8) -> VerificationReport:
     """kappa_r(m) >= kappa_r(C(n, r)) for all 0 <= m <= C(n, r), r = ceil(n/2);
     for even n equality holds only at m = C(n, n/2) itself (and m = 0 gives
     kappa = 0 > the minimum).  n = 8 by default."""
-    r, big_m = _check_level("verify_lemma38", n)
+    r, big_m = _half_level("verify_lemma38", n)
     rep = VerificationReport("lemma38", {"n": n, "r": r, "M": big_m})
     col = _kappa_column(r, big_m)
     target = col[big_m]
@@ -421,7 +421,7 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
     steps of kappa* are certified from its step list (_violating_steps),
     and the rows it cannot certify are scanned cell by cell.
     """
-    r, big_m = _check_level("check_conjecture51", n, even=True)
+    r, big_m = _half_level("check_conjecture51", n, even=True)
     table = KappaTable.build(r, big_m)
     return [(a, k) for a, k, _, _ in _full_grid_violations(table)]
 
@@ -429,7 +429,7 @@ def check_conjecture51(n: int) -> list[tuple[int, int]]:
 @timed
 def verify_conjecture51(n: int = 8) -> VerificationReport:
     """Report wrapper around check_conjecture51 over the full grid; n = 8 by default."""
-    r, big_m = _check_level("verify_conjecture51", n, even=True)
+    r, big_m = _half_level("verify_conjecture51", n, even=True)
     rep = VerificationReport("conjecture51", {"n": n, "r": r, "M": big_m})
     rep.violations = [{"a": a, "k": k} for a, k in check_conjecture51(n)]
     rep.checks_run = (big_m + 1) ** 2

@@ -10,6 +10,7 @@ definition-level comparator.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
@@ -321,7 +322,8 @@ def _squashed_walk(first: int):
 def first_segment(n: int, k: int, m: int) -> SetFamily:
     """The first m k-subsets of {1..n} in squashed order."""
     _check_level("first_segment", n, k)
-    _check_int("first_segment", "m", m, 0, comb(n, k))
+    # segment_after's islice takes no count past sys.maxsize: refuse it by name
+    _check_int("first_segment", "m", m, 0, min(comb(n, k), sys.maxsize))
     return segment_after(n, k, 0, m)
 
 
@@ -329,7 +331,7 @@ def segment_after(n: int, k: int, r: int, m: int) -> SetFamily:
     """m consecutive k-subsets starting at rank r in squashed order."""
     _check_level("segment_after", n, k)
     _check_int("segment_after", "r", r, 0)
-    _check_int("segment_after", "m", m, 0)
+    _check_int("segment_after", "m", m, 0, sys.maxsize)
     total = comb(n, k)
     if r + m > total:
         raise ValueError(f"segment_after: need r + m <= {total}, got r={r}, m={m}")
@@ -343,11 +345,15 @@ def last_segment(n: int, k: int, m: int) -> SetFamily:
     """The last m k-subsets of {1..n} in squashed order."""
     _check_level("last_segment", n, k)
     total = comb(n, k)
-    _check_int("last_segment", "m", m, 0, total)
+    _check_int("last_segment", "m", m, 0, min(total, sys.maxsize))
     return segment_after(n, k, total - m, m)
 
 
 def level_masks(n: int, k: int) -> list[int]:
     """All k-subsets of {1..n} as bitmasks, ascending (= squashed order)."""
     _check_level("level_masks", n, k, 0)
-    return list(islice(_squashed_walk((1 << k) - 1), comb(n, k)))
+    size = comb(n, k)
+    if size > sys.maxsize:  # islice's limit, far past any list
+        raise ValueError(f"level_masks: need C(n, k) <= sys.maxsize, "
+                         f"got C({n}, {k}) = {size}")
+    return list(islice(_squashed_walk((1 << k) - 1), size))

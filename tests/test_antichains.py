@@ -1,5 +1,6 @@
 """Antichain operations, pair matching, extremal constructions, brute force."""
 
+import importlib
 import random
 import timeit
 
@@ -36,7 +37,7 @@ from kktools import (
     verify_thm26_structure,
 )
 from kktools.binomials import _cascade_terms
-from kktools.kappa import _least_minimizer
+from kktools.kappa import _star_cut
 
 DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581}
 MAX_TOTALS_N4 = [10, 10, 10, 10, 10, 11, 12]
@@ -744,6 +745,41 @@ def test_sperner_check_reports_a_forgotten_comparable_pair(monkeypatch, n, lower
     assert rep.checks_run > {**DEDEKIND, 6: 7828354}[n]
 
 
+def test_sperner_check_reports_a_wrong_largest_size(monkeypatch):
+    # the count's largest size one too high: no antichain is that large, so
+    # the walk lists no maximizer either
+    real = antichains._antichain_profiles
+
+    def faulty(keep):
+        memo = real(keep)
+        top = (1 << len(keep)) - 1
+        count, largest = memo[top]
+        memo[top] = count, largest + 1
+        return memo
+
+    monkeypatch.setattr(antichains, "_antichain_profiles", faulty)
+    rep = sperner_max_check(4)
+    assert rep.checks_run == DEDEKIND[4]
+    assert rep.violations == [
+        {"n": 4, "max_size": 7, "expected": 6},
+        {"n": 4, "part": "maximizers", "got": [],
+         "expected": [sorted(level_masks(4, 2))]}]
+    assert rep.witnesses == []
+
+
+def test_enumeration_refuses_a_count_off_dedekind(monkeypatch):
+    real = antichains._antichain_walk
+    monkeypatch.setattr(antichains, "_antichain_walk",
+                        lambda *args: real(*args)[1:])
+    enumerate_antichains.cache_clear()  # an earlier test's listing is cached
+    try:
+        with pytest.raises(RuntimeError) as info:
+            enumerate_antichains(3)
+    finally:
+        enumerate_antichains.cache_clear()
+    assert str(info.value) == "enumerated 19 antichains at n=3, expected 20"
+
+
 def oracle_extremal(n, k):
     """construct_extremal as a last_segment plus a KappaTable.build(r, k)
     of its own: (family_a, family_b, case, m)."""
@@ -858,48 +894,79 @@ def test_least_minimizers_is_the_first_hit_of_the_running_minimum():
         assert least_minimizers(column) == want
 
 
-def least_minimizer(k, r):
-    return _least_minimizer(_cascade_terms(k, r))
+def star_cut(k, r):
+    """(least minimizer m, kappa*_r(k)) read off k's cascade."""
+    return _star_cut(_cascade_terms(k, r))
 
 
 @pytest.mark.parametrize("r, top", [(r, binom(2 * r, r) + 300) for r in range(1, 10)]
-                         + [(10, binom(20, 10))])
+                         + [(10, binom(20, 10) + 20)])
 def test_least_minimizer_is_the_first_hit_of_the_kappa_table(r, top):
-    # the table's first-hit scan; 0 exactly below the negativity threshold,
+    # the table's first-hit scan and its kappa* column, at every k up to at
+    # least C(2r, r) + 2r; m = 0 exactly below the negativity threshold,
     # where construct_extremal keeps both middle levels
-    want = least_minimizers(KappaTable.build(r, top).kappa)
-    assert [least_minimizer(k, r) for k in range(top + 1)] == want
+    table = KappaTable.build(r, top)
+    cuts = [star_cut(k, r) for k in range(top + 1)]
+    want = least_minimizers(table.kappa)
+    assert [m for m, _ in cuts] == want
+    assert [star for _, star in cuts] == table.kappa_star
     threshold = negativity_threshold(r)
     assert [k for k, m in enumerate(want) if m == 0] == list(range(threshold))
 
 
 def test_least_minimizer_meets_kappa_star():
-    # kappa(m) = kappa*(k) with m <= k, the value a cascade-read kappa_star
-    # would return: against the running minimum of kappa at every k, and
-    # against kappa_star itself (O(k) a call) at 12 k spread over the range
+    # kappa(m) = kappa*(k) with m <= k, and the cut's own kappa* is that
+    # value: against the running minimum of kappa at every k, and against
+    # kappa_star itself (O(k) a call) at 12 k spread over the range
     for r in range(1, 9):
         top = binom(2 * r, r) + 2 * r
         star = 0
         for k in range(top + 1):
             star = min(star, kappa(r, k))
-            m = least_minimizer(k, r)
-            assert m <= k and kappa(r, m) == star, (r, k)
+            m, cut_star = star_cut(k, r)
+            assert m <= k and kappa(r, m) == cut_star == star, (r, k)
             if k % (top // 11 + 1) == 0:
                 assert star == kappa_star(r, k), (r, k)
 
 
 def test_least_minimizer_on_huge_arguments():
     # past any table: m <= k, every kept term has a_i >= 2i - 1 (Thm 2.3's
-    # condition), and kappa(m) <= kappa(k)
+    # condition), the cut's kappa* is kappa(m), and kappa(m) <= kappa(k)
     rng = random.Random(20)
     cases = [(r, k) for r in (1, 2, 3, 10, 64, 130)
              for k in (0, 1, 10**6, binom(2 * r, r), 10**40)]
     cases += [(rng.randint(1, 130), rng.randint(0, 10**40)) for _ in range(300)]
     for r, k in cases:
-        m = least_minimizer(k, r)
+        m, star = star_cut(k, r)
         assert 0 <= m <= k, (r, k)
         assert all(a >= 2 * i - 1 for a, i in _cascade_terms(m, r)), (r, k)
-        assert kappa(r, m) <= kappa(r, k), (r, k)
+        assert star == kappa(r, m) <= kappa(r, k), (r, k)
+
+
+def test_theorem25_bound_reads_one_cascade_and_no_kappa(monkeypatch):
+    # kappa* comes out of the cut of k's cascade: m's cascade is not rebuilt
+    # through the checked kappa, and antichains.py does not import it
+    cases = [(4, 0), (4, 6), (12, 924), (200, 10**5)]
+    want = [binom(n, n // 2) + binom(n, n // 2 + 1)
+            - kappa(n // 2, star_cut(k, n // 2)[0]) for n, k in cases]
+    kappa_module = importlib.import_module("kktools.kappa")
+    assert not hasattr(antichains, "kappa")
+    cascades = []
+
+    def counted(m, r):
+        cascades.append((m, r))
+        return _cascade_terms(m, r)
+
+    def no_kappa(*args):
+        raise AssertionError("kappa called")
+
+    for module in (antichains, kappa_module):
+        monkeypatch.setattr(module, "_cascade_terms", counted)
+    monkeypatch.setattr(kappa_module, "kappa", no_kappa)
+    for (n, k), bound in zip(cases, want):
+        cascades.clear()
+        assert theorem25_bound(n, k) == bound, (n, k)
+        assert cascades == [(k, n // 2)], (n, k)
 
 
 def test_construct_extremal_builds_no_kappa_table(monkeypatch):

@@ -1,11 +1,12 @@
 """Binomial coefficients and the level-difference function."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kktools import binom, d_value, hockey_stick, verify_d_identities
+from kktools import binom, binomials, d_value, hockey_stick, verify_d_identities
 
 
 @given(st.integers(min_value=0, max_value=60), st.integers(min_value=-3, max_value=63))
@@ -54,6 +55,57 @@ def test_hockey_stick_sums():
         for k in range(0, 8):
             total = sum(binom(r + i, i) for i in range(k + 1))
             assert hockey_stick(r, k) == total == binom(r + k + 1, k)
+
+
+def test_hockey_stick_refuses_a_sum_that_misses_the_closed_form(monkeypatch):
+    # C(4, 2) off by one inside the sum; the closed form C(5, 2) is intact
+    fake = lambda n, k: math.comb(n, k) + ((n, k) == (4, 2))
+    monkeypatch.setattr(binomials, "math", SimpleNamespace(comb=fake))
+    with pytest.raises(RuntimeError) as info:
+        hockey_stick(2, 2)
+    assert str(info.value) == "hockey_stick: sum 11 misses C(5, 2)"
+
+
+# D off by delta at one (n, r), and the records verify_d_identities(6, 4)
+# must make of it; between them the faults reach all eight records
+D_FAULTS = [
+    ((5, 3), 1, [  # D(5, 3) = 0 is the sign's zero at 2r = n + 1
+        {"identity": "sign-trichotomy", "n": 5, "r": 3, "value": 1},
+        {"identity": "recurrence", "n": 5, "r": 3},
+        {"identity": "recurrence", "n": 6, "r": 3},
+        {"identity": "recurrence", "n": 6, "r": 4},
+        {"identity": "diagonal-sum", "j": 4, "value": 2}]),
+    ((1, 1), -1, [  # D(1, 1) = 0 down to D(2, 1) = -1: no strict decrease
+        {"identity": "sign-trichotomy", "n": 1, "r": 1, "value": -1},
+        {"identity": "strict-decrease", "n": 1, "r": 1},
+        {"identity": "cross-row", "n": 2, "m": 1, "r": 1},
+        {"identity": "diagonal-sum", "j": 2, "value": 0}]),
+    ((4, 3), -1, [  # the column peak D(4, 3) = 2 falls below D(3, 3) = 2
+        {"identity": "recurrence", "n": 4, "r": 3},
+        {"identity": "recurrence", "n": 5, "r": 3},
+        {"identity": "recurrence", "n": 5, "r": 4},
+        {"identity": "column-max", "m": 3, "r": 3},
+        {"identity": "diagonal-sum", "j": 3, "value": 0}]),
+    ((2, 1), 2, [  # D(2, 1) = -1 up to 1, past D(1, 1) = 0 and past zero
+        {"identity": "sign-trichotomy", "n": 2, "r": 1, "value": 1},
+        {"identity": "recurrence", "n": 3, "r": 2},
+        {"identity": "strict-decrease", "n": 1, "r": 1},
+        {"identity": "cross-row", "n": 2, "m": 1, "r": 1},
+        {"identity": "column-max", "m": 2, "r": 1},
+        {"identity": "diagonal-sum", "j": 3, "value": 3},
+        {"identity": "negative-column-sum", "r": 1, "value": 1}]),
+]
+
+
+@pytest.mark.parametrize("at, delta, want", D_FAULTS)
+def test_identity_suite_reports_a_faulty_d(monkeypatch, at, delta, want):
+    clean = verify_d_identities(6, 4)
+    assert clean.violations == []
+    real = binomials._d
+    monkeypatch.setattr(binomials, "_d",
+                        lambda n, r: real(n, r) + delta * ((n, r) == at))
+    rep = verify_d_identities(6, 4)
+    assert (rep.checks_run, rep.violations) == (clean.checks_run, want)
 
 
 def test_identity_suite_clean_on_wide_grid():

@@ -177,7 +177,7 @@ def _named_outside_kappa_and_cli(target: str) -> list[str]:
 
 
 def test_kappa_table_stays_out_of_the_other_modules():
-    # the Thm 2.5 path reads its m off a cascade (kappa._least_minimizer);
+    # the Thm 2.5 path reads m and kappa* off one cascade (kappa._star_cut);
     # only kappa.py, the CLI's kappa-table command and the exports use tables
     assert _named_outside_kappa_and_cli("KappaTable") == []
 

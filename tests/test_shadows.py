@@ -471,6 +471,22 @@ def test_clements_sweep_and_oracle_agree_on_a_faulty_kernel(monkeypatch, kernel,
     assert (rep.checks_run, rep.violations) == oracle_clements(n, k)
 
 
+def test_lieby_duality_reports_a_shade_size_off_by_one(monkeypatch):
+    # the shade of the last three 2-sets of {1..4}, {124, 134, 234}, read as 4
+    real = _pure.suffix_shade_sizes
+
+    def faulty(masks, n):
+        sizes = real(masks, n)
+        if masks[0].bit_count() == 2:
+            sizes[3] += 1
+        return sizes
+
+    monkeypatch.setattr(_pure, "suffix_shade_sizes", faulty)
+    rep = verify_lieby_duality(4)
+    assert rep.checks_run == sum(binom(4, k) + 1 for k in range(1, 5))
+    assert rep.violations == [{"n": 4, "k": 2, "m": 3, "shadow": 3, "shade": 4}]
+
+
 def test_lieby_duality_rejects_a_short_size_list(monkeypatch):
     real = _pure.suffix_shade_sizes
     monkeypatch.setattr(_pure, "suffix_shade_sizes",

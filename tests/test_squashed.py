@@ -436,6 +436,11 @@ def test_edge_arguments_give_a_value_or_a_value_error():
     (Subset, ((1.5,), 3), "elements"),
     (SetFamily.of, ([[1.5]], 2), "elements"),
     (SetFamily.from_masks, ([1.5], 2), "masks"),
+    # a count past sys.maxsize, which islice refuses without naming a callable
+    (level_masks, (70, 35), "level_masks"),
+    (segment_after, (200, 100, 0, 10**30), "segment_after"),
+    (first_segment, (200, 100, 10**30), "first_segment"),
+    (last_segment, (200, 100, 10**30), "last_segment"),
 ])
 def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
@@ -448,6 +453,13 @@ def test_subset_length_membership_and_str():
     assert 3 in s and 2 not in s and 5 not in s
     assert str(s) == "134" and str(Subset((2, 10), 12)) == "{2,10}"
     assert str(Subset((), 4)) == "{}"
+
+
+def test_subset_refuses_elements_that_are_not_iterable():
+    for elements in (5, None, 2.5):
+        with pytest.raises(ValueError) as info:
+            Subset(elements, 3)
+        assert str(info.value) == f"Subset: elements must be integers, got {elements!r}"
 
 
 def reference_subset_elements(elements, ground_n):
