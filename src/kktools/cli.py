@@ -292,8 +292,23 @@ _HANDLERS = {"kappa-table": _cmd_kappa_table, "cascade": _cmd_cascade,
 
 
 def main(argv=None) -> int:
-    """Run one kktools invocation; returns the process exit code."""
+    """Run one kktools invocation; returns the process exit code.
+
+    Exact integers have no digit limit here, in flags or in output: the
+    interpreter's int/str digit limit, where it has one, is lifted for the
+    call and put back after it, for a caller that runs main in process."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list) -> int:
     try:
         ns = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:

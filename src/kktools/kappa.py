@@ -50,7 +50,16 @@ def kappa_star(r: int, m: int) -> int:
 def negativity_threshold(r: int) -> int:
     """Least m with kappa_r(m) < 0, namely 1 + sum of C(2i-1, i) for i <= r."""
     _check_int("negativity_threshold", "r", r, 1)
-    return 1 + sum(comb(2 * i - 1, i) for i in range(1, r + 1))
+    return 1 + sum(_threshold_terms(r))
+
+
+def _threshold_terms(r: int) -> list[int]:
+    """C(2i-1, i) for i = 1..r, each from the last by C(2i+1, i+1) =
+    C(2i-1, i) * 2(2i+1) / (i+1): linear in r multiplies, no comb per term."""
+    terms = [1]
+    for i in range(1, r):
+        terms.append(terms[-1] * 2 * (2 * i + 1) // (i + 1))
+    return terms
 
 
 def _star_cut(terms) -> tuple[int, int]:
@@ -247,9 +256,10 @@ def verify_prop22(r: int = 2, m_max: int | None = None) -> VerificationReport:
     m_max = _check_m_max("verify_prop22", r, m_max)
     rep = VerificationReport("prop22", {"r": r, "m_max": m_max})
     rep.checks_run = 2 * (m_max + 1)
-    p = negativity_threshold(r)
+    terms = _threshold_terms(r)
+    p = 1 + sum(terms)  # negativity_threshold(r)
     # the suffix sums of C(2i-1, i), summed from i = r down
-    zeros = {0, *accumulate(comb(2 * i - 1, i) for i in range(r, 0, -1))}
+    zeros = {0, *accumulate(reversed(terms))}
     col = _kappa_column(r, m_max)
     cut = min(p, m_max + 1)
     seen = [z for z in zeros if z <= m_max]

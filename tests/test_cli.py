@@ -2,11 +2,12 @@
 
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from kktools import antichains, cli, squashed
+from kktools import antichains, cli, kappa, squashed
 from kktools.report import VerificationReport
 
 
@@ -75,6 +76,53 @@ def test_bound_command(capsys):
     code, out, _ = run_cli(capsys, "bound", "--n", "4", "--k", "5")
     assert code == 0
     assert out.strip() == "11"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int/str digit limit, 4300, during the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_bound_prints_past_the_int_digit_limit(capsys, default_digit_limit, fmt):
+    # the bound at n = 20000 has 6,019 digits; main lifts the limit for its
+    # own call only, since the battery runs it in process
+    code, out, err = run_cli(capsys, "bound", "--n", "20000", "--k", "5",
+                             "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    sys.set_int_max_str_digits(0)  # to read the output back here
+    value = json.loads(out)["value"] if fmt == "json" else int(out)
+    assert value == antichains.theorem25_bound(20000, 5)
+    assert len(str(value)) > default_digit_limit
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_a_flag_past_the_int_digit_limit_is_read(capsys, default_digit_limit, fmt):
+    m_text = "1" + "0" * 4998 + "7"  # 10**4999 + 7, 5,000 digits
+    code, out, err = run_cli(capsys, "kappa", "--r", "2", "--m", m_text,
+                             "--format", fmt)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == default_digit_limit
+    sys.set_int_max_str_digits(0)
+    expected = kappa(2, 10**4999 + 7)
+    if fmt == "json":
+        assert json.loads(out) == {"command": "kappa", "value": expected,
+                                   "params": {"r": 2, "m": 10**4999 + 7}}
+    else:
+        assert int(out) == expected
+
+
+def test_the_digit_limit_is_restored_after_a_failed_call(capsys, default_digit_limit):
+    code, _, err = run_cli(capsys, "bound", "--n", "20000", "--k", "-1")
+    assert code == 2 and err.startswith("error: theorem25_bound")
+    assert sys.get_int_max_str_digits() == default_digit_limit
 
 
 def test_extremal_json(capsys):

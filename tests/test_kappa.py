@@ -3,6 +3,7 @@
 import importlib
 import random
 from itertools import accumulate, islice
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -83,6 +84,12 @@ def test_negativity_threshold_values():
     for r in (1, 2, 3, 4):
         p = negativity_threshold(r)
         assert kappa(r, p) < 0 <= kappa(r, p - 1)
+
+
+def test_negativity_threshold_is_the_comb_sum():
+    # the terms are built each from the last; the oracle sums comb afresh
+    for r in range(1, 301):
+        assert negativity_threshold(r) == 1 + sum(comb(2 * i - 1, i) for i in range(1, r + 1))
 
 
 def test_table_matches_point_functions():
@@ -417,8 +424,9 @@ def test_prop22_sees_the_zero_at_m_max_raised_or_moved(monkeypatch, r, moved):
 
 
 def test_prop22_takes_its_zero_set_in_one_pass(monkeypatch):
-    # the suffix sums of C(2i-1, i) as one running sum, r binomials, and r
-    # more for the threshold, where summing each suffix anew took r^2 / 2
+    # the suffix sums of C(2i-1, i) as one running sum over terms built each
+    # from the last, shared with the threshold: no comb call at all, where
+    # summing each suffix anew took r^2 / 2
     kappa_module = importlib.import_module("kktools.kappa")
     calls = []
 
@@ -429,7 +437,7 @@ def test_prop22_takes_its_zero_set_in_one_pass(monkeypatch):
     monkeypatch.setattr(kappa_module, "comb", counting)
     r = 50
     assert verify_prop22(r, 5).passed
-    assert len(calls) == 2 * r
+    assert calls == []
 
 
 def test_kappa_only_sweeps_build_no_table(monkeypatch):
