@@ -10,10 +10,12 @@ that settle the small cases by full enumeration.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from math import comb
 
 from . import _pure
@@ -145,7 +147,8 @@ def disjoint_pairs(a: SetFamily, b: SetFamily) -> DisjointPairReport:
 
 
 def theorem25_bound(n: int, k: int) -> int:
-    """C(n, n/2) + C(n, n/2+1) - kappa*_{n/2}(k) for even n >= 4 and
+    """C(n, n/2) + C(n, n/2+1) - kappa*_{n/2}(k) for even 4 <= n <=
+    2 * sys.maxsize, where C(n, n/2) is within binom's reach, and
     0 <= k <= C(n, n/2).
 
     kappa* is read off Thm 2.3, not taken as a running minimum: with r = n/2,
@@ -154,7 +157,7 @@ def theorem25_bound(n: int, k: int) -> int:
     O(r): one cascade of at most r terms, where kappa_star's running minimum
     computes k + 1 cascades.
     """
-    _check_int("theorem25_bound", "n", n, 4, even=True)
+    _check_int("theorem25_bound", "n", n, 4, 2 * sys.maxsize, even=True)
     half = binom(n, n // 2)
     _check_int("theorem25_bound", "k", k, 0, half)
     r = n // 2
@@ -216,14 +219,38 @@ def _count_disjoint(index, b_masks, n: int) -> tuple[int, bool]:
         len({x for x, _ in pairs}) == len(pairs) == len({y for _, y in pairs})
 
 
-def _extremal_masks(n: int, m: int, levels: tuple[list[int], list[int]]):
-    """The masks (a_masks, b_masks) of construct_extremal at n and m, both
-    already checked: A is levels[0], the level_masks of size n/2, and B the
-    last m sets of A plus levels[1] (size n/2 + 1) minus their shade."""
-    a_masks, upper_level = levels
-    bottom = a_masks[len(a_masks) - m:]
-    shaded = set(_pure.shade_masks(bottom, n))
-    return a_masks, bottom + [x for x in upper_level if x not in shaded]
+def _extremal_step(n: int, y: int) -> tuple[list[int], list[int]]:
+    """The rule of one step of the extremal walk: (the masks B takes in, the
+    masks it gives up).  B takes in the half-set y and gives up the upper
+    sets y owns, y ∪ {e} for e below min(y) (_pure.new_shade_masks).
+
+    An upper set u is owned by u minus its least element, the last of its
+    half-size subsets in squashed order.  So while the walk takes the level
+    from its end, u is over a half-set of B exactly when its owner is in B:
+    the sets y owns are the sets over y still in B, and no other step
+    gives them up.
+    """
+    return [y], _pure.new_shade_masks([y], n)
+
+
+def _extremal_walk(n: int, family: set[int], a_masks: list[int]):
+    """Grow B of construct_extremal, the set family, in place, one m a step.
+
+    B starts at m = 0 as the (n/2+1)-level, and a_masks is the n/2-level.
+    Step m takes in the m-th half-set from the end of the level and drops
+    the upper sets over it still in B (_extremal_step), so after m steps B
+    is construct_extremal's B at m.  Each upper set leaves once: the steps
+    propose C(n, n/2+1) removals together.  Yields, after each step,
+    (added, removed): first the step's removals that family held left it,
+    then its additions that family lacked entered it.
+    """
+    for y in reversed(a_masks):
+        added, removed = _extremal_step(n, y)
+        removed = family.intersection(removed)
+        family -= removed
+        added = set(added) - family
+        family |= added
+        yield added, removed
 
 
 def construct_extremal(n: int, k: int) -> ExtremalConstruction:
@@ -232,19 +259,21 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     Take the least m <= k at which kappa meets kappa*(k), read off the cascade
     of k by Thm 2.3; B becomes the last m half-size sets together with the
     upper middle level minus their shade, paired to A (the full half-size
-    level) through the m complements.  Below the negativity threshold m = 0
-    (case i): the two middle levels already do it, with no disjoint pair.
-    Even n runs from 4 to 22: the pair holds about C(n, n/2) + C(n, n/2+1)
-    masks, 1,352,078 at n = 22, so a larger n is refused up front.
+    level) through the m complements.  B is _extremal_walk run up to m, the
+    walk verify_extremal_constructions runs through every m.  Below the
+    negativity threshold m = 0 (case i): the two middle levels already do
+    it, with no disjoint pair.  Even n runs from 4 to 22: the pair holds
+    about C(n, n/2) + C(n, n/2+1) masks, 1,352,078 at n = 22, so a larger n
+    is refused up front.
     """
     _check_int("construct_extremal", "n", n, 4, 22, even=True)
     _check_int("construct_extremal", "k", k, 0, comb(n, n // 2))
     r = n // 2
     m = _star_cut(_cascade_terms(k, r))[0]
-    a_masks, b_masks = _extremal_masks(n, m, (level_masks(n, r),
-                                              level_masks(n, r + 1)))
+    a_masks, family = level_masks(n, r), set(level_masks(n, r + 1))
+    deque(islice(_extremal_walk(n, family, a_masks), m), maxlen=0)
     return ExtremalConstruction(n, k, SetFamily.from_masks(a_masks, n),
-                                SetFamily.from_masks(b_masks, n),
+                                SetFamily.from_masks(family, n),
                                 "ii" if m else "i", m or None)
 
 
@@ -481,48 +510,130 @@ def verify_thm26_structure(n: int = 4,
     return rep
 
 
+def _middle_split(masks, half: int) -> tuple[list[int], list[int], int]:
+    """(the half-size masks, the masks one larger, how many others)."""
+    lower, upper, other = [], [], 0
+    for x in masks:
+        size = x.bit_count() - half
+        if size == 0:
+            lower.append(x)
+        elif size == 1:
+            upper.append(x)
+        else:
+            other += 1
+    return lower, upper, other
+
+
+class _ExtremalTally:
+    """What the extremal sweep knows of B, kept up to date from the walk's
+    changes: whether B is an antichain, its pair count with A, the full
+    n/2-level, and whether those pairs form a matching.
+
+    B starts as the (n/2+1)-level, so above[h], the count of B's upper
+    members over the n/2-set h, starts at n/2 for every h.  bad counts B's
+    n/2-sets with a count above 0: B within the two middle levels is an
+    antichain iff bad is 0.  There an n/2-set of B misses one member of A,
+    its complement, and an upper set misses none, so the pairs are a
+    matching of halves pairs.  A B with a member off the two middle levels
+    (outside > 0) is checked whole, by _is_antichain_masks and
+    _count_disjoint.
+    """
+
+    def __init__(self, n: int, a_masks: list[int]):
+        self.n, self.a_masks = n, a_masks
+        self.above = dict.fromkeys(a_masks, n // 2)
+        self.bad = self.halves = self.outside = 0
+        self.index = None  # _count_disjoint's index of A, built on first need
+
+    def take(self, family: set[int], steps) -> None:
+        """Take in the walk's steps as it yields them, each (added, removed):
+        removed left B, then added entered it, and family is B right after.
+        An n/2-set that leaves is weighed against the counts before its
+        step, one that enters against the counts after it."""
+        above, half = self.above, self.n // 2
+        for added, removed in steps:
+            halves_out, uppers_out, others_out = _middle_split(removed, half)
+            halves_in, uppers_in, others_in = _middle_split(added, half)
+            for h in halves_out:
+                self.bad -= above[h] > 0
+            self._count_uppers(family, added, uppers_out, -1)
+            self._count_uppers(family, added, uppers_in, 1)
+            for h in halves_in:
+                self.bad += above[h] > 0
+            self.halves += len(halves_in) - len(halves_out)
+            self.outside += others_in - others_out
+
+    def _count_uppers(self, family, added, uppers, step: int) -> None:
+        """Count the upper sets in (step 1) or out (step -1) over the
+        n/2-sets under them.  An n/2-set of B that the step did not add
+        starts or stops counting in bad as its count leaves or reaches 0."""
+        above, edge = self.above, 1 if step > 0 else 0
+        for u in uppers:
+            rest = u
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                h = u ^ low
+                count = above[h] = above[h] + step
+                if count == edge and h in family and h not in added:
+                    self.bad += step
+
+    def verdict(self, family: set[int]) -> tuple[bool, int, bool]:
+        """(B is an antichain, pair count, the pairs form a matching)."""
+        if not self.outside:
+            return not self.bad, self.halves, True
+        if self.index is None:
+            self.index = _size_index(self.a_masks)
+        b_masks = sorted(family, key=int.bit_count)
+        return (_is_antichain_masks(b_masks),
+                *_count_disjoint(self.index, b_masks, self.n))
+
+
 @timed
 def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     """construct_extremal meets the bound for every k: both families are
     antichains, the disjointness relation is a matching of size <= k, and
     the total equals theorem25_bound(n, k) (n = 8 by default).
 
-    The sweep checks the masks construct_extremal wraps.  The families
-    depend on k only through m, the least minimizer read off k's cascade, so
-    each distinct family is checked once; the pair count against k and the
-    total against the bound are checked for every k, with kappa* taken as
-    the running minimum of the cascade formula, a route independent of
-    Thm 2.3.  Even n runs from 4 to 22, construct_extremal's range: past it
-    a larger n is refused before either middle level is built.
+    The families depend on k only through m, the least minimizer read off
+    k's cascade, which grows with k.  So the sweep runs construct_extremal's
+    walk once, through every m, and checks B at each m some k reaches from
+    the walk's changes (_ExtremalTally); A, the n/2-level, is checked once.
+    The pair count against k and the total against the bound are checked
+    for every k, with kappa* taken as the running minimum of the cascade
+    formula, a route independent of Thm 2.3.  Even n runs from 4 to 22,
+    construct_extremal's range: past it a larger n is refused before either
+    middle level is built.
     """
     _check_int("verify_extremal_constructions", "n", n, 4, 22, even=True)
     rep = VerificationReport("thm25-extremal", {"n": n})
     r = n // 2
-    half = comb(n, r)
-    middle = half + comb(n, r + 1)
-    levels = level_masks(n, r), level_masks(n, r + 1)
-    star = 0
-    seen_a = None
-    checked = {}  # m -> (problems of the pair, pair count, total)
+    a_masks = level_masks(n, r)
+    half = len(a_masks)
+    family = set(level_masks(n, r + 1))  # B at m = 0
+    middle = half + len(family)
+    a_problems = [] if _is_antichain_masks(a_masks) else ["family_a not an antichain"]
+    tally = _ExtremalTally(n, a_masks)
+
+    def check_b():
+        """(problems of the pair, pair count, total) for B as it stands."""
+        b_is_antichain, pair_count, matching = tally.verdict(family)
+        problems = a_problems + ([] if b_is_antichain else ["family_b not an antichain"])
+        if not matching:
+            problems.append("disjoint pairs not a matching")
+        return problems, pair_count, half + len(family)
+
+    walk = _extremal_walk(n, family, a_masks)
+    star = at = 0
+    checked = check_b()
     for k in range(half + 1):
         terms = _cascade_terms(k, r)
         star = min(star, _shadow_formula(terms) - k)  # kappa(r, k)
         m = _star_cut(terms)[0]
-        if m not in checked:
-            a_masks, b_masks = _extremal_masks(n, m, levels)
-            if a_masks != seen_a:  # _count_disjoint's index of A
-                seen_a, index = a_masks, _size_index(a_masks)
-                a_is_antichain = _is_antichain_masks(a_masks)
-            pair_count, matching = _count_disjoint(index, b_masks, n)
-            problems = []
-            if not a_is_antichain:
-                problems.append("family_a not an antichain")
-            if not _is_antichain_masks(b_masks):
-                problems.append("family_b not an antichain")
-            if not matching:
-                problems.append("disjoint pairs not a matching")
-            checked[m] = problems, pair_count, len(a_masks) + len(b_masks)
-        problems, pair_count, total = checked[m]
+        if m != at:
+            tally.take(family, islice(walk, m - at))
+            at, checked = m, check_b()
+        problems, pair_count, total = checked
         problems = list(problems)
         rep.checks_run += 1
         if pair_count > k:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 from .report import VerificationReport, timed
 
@@ -30,10 +31,15 @@ def _check_type(op: str, name: str, value, cls: type) -> None:
 
 
 def binom(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; 0 when k < 0 or k > n.  Requires n >= 0."""
+    """C(n, k) as an exact integer; 0 when k < 0 or k > n.  Requires n >= 0
+    and min(k, n - k) <= sys.maxsize, the reach of math.comb."""
     _check_int("binom", "n", n, 0)
     _check_int("binom", "k", k)
-    return math.comb(n, k) if k >= 0 else 0
+    try:
+        return math.comb(n, k) if k >= 0 else 0
+    except OverflowError:  # raised before any work, so only past the reach
+        raise ValueError(f"binom: need min(k, n - k) <= {sys.maxsize}, "
+                         f"got n = {n}, k = {k}") from None
 
 
 def d_value(n: int, r: int) -> int:

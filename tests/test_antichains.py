@@ -845,37 +845,134 @@ def test_extremal_sweep_matches_per_k_oracle(n):
     assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
 
 
-@pytest.mark.parametrize("fault", ["m + 1", "shade kept", "empty set added",
-                                   "top set dropped", "A changes with odd m"])
-def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
-    real = antichains._extremal_masks
+def walked_families(n):
+    """B after each step of the extremal walk, m = 0, 1, ..., C(n, n/2)."""
+    family = set(level_masks(n, n // 2 + 1))
+    steps = antichains._extremal_walk(n, family, level_masks(n, n // 2))
+    return [set(family)] + [set(family) for _ in steps]
 
-    def faulty(n, m, levels):
-        a_masks, b_masks = real(n, m, levels)
-        upper = level_masks(n, n // 2 + 1)
-        if fault == "m + 1" and m and m < len(a_masks):
-            bottom = a_masks[len(a_masks) - m - 1:]
+
+def test_the_walk_meets_the_segment_rebuild_at_every_m():
+    # B after m steps is the last m half-sets plus the upper level minus
+    # their shade, built afresh, for every m; construct_extremal reads it
+    for n in (4, 6, 8, 10, 12):
+        r = n // 2
+        upper = level_masks(n, r + 1)
+        for m, family in enumerate(walked_families(n)):
+            bottom = last_segment(n, r, m).masks() if m else []
             shaded = set(_pure.shade_masks(bottom, n))
-            b_masks = bottom + [x for x in upper if x not in shaded]
-        elif fault == "shade kept" and m:
-            b_masks = b_masks[:m] + upper
-        elif fault == "empty set added":
-            b_masks = [0] + b_masks
-        elif fault == "top set dropped":
-            b_masks = b_masks[:-1]
-        elif fault == "A changes with odd m" and m and m % 2:
-            # a second A set disjoint from the last half-size B set breaks
-            # the matching at odd m only: the sweep must not reuse the
-            # partners it found for another A
-            spare = (1 << n) - 1 - b_masks[m - 1]
-            a_masks = a_masks + [spare & (spare - 1)]
-        return a_masks, b_masks
+            assert family == set(bottom) | {x for x in upper if x not in shaded}, (n, m)
 
-    monkeypatch.setattr(antichains, "_extremal_masks", faulty)
+
+def test_the_sweep_visits_catalan_plus_one_m():
+    # the least minimizers of k's cascade take Catalan(n/2) + 1 values, the
+    # m at which the sweep checks B
+    for n in range(4, 17, 2):
+        r = n // 2
+        ms = {star_cut(k, r)[0] for k in range(binom(n, r) + 1)}
+        assert len(ms) == binom(2 * r, r) // (r + 1) + 1, n
+
+
+def faulty_step(real, n, fault):
+    """The step rule real with one fault.  Step m takes in level[half - m],
+    so the step knows m and the half-sets taken in before it."""
+    level = level_masks(n, n // 2)
+    where = {y: i for i, y in enumerate(level)}
+    full = (1 << n) - 1
+
+    def over(y):
+        # one upper set over the half-set y
+        rest = full ^ y
+        return y | rest & -rest
+
+    def spare(y):
+        # an (n/2 - 1)-set disjoint from y, which n/2 + 1 members of A miss
+        rest = full ^ y
+        return rest & (rest - 1)
+
+    def step(n, y):
+        added, removed = real(n, y)
+        i = where[y]
+        odd = (len(level) - i) % 2
+        later = i + 1 < len(level)  # a step came before this one
+        if fault == "m + 1" and i:
+            # the next step's half-set comes one step early
+            added, removed = added + [level[i - 1]], removed + real(n, level[i - 1])[1]
+        elif fault == "shade kept":
+            removed = []
+        elif fault == "empty set added":
+            added = added + [0]
+        elif fault == "top set dropped":
+            # the first half-set taken in leaves again at every later step
+            removed = removed + [level[-1]]
+        elif fault == "second partner at odd m":
+            # an off-level member with several partners in A at odd m only:
+            # the sweep checks B whole at odd m and by its counts at even m
+            if odd:
+                added = added + [spare(y)]
+            elif later:
+                removed = removed + [spare(level[i + 1])]
+        elif fault == "wrong y":
+            # y's shade leaves, but the level's first half-set enters
+            added = [level[0]]
+        elif fault == "stale count" and later:
+            # at odd m an upper set comes back over the half-set taken in
+            # before, and leaves at the next step: that half-set's count
+            # must rise and come back to 0
+            if odd:
+                added = added + [over(level[i + 1])]
+            elif i + 2 < len(level):
+                removed = removed + [over(level[i + 2])]
+        return added, removed
+
+    return step
+
+
+@pytest.mark.parametrize("fault", ["m + 1", "shade kept", "empty set added",
+                                   "top set dropped", "second partner at odd m",
+                                   "wrong y", "stale count"])
+def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
+    # construct_extremal and the sweep share the faulty step, so the sweep
+    # must report on the faulty families exactly as the per-k oracle does
+    real = antichains._extremal_step
     for n in (4, 6):
+        monkeypatch.setattr(antichains, "_extremal_step", faulty_step(real, n, fault))
         rep = verify_extremal_constructions(n)
         assert rep.violations, n
         assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
+
+
+def test_the_tally_follows_any_walk(monkeypatch):
+    # random steps over every level: the tally's verdict on each B it is
+    # told about is the pairwise antichain test and a scan of every pair
+    rng = random.Random(28)
+    outcomes = set()
+    for n in (4, 6, 8):
+        half_level = level_masks(n, n // 2)
+        near = level_masks(n, n // 2 + 1) + half_level
+
+        def pick():
+            return rng.choice(near) if rng.random() < 0.8 else rng.randrange(1 << n)
+
+        def step(n, y):
+            return ([pick() for _ in range(rng.randint(0, 2))],
+                    [pick() for _ in range(rng.randint(0, 4))])
+
+        monkeypatch.setattr(antichains, "_extremal_step", step)
+        for _ in range(40 // n):
+            family = set(level_masks(n, n // 2 + 1))
+            tally = antichains._ExtremalTally(n, half_level)
+            for step in antichains._extremal_walk(n, family, half_level):
+                tally.take(family, [step])
+                pairs, matching = pairwise_disjoint_pairs(half_level, sorted(family))
+                got = tally.verdict(family)
+                assert got == (oracle_is_antichain(family), len(pairs), matching)
+                # off the two middle levels: B goes back to the counts when
+                # the last such member leaves
+                assert tally.outside == sum(x.bit_count() - n // 2 not in (0, 1)
+                                            for x in family)
+                outcomes.add((got[0], got[2], tally.outside > 0))
+    assert {(True, True, False), (False, True, False), (False, False, True)} <= outcomes
 
 
 def least_minimizers(column):

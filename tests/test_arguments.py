@@ -4,6 +4,7 @@ the error for a bad value names the callable.  So does a wrong-typed value
 for every bool, Subset, SetFamily and str parameter."""
 
 import inspect
+import sys
 
 import pytest
 
@@ -239,6 +240,11 @@ VALUE_ERRORS = [
     *(("verify_extremal_constructions", {"n": n},
        f"verify_extremal_constructions: need even 4 <= n <= 22, got {n}")
       for n in (24, 200)),
+    # past math.comb's reach, min(k, n - k) > sys.maxsize: no OverflowError
+    ("binom", {"n": 2**64, "k": 2**63},
+     f"binom: need min(k, n - k) <= {sys.maxsize}, got n = {2**64}, k = {2**63}"),
+    ("theorem25_bound", {"n": 2**64, "k": 0},
+     f"theorem25_bound: need even 4 <= n <= {2 * sys.maxsize}, got {2**64}"),
 ]
 
 

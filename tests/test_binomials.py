@@ -1,6 +1,7 @@
 """Binomial coefficients and the level-difference function."""
 
 import math
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,19 @@ def test_binom_matches_stdlib(n, k):
 def test_binom_rejects_negative_n():
     with pytest.raises(ValueError):
         binom(-1, 0)
+
+
+def test_binom_past_the_reach_of_math_comb_is_a_value_error():
+    # math.comb refuses min(k, n - k) > sys.maxsize with an OverflowError,
+    # before any work; near that edge it still answers a small side at once
+    big = 2 * sys.maxsize + 2
+    for n, k in [(2**64, 2**63), (big, big // 2), (2**200, 2**100)]:
+        with pytest.raises(ValueError) as info:
+            binom(n, k)
+        assert str(info.value) == (f"binom: need min(k, n - k) <= {sys.maxsize}, "
+                                   f"got n = {n}, k = {k}")
+    assert binom(2**64, 2**64 - 2) == 2**63 * (2**64 - 1)
+    assert binom(2**64, 2**64 + 1) == binom(2**64, -1) == 0
 
 
 def test_d_value_closed_form():

@@ -125,6 +125,13 @@ def test_the_digit_limit_is_restored_after_a_failed_call(capsys, default_digit_l
     assert sys.get_int_max_str_digits() == default_digit_limit
 
 
+def test_a_bound_past_the_reach_of_math_comb_exits_two(capsys):
+    code, out, err = run_cli(capsys, "bound", "--n", str(2**64), "--k", "0")
+    assert code == 2 and out == ""
+    assert err == (f"error: theorem25_bound: need even 4 <= n <= {2 * sys.maxsize}, "
+                   f"got {2**64}\n")
+
+
 def test_extremal_json(capsys):
     code, out, _ = run_cli(capsys, "extremal", "--n", "4", "--k", "6",
                            "--format", "json")
