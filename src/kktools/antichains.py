@@ -240,17 +240,18 @@ def _extremal_walk(n: int, family: set[int], a_masks: list[int]):
     Step m takes in the m-th half-set from the end of the level and drops
     the upper sets over it still in B (_extremal_step), so after m steps B
     is construct_extremal's B at m.  Each upper set leaves once: the steps
-    propose C(n, n/2+1) removals together.  Yields, after each step,
-    (added, removed): first the step's removals that family held left it,
-    then its additions that family lacked entered it.
+    propose C(n, n/2+1) removals together.  A step discards its removals
+    from family, then adds its additions, through family's own discard and
+    add, so a family that keeps counts of itself (_ExtremalTally) sees
+    every member that enters or leaves.  Yields once after each step.
     """
     for y in reversed(a_masks):
         added, removed = _extremal_step(n, y)
-        removed = family.intersection(removed)
-        family -= removed
-        added = set(added) - family
-        family |= added
-        yield added, removed
+        for x in removed:
+            family.discard(x)
+        for x in added:
+            family.add(x)
+        yield
 
 
 def construct_extremal(n: int, k: int) -> ExtremalConstruction:
@@ -510,23 +511,9 @@ def verify_thm26_structure(n: int = 4,
     return rep
 
 
-def _middle_split(masks, half: int) -> tuple[list[int], list[int], int]:
-    """(the half-size masks, the masks one larger, how many others)."""
-    lower, upper, other = [], [], 0
-    for x in masks:
-        size = x.bit_count() - half
-        if size == 0:
-            lower.append(x)
-        elif size == 1:
-            upper.append(x)
-        else:
-            other += 1
-    return lower, upper, other
-
-
-class _ExtremalTally:
-    """What the extremal sweep knows of B, kept up to date from the walk's
-    changes: whether B is an antichain, its pair count with A, the full
+class _ExtremalTally(set):
+    """B of the extremal sweep, a set of masks that keeps what the sweep
+    knows of it: whether B is an antichain, its pair count with A, the full
     n/2-level, and whether those pairs form a matching.
 
     B starts as the (n/2+1)-level, so above[h], the count of B's upper
@@ -534,59 +521,59 @@ class _ExtremalTally:
     n/2-sets with a count above 0: B within the two middle levels is an
     antichain iff bad is 0.  There an n/2-set of B misses one member of A,
     its complement, and an upper set misses none, so the pairs are a
-    matching of halves pairs.  A B with a member off the two middle levels
-    (outside > 0) is checked whole, by _is_antichain_masks and
+    matching of halves pairs.  add and discard move the counts when a
+    member actually enters or leaves.  A B with a member off the two middle
+    levels (outside > 0) is checked whole, by _is_antichain_masks and
     _count_disjoint.
     """
 
     def __init__(self, n: int, a_masks: list[int]):
+        super().__init__(level_masks(n, n // 2 + 1))
         self.n, self.a_masks = n, a_masks
         self.above = dict.fromkeys(a_masks, n // 2)
         self.bad = self.halves = self.outside = 0
-        self.index = None  # _count_disjoint's index of A, built on first need
 
-    def take(self, family: set[int], steps) -> None:
-        """Take in the walk's steps as it yields them, each (added, removed):
-        removed left B, then added entered it, and family is B right after.
-        An n/2-set that leaves is weighed against the counts before its
-        step, one that enters against the counts after it."""
-        above, half = self.above, self.n // 2
-        for added, removed in steps:
-            halves_out, uppers_out, others_out = _middle_split(removed, half)
-            halves_in, uppers_in, others_in = _middle_split(added, half)
-            for h in halves_out:
-                self.bad -= above[h] > 0
-            self._count_uppers(family, added, uppers_out, -1)
-            self._count_uppers(family, added, uppers_in, 1)
-            for h in halves_in:
-                self.bad += above[h] > 0
-            self.halves += len(halves_in) - len(halves_out)
-            self.outside += others_in - others_out
+    # set.add and set.discard, not super(): these run once per member the
+    # walk moves, and super() made the walk about 1.4x slower at n = 20
+    def add(self, x: int) -> None:
+        if x not in self:
+            set.add(self, x)
+            self._count(x, 1)
 
-    def _count_uppers(self, family, added, uppers, step: int) -> None:
-        """Count the upper sets in (step 1) or out (step -1) over the
-        n/2-sets under them.  An n/2-set of B that the step did not add
-        starts or stops counting in bad as its count leaves or reaches 0."""
-        above, edge = self.above, 1 if step > 0 else 0
-        for u in uppers:
-            rest = u
+    def discard(self, x: int) -> None:
+        if x in self:
+            set.discard(self, x)
+            self._count(x, -1)
+
+    def _count(self, x: int, step: int) -> None:
+        """Count x into (step 1) or out of (step -1) the tallies.  An
+        n/2-set moves halves and bad; an upper set moves the count of each
+        n/2-set h under it, and bad when that count leaves or reaches 0
+        while h is in B; any other set moves outside."""
+        size = x.bit_count() - self.n // 2
+        if size == 0:
+            self.halves += step
+            self.bad += step * (self.above[x] > 0)
+        elif size == 1:
+            above, edge = self.above, 1 if step > 0 else 0
+            rest = x
             while rest:
                 low = rest & -rest
                 rest ^= low
-                h = u ^ low
+                h = x ^ low
                 count = above[h] = above[h] + step
-                if count == edge and h in family and h not in added:
+                if count == edge and h in self:
                     self.bad += step
+        else:
+            self.outside += step
 
-    def verdict(self, family: set[int]) -> tuple[bool, int, bool]:
+    def verdict(self) -> tuple[bool, int, bool]:
         """(B is an antichain, pair count, the pairs form a matching)."""
         if not self.outside:
             return not self.bad, self.halves, True
-        if self.index is None:
-            self.index = _size_index(self.a_masks)
-        b_masks = sorted(family, key=int.bit_count)
+        b_masks = sorted(self, key=int.bit_count)
         return (_is_antichain_masks(b_masks),
-                *_count_disjoint(self.index, b_masks, self.n))
+                *_count_disjoint(_size_index(self.a_masks), b_masks, self.n))
 
 
 @timed
@@ -597,8 +584,9 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
 
     The families depend on k only through m, the least minimizer read off
     k's cascade, which grows with k.  So the sweep runs construct_extremal's
-    walk once, through every m, and checks B at each m some k reaches from
-    the walk's changes (_ExtremalTally); A, the n/2-level, is checked once.
+    walk once, through every m, on a B that keeps its own counts
+    (_ExtremalTally), and checks B at each m some k reaches from those
+    counts; A, the n/2-level, is checked once.
     The pair count against k and the total against the bound are checked
     for every k, with kappa* taken as the running minimum of the cascade
     formula, a route independent of Thm 2.3.  Even n runs from 4 to 22,
@@ -610,14 +598,13 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     r = n // 2
     a_masks = level_masks(n, r)
     half = len(a_masks)
-    family = set(level_masks(n, r + 1))  # B at m = 0
+    family = _ExtremalTally(n, a_masks)  # B at m = 0
     middle = half + len(family)
     a_problems = [] if _is_antichain_masks(a_masks) else ["family_a not an antichain"]
-    tally = _ExtremalTally(n, a_masks)
 
     def check_b():
         """(problems of the pair, pair count, total) for B as it stands."""
-        b_is_antichain, pair_count, matching = tally.verdict(family)
+        b_is_antichain, pair_count, matching = family.verdict()
         problems = a_problems + ([] if b_is_antichain else ["family_b not an antichain"])
         if not matching:
             problems.append("disjoint pairs not a matching")
@@ -631,7 +618,7 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
         star = min(star, _shadow_formula(terms) - k)  # kappa(r, k)
         m = _star_cut(terms)[0]
         if m != at:
-            tally.take(family, islice(walk, m - at))
+            deque(islice(walk, m - at), maxlen=0)
             at, checked = m, check_b()
         problems, pair_count, total = checked
         problems = list(problems)

@@ -943,8 +943,9 @@ def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
 
 
 def test_the_tally_follows_any_walk(monkeypatch):
-    # random steps over every level: the tally's verdict on each B it is
-    # told about is the pairwise antichain test and a scan of every pair
+    # random steps over every level, walked on the tally and on a plain set
+    # side by side: both hold the step's result, and the tally's verdict on
+    # it is the pairwise antichain test and a scan of every pair
     rng = random.Random(28)
     outcomes = set()
     for n in (4, 6, 8):
@@ -955,22 +956,41 @@ def test_the_tally_follows_any_walk(monkeypatch):
             return rng.choice(near) if rng.random() < 0.8 else rng.randrange(1 << n)
 
         def step(n, y):
-            return ([pick() for _ in range(rng.randint(0, 2))],
-                    [pick() for _ in range(rng.randint(0, 4))])
+            # drawn once per y, from B before the step, for both walks
+            if y not in proposals:
+                held = sorted(plain)
+                added = [pick() for _ in range(rng.randint(0, 2))]
+                removed = [pick() for _ in range(rng.randint(0, 4))]
+                if held and rng.random() < 0.5:
+                    x = rng.choice(held)  # leaves, then enters again
+                    removed, added = removed + [x], added + [x]
+                if held and rng.random() < 0.3:
+                    added.append(rng.choice(held))  # one B holds
+                lacked = [x for x in near if x not in plain]
+                if lacked and rng.random() < 0.3:
+                    removed.append(rng.choice(lacked))  # one B lacks
+                proposals[y] = added, removed
+            return proposals[y]
 
         monkeypatch.setattr(antichains, "_extremal_step", step)
         for _ in range(40 // n):
-            family = set(level_masks(n, n // 2 + 1))
+            plain, proposals = set(level_masks(n, n // 2 + 1)), {}
             tally = antichains._ExtremalTally(n, half_level)
-            for step in antichains._extremal_walk(n, family, half_level):
-                tally.take(family, [step])
-                pairs, matching = pairwise_disjoint_pairs(half_level, sorted(family))
-                got = tally.verdict(family)
-                assert got == (oracle_is_antichain(family), len(pairs), matching)
+            expected = set(plain)
+            for y, *_ in zip(reversed(half_level),
+                             antichains._extremal_walk(n, plain, half_level),
+                             antichains._extremal_walk(n, tally, half_level)):
+                # a step's removals leave, then its additions enter
+                added, removed = proposals[y]
+                expected = expected.difference(removed).union(added)
+                assert tally == plain == expected
+                pairs, matching = pairwise_disjoint_pairs(half_level, sorted(plain))
+                got = tally.verdict()
+                assert got == (oracle_is_antichain(plain), len(pairs), matching)
                 # off the two middle levels: B goes back to the counts when
                 # the last such member leaves
                 assert tally.outside == sum(x.bit_count() - n // 2 not in (0, 1)
-                                            for x in family)
+                                            for x in plain)
                 outcomes.add((got[0], got[2], tally.outside > 0))
     assert {(True, True, False), (False, True, False), (False, False, True)} <= outcomes
 
