@@ -181,7 +181,7 @@ class ExtremalConstruction:
 
     def to_json(self) -> dict:
         masks_a, masks_b = self.family_a.masks(), self.family_b.masks()
-        pair_count, matching = _count_disjoint(_size_index(masks_a), masks_b, self.n)
+        pair_count, matching = _count_disjoint(masks_a, masks_b, self.n)
         return {
             "n": self.n,
             "k": self.k,
@@ -196,18 +196,14 @@ class ExtremalConstruction:
         }
 
 
-def _size_index(masks) -> dict[int, set[int]]:
-    """The masks by size, as sets: the index _count_disjoint reads."""
-    by_size = groupby(sorted(masks, key=int.bit_count), int.bit_count)
-    return {size: set(run) for size, run in by_size}
-
-
-def _count_disjoint(index, b_masks, n: int) -> tuple[int, bool]:
-    """(pair count, is_matching) between A, by its _size_index, and B's
-    distinct masks on {1..n}.  A member x of A misses a member y of B only
-    when |x| <= n - |y|, and at equality x is y's complement: one set
-    lookup, with the smaller members of A still scanned."""
+def _count_disjoint(a_masks, b_masks, n: int) -> tuple[int, bool]:
+    """(pair count, is_matching) between A's and B's distinct masks on
+    {1..n}.  A member x of A misses a member y of B only when
+    |x| <= n - |y|, and at equality x is y's complement: one set lookup,
+    with the smaller members of A still scanned."""
     full = (1 << n) - 1
+    by_size = groupby(sorted(a_masks, key=int.bit_count), int.bit_count)
+    index = {size: set(run) for size, run in by_size}
     pairs = []  # (x, y): x in A disjoint from y in B
     for size, run in groupby(b_masks, int.bit_count):
         run = list(run)
@@ -573,7 +569,7 @@ class _ExtremalTally(set):
             return not self.bad, self.halves, True
         b_masks = sorted(self, key=int.bit_count)
         return (_is_antichain_masks(b_masks),
-                *_count_disjoint(_size_index(self.a_masks), b_masks, self.n))
+                *_count_disjoint(self.a_masks, b_masks, self.n))
 
 
 @timed

@@ -53,13 +53,14 @@ def negativity_threshold(r: int) -> int:
     return 1 + sum(_threshold_terms(r))
 
 
-def _threshold_terms(r: int) -> list[int]:
+def _threshold_terms(r: int):
     """C(2i-1, i) for i = 1..r, each from the last by C(2i+1, i+1) =
-    C(2i-1, i) * 2(2i+1) / (i+1): linear in r multiplies, no comb per term."""
-    terms = [1]
+    C(2i-1, i) * 2(2i+1) / (i+1): linear in r multiplies, one term held."""
+    term = 1
     for i in range(1, r):
-        terms.append(terms[-1] * 2 * (2 * i + 1) // (i + 1))
-    return terms
+        yield term
+        term = term * 2 * (2 * i + 1) // (i + 1)
+    yield term
 
 
 def _star_cut(terms) -> tuple[int, int]:
@@ -98,37 +99,29 @@ def _run_column(r: int, count: int) -> list[int]:
     """Initial-run length minus one of each of the first `count` r-sets in
     squashed order: that set's new-shadow size minus one.  Adding a > r
     leaves a set's initial run unchanged, so level r is [r-1] followed by
-    prefixes of level r-1.
-
-    While the last block, the first `last` ranks of level r-1, is the
-    longest, level r is a head ([r-1] and the other blocks) reading only the
-    head below it, then level r-1: a loop walks that chain, about r deep.
+    prefixes of level r-1.  The levels are planned top down, each reading
+    its longest block below, and built bottom up on the reversed column,
+    where a prefix is a suffix: a last block that reads the whole level
+    below extends it in place, so a chain of such levels copies only its
+    shorter blocks.
     """
-    heads, pieces = [], []  # (level, sizes of its blocks) top down; parts bottom up
+    plan = []  # (level, sizes of its blocks), top down
     while r > 1 and count > r + 1:
-        *blocks, (_, last) = _level_blocks(r, count)
-        sizes = [size for _, size in blocks]
-        if last <= sizes[-1]:  # sizes grow, so the last full block is longest
-            heads.append((r, sizes + [last]))
-            below = _run_column(r - 1, sizes[-1])
-            break
-        heads.append((r, sizes))
-        r, count = r - 1, last
-    else:
-        # The rank-m set of level r is [r+1] minus {r+1-m} for m <= r, with
-        # run r-m; level 1 continues {3}, {4}, ... with run 0.
-        below = list(range(r - 1, max(r - 1 - count, -2), -1))
-        below += [-1] * (count - len(below))
-        pieces.append(below)
-    for j, sizes in reversed(heads):
-        head = [j - 1]
-        for size in sizes:
-            head += below[:size]
-        pieces.append(head)
-        below = head
-    col = []
-    for piece in reversed(pieces):
-        col += piece
+        sizes = [size for _, size in _level_blocks(r, count)]
+        plan.append((r, sizes))
+        r, count = r - 1, max(sizes)
+    # The rank-m set of level r is [r+1] minus {r+1-m} for m <= r, with run
+    # r-m; level 1 continues {3}, {4}, ... with run 0.  Reversed:
+    low = max(r - count, -1)
+    col = [-1] * (count - r + low) + list(range(low, r))
+    for j, (*sizes, last) in reversed(plan):
+        n = len(col)
+        rev = col if last == n else col[n - last:]
+        for size in reversed(sizes):
+            rev += col[n - size:n]
+        rev.append(j - 1)
+        col = rev
+    col.reverse()
     return col
 
 
@@ -198,7 +191,7 @@ class KappaTable:
     segment's shadow by that set's new-shadow size, the length of its
     initial run 1, 2, ... (the closed form of _pure.new_shadow_masks).  So
     the kappa column is the running sum of run length minus one over the
-    level, and that column follows the level's block recursion
+    level, and that column follows the level's block structure
     (_run_column): list slices and one accumulate, no walk over the sets.
     It stays an independent route against the cascade formula.  kappa_star
     is not passed in: the table derives it as the running minimum of the
@@ -256,15 +249,20 @@ def verify_prop22(r: int = 2, m_max: int | None = None) -> VerificationReport:
     m_max = _check_m_max("verify_prop22", r, m_max)
     rep = VerificationReport("prop22", {"r": r, "m_max": m_max})
     rep.checks_run = 2 * (m_max + 1)
-    terms = _threshold_terms(r)
-    p = 1 + sum(terms)  # negativity_threshold(r)
-    # the suffix sums of C(2i-1, i), summed from i = r down
-    zeros = {0, *accumulate(reversed(terms))}
+    p = 1  # negativity_threshold(r), keeping its last term C(2r-1, r)
+    for term in _threshold_terms(r):
+        p += term
+    # the suffix sums of C(2i-1, i) up to m_max, summed from i = r down,
+    # each term from the one above it
+    zeros, total, i = {0}, term, r
+    while i and total <= m_max:
+        zeros.add(total)
+        term = term * i // (2 * (2 * i - 1))  # C(2i-3, i-1)
+        total, i = total + term, i - 1
     col = _kappa_column(r, m_max)
     cut = min(p, m_max + 1)
-    seen = [z for z in zeros if z <= m_max]
     if min(col[:cut]) >= 0 and max(col[cut:], default=-1) < 0 \
-            and col.count(0) == len(seen) and not any(col[z] for z in seen):
+            and col.count(0) == len(zeros) and not any(col[z] for z in zeros):
         return rep
     for m, v in enumerate(col):
         if (v < 0) != (m >= p):

@@ -1303,7 +1303,7 @@ def size_rule_pairs(draw):
 def test_the_size_rule_counts_the_pairs_of_the_all_pairs_definition(drawn):
     n, masks_a, masks_b = drawn
     pairs, matching = pairwise_disjoint_pairs(masks_a, masks_b)
-    got = antichains._count_disjoint(antichains._size_index(masks_a), masks_b, n)
+    got = antichains._count_disjoint(masks_a, masks_b, n)
     assert got == (len(pairs), matching)
 
 

@@ -2,6 +2,8 @@
 
 import importlib
 import random
+import timeit
+import tracemalloc
 from itertools import accumulate, islice
 from math import comb
 
@@ -31,7 +33,8 @@ from kktools import (
     verify_thm23,
 )
 from kktools.kappa import (_condition_column, _exchange_violations,
-                           _full_grid_violations, _violating_steps)
+                           _full_grid_violations, _run_column,
+                           _violating_steps)
 from kktools.squashed import _squashed_walk
 
 # deficit of the first m 2-sets, m = 0..10
@@ -246,6 +249,30 @@ def test_block_build_walks_a_chain_deeper_than_the_recursion_limit():
         assert table.kappa[m] == kappa(r, m), m
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_run_column_is_the_walk_prefix_at_every_block_boundary(r):
+    # the column of a count is a prefix of a longer one.  Level r ends a
+    # block at C(a, r); C(a, r) + C(a-1, r-1) cuts the last block as long
+    # as the longest full one, the edge of extending the level below in place
+    top = comb(2 * r, r) + 2 * r
+    walk = oracle_walk_table(r, top)[0]
+    runs = [after - before for before, after in zip(walk, walk[1:])]
+    ends = [comb(a, r) for a in range(r, 2 * r + 1)]
+    ends += [comb(a, r) + comb(a - 1, r - 1) for a in range(r + 1, 2 * r)]
+    counts = {0, top} | {end + d for end in ends for d in (-1, 0, 1)}
+    for count in sorted(counts):
+        assert _run_column(r, count) == runs[:count], count
+
+
+def test_the_deep_chain_builds_within_its_budget():
+    # every level of the chain reads the whole level below in its last
+    # block: extended in place, about 8 ms; copying every block at every
+    # level took 0.7 s on a shared 2-core VM, Python 3.11
+    fastest = min(timeit.repeat(lambda: _run_column(1200, 720_000),
+                                number=1, repeat=3))
+    assert fastest <= 0.25, f"the deep chain took {fastest:.2f} s"
+
+
 @pytest.mark.parametrize("r, m, delta", [(3, 12, -1), (3, 10, 1), (4, 48, 2),
                                          (5, 160, -1)])
 def test_thm23_sweep_and_cascade_oracle_agree_on_a_faulty_table(
@@ -438,6 +465,23 @@ def test_prop22_takes_its_zero_set_in_one_pass(monkeypatch):
     r = 50
     assert verify_prop22(r, 5).passed
     assert calls == []
+
+
+def test_the_threshold_and_zero_set_hold_one_term_at_a_time():
+    # the r terms C(2i-1, i) hold about r^2 bits together: kept, they
+    # peaked at 52 MiB for the threshold and 156 MiB for the sweep
+    r = 20_000
+    tracemalloc.start()
+    try:
+        negativity_threshold(r)
+        threshold_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert verify_prop22(r, 10).passed
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert threshold_peak < 1 << 20, threshold_peak
+    assert sweep_peak < 1 << 20, sweep_peak
 
 
 def test_kappa_only_sweeps_build_no_table(monkeypatch):
