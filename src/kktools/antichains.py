@@ -15,14 +15,14 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice
 from math import comb
 
 from . import _pure
 from .binomials import binom, _cascade_terms, _check_int, _check_type
-from .kappa import _star_cut
+from .kappa import _run_column, _star_cut
 from .report import VerificationReport, timed
-from .shadows import _shadow_formula
+from .shadows import _cascade_walk
 from .squashed import SetFamily, Subset, _masks_text, format_subset, level_masks
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
@@ -579,13 +579,16 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     the total equals theorem25_bound(n, k) (n = 8 by default).
 
     The families depend on k only through m, the least minimizer read off
-    k's cascade, which grows with k.  So the sweep runs construct_extremal's
-    walk once, through every m, on a B that keeps its own counts
-    (_ExtremalTally), and checks B at each m some k reaches from those
-    counts; A, the n/2-level, is checked once.
+    k's cascade, which grows with k.  The cascades of consecutive k come
+    from one walk (shadows._cascade_walk), which carries Thm 2.3's cut and
+    so gives each k's m in amortized O(1).  The sweep runs
+    construct_extremal's walk once, through every m, on a B that keeps its
+    own counts (_ExtremalTally), and checks B at each m some k reaches from
+    those counts; A, the n/2-level, is checked once.
     The pair count against k and the total against the bound are checked
-    for every k, with kappa* taken as the running minimum of the cascade
-    formula, a route independent of Thm 2.3.  Even n runs from 4 to 22,
+    for every k, with kappa* taken as the running minimum of kappa by the
+    block route (the running sum of kappa._run_column), which rests neither
+    on Thm 2.3 nor on the cascade walk.  Even n runs from 4 to 22,
     construct_extremal's range: past it a larger n is refused before either
     middle level is built.
     """
@@ -609,10 +612,13 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     walk = _extremal_walk(n, family, a_masks)
     star = at = 0
     checked = check_b()
-    for k in range(half + 1):
-        terms = _cascade_terms(k, r)
-        star = min(star, _shadow_formula(terms) - k)  # kappa(r, k)
-        m = _star_cut(terms)[0]
+    # kappa_r(0..half) summed as it is read: the list of _kappa_column
+    # would raise the sweep's peak memory
+    kappas = accumulate(_run_column(r, half), initial=0)
+    for k, (kappa, rows) in enumerate(zip(kappas, _cascade_walk(r))):
+        if kappa < star:
+            star = kappa
+        m = rows[-1][4]  # the least minimizer of k's cut
         if m != at:
             deque(islice(walk, m - at), maxlen=0)
             at, checked = m, check_b()

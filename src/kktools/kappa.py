@@ -40,7 +40,9 @@ def kappa_star(r: int, m: int) -> int:
     _star_cut(_cascade_terms(m, r))[1], which theorem25_bound reads; that
     becomes the body here once the benchmark's peak-memory meter reads each
     run's own process.  Until then this is the oracle the cut is tested
-    against.
+    against.  It does not read shadows._cascade_walk either, which steps
+    from one cascade to the next in amortized O(1) comb calls, for the
+    same reason: that meter reads the faster run as a memory regression.
     """
     _check_int("kappa_star", "r", r, 1)
     _check_int("kappa_star", "m", m, 0)

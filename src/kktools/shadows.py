@@ -13,13 +13,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
 
 from . import _pure
 from .binomials import _cascade_terms, _check_int, _check_type
 from .report import VerificationReport, timed
 from .squashed import SetFamily, level_masks
+
+# The largest ground sets the shadow sweeps take; a larger one is refused
+# before any level is built.  On a shared 2-core VM, Python 3.11:
+# verify_kkt(22, samples=0) takes 15 s at a 301 MB peak (VmHWM) and
+# verify_lieby_duality(22) 15 s at 205 MB, each about 4x the time and
+# memory per two more elements; 50 samples at sample_n_max 20 take 1.8 s
+# and at 22 take 45 s; verify_clements_minimality(16) takes 36 s, its
+# windows about 16x per two more elements.
+_MAX_LEVEL_N = 22
+_MAX_SAMPLE_N = 20
+_MAX_WINDOW_N = 16
 
 
 def _level_move(fam: SetFamily, op: str, kernel, down: bool) -> SetFamily:
@@ -104,6 +115,50 @@ def _shadow_formula(terms) -> int:
     return sum(comb(a, i - 1) for a, i in terms)
 
 
+def _cascade_walk(r: int):
+    """The cascades of k = 0, 1, 2, ... at level r in turn, each yielded as
+    the walk's live stack of rows, one row (a_i, i, sum C, shadow, least,
+    star, cut) per term after a base row for the empty cascade of k = 0.
+    The top row gives k's shadow formula (kk_shadow_min(k, r)) and the
+    (least m, kappa*_r(k)) that kappa._star_cut reads off k's cascade: sum C
+    is the running sum of C(a_i, i), shadow that of C(a_i, i - 1), and cut
+    is set once a positive D(a_i, i) has ended the cut.  Endless and
+    unchecked; the rows are valid until the next step.
+
+    The cascade of k + 1 is that of k with its last term (a_t, t) changed:
+    for t >= 2 append (t - 1, t - 1); for t = 1 raise a_1 by one, and while
+    it then equals the coefficient above, fold C(a, i + 1) + C(a, i) =
+    C(a + 1, i + 1).  k = 1 is (r, r).  A step pushes one row, so it makes
+    two comb calls, amortized over its folds.
+    """
+    rows = [(0, 0, 0, 0, 0, 0, False)]
+    total = shadow = least = star = 0
+    cut = False
+    yield rows
+    a = i = r
+    while True:
+        c, below = comb(a, i), comb(a, i - 1)
+        total += c
+        shadow += below
+        d = below - c  # D(a, i), as a >= i
+        if cut or d > 0:
+            cut = True
+        elif d:
+            least, star = total, star + d
+        rows.append((a, i, total, shadow, least, star, cut))
+        yield rows
+        if i > 1:
+            a = i = i - 1
+            continue
+        rows.pop()
+        a += 1
+        while rows[-1][0] == a:  # the term above is (a, i + 1): fold
+            rows.pop()
+            a += 1
+            i += 1
+        _, _, total, shadow, least, star, cut = rows[-1]
+
+
 def kk_shadow_min(m: int, r: int) -> int:
     """Minimum possible shadow size of m distinct r-sets: the cascade's
     shadow formula, attained by the first m r-sets in squashed order."""
@@ -124,21 +179,35 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     A sample's shadow is counted on membership bitsets: the family is the
     2**n-bit int with bit x per member x, and the shadow is the OR over the
     elements e of its members holding e shifted down by 2**e (one column
-    per e, built once per sampled n).  The shadow is never listed.
+    per e, built once per sampled n).  The shadow is never listed.  The
+    formula values of level k come from one cascade walk (_cascade_walk),
+    stepped as far as the largest m a cell or sample reads.  n_max runs to
+    22 and sample_n_max to 20; past either the sweep is refused before any
+    level is built.
     """
-    _check_int("verify_kkt", "n_max", n_max, 1)
+    _check_int("verify_kkt", "n_max", n_max, 1, _MAX_LEVEL_N)
     _check_int("verify_kkt", "samples", samples, 0)
     _check_int("verify_kkt", "seed", seed)  # None would seed from OS entropy
-    _check_int("verify_kkt", "sample_n_max", sample_n_max, 2)
+    _check_int("verify_kkt", "sample_n_max", sample_n_max, 2, _MAX_SAMPLE_N)
     rep = VerificationReport("kkt", {"n_max": n_max, "samples": samples,
                                      "seed": seed, "sample_n_max": sample_n_max})
-    shadow_min = cache(kk_shadow_min)  # one cascade per (m, k) per call
+    columns = {}  # level k: (formula values for m = 0, 1, ..., the walk growing them)
+
+    def formula_column(k, m):
+        """Level k's formula column, walked as far as m."""
+        if k not in columns:
+            columns[k] = [], _cascade_walk(k)
+        col, walk = columns[k]
+        if len(col) <= m:
+            col += [rows[-1][3] for rows in islice(walk, m + 1 - len(col))]
+        return col
+
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             sizes = _pure.prefix_shadow_sizes(level_masks(n, k))
-            for m, got in enumerate(sizes):
-                want = shadow_min(m, k)
-                rep.checks_run += 1
+            col = formula_column(k, len(sizes) - 1)
+            rep.checks_run += len(sizes)
+            for m, (got, want) in enumerate(zip(sizes, col)):
                 if got != want:
                     rep.violations.append(
                         {"part": "tightness", "n": n, "k": k, "m": m,
@@ -154,7 +223,7 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
         fam = rng.sample(level, m)
         got = _pure._shadow_size(fam, columns_of(n))
         rep.checks_run += 1
-        want = shadow_min(m, k)
+        want = formula_column(k, m)[m]
         if got < want:
             rep.violations.append(
                 {"part": "lower-bound", "n": n, "k": k, "m": m,
@@ -167,9 +236,10 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
 def verify_lieby_duality(n: int = 8) -> VerificationReport:
     """|shadow(first m k-sets)| = |shade(last m (n-k)-sets)| for every k, m.
 
-    Both sides are computed by explicit union, never by formula; n = 8 by default.
+    Both sides are computed by explicit union, never by formula; n = 8 by
+    default, and n runs to 22.
     """
-    _check_int("verify_lieby_duality", "n", n, 1)
+    _check_int("verify_lieby_duality", "n", n, 1, _MAX_LEVEL_N)
     rep = VerificationReport("lieby", {"n": n})
     for k in range(1, n + 1):
         down = _pure.prefix_shadow_sizes(level_masks(n, k))
@@ -189,13 +259,13 @@ def verify_clements_minimality(n: int = 6, k: int | None = None) -> Verification
     new-shade size; checked for every window of every length (each window
     counts as two checks, one per direction).  By default n = 6, and k None
     checks levels 1..n-1 in one report (params k "1..n-1"), each violation
-    tagged with its k.
+    tagged with its k.  n runs to 16.
 
     Ownership classes of distinct sets are disjoint, so a window's new
     shadow (new shade) size is the sum of its members' sizes: the kernel runs
     once per set, and each window reads a difference of prefix sums.
     """
-    _check_int("verify_clements_minimality", "n", n, 1)
+    _check_int("verify_clements_minimality", "n", n, 1, _MAX_WINDOW_N)
     if k is not None:
         _check_int("verify_clements_minimality", "k", k, 1, n)
     rep = VerificationReport("clements", {"n": n, "k": "1..n-1" if k is None else k})

@@ -942,6 +942,34 @@ def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
         assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
 
 
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_extremal_sweep_catches_a_walk_off_by_one_in_m(monkeypatch, n):
+    # the least minimizer moves exactly at the k where kappa* falls, to k
+    # itself; a cascade walk giving m = k - 1 at one such k builds B at
+    # k - 1 there, whose total misses the bound by kappa(k - 1) - kappa*(k)
+    # > 0, and only that k is reported
+    r = n // 2
+    walk = antichains._cascade_walk
+    middle = binom(n, r) + binom(n, r + 1)
+    jumps = [k for k in range(1, binom(n, r) + 1)
+             if star_cut(k, r)[0] != star_cut(k - 1, r)[0]]
+    assert jumps and all(star_cut(k, r)[0] == k for k in jumps)
+    for jump in jumps:
+        def off_by_one(level):
+            for k, rows in enumerate(walk(level)):
+                if k == jump:
+                    a, i, total, formula, least, *rest = rows[-1]
+                    rows = rows[:-1] + [(a, i, total, formula, least - 1, *rest)]
+                yield rows
+
+        monkeypatch.setattr(antichains, "_cascade_walk", off_by_one)
+        rep = verify_extremal_constructions(n)
+        assert rep.checks_run == binom(n, r) + 1
+        assert rep.violations == [
+            {"n": n, "k": jump, "case": "ii", "m": jump - 1,
+             "problems": [f"total {middle - kappa(r, jump - 1)} misses the bound"]}], jump
+
+
 def test_the_tally_follows_any_walk(monkeypatch):
     # random steps over every level, walked on the tally and on a plain set
     # side by side: both hold the step's result, and the tally's verdict on

@@ -240,6 +240,13 @@ def test_verify_all_rejects_a_zero_bound(capsys, flag, message):
     assert out == "" and f"error: run_all: {message}" in err
 
 
+def test_verify_kkt_past_its_cap_exits_2(capsys):
+    # refused up front, where it used to run for minutes building levels
+    code, out, err = run_cli(capsys, "verify", "kkt", "--n", "30")
+    assert code == 2
+    assert out == "" and "error: verify_kkt: need 1 <= n_max <= 22, got 30" in err
+
+
 def test_verify_all_json_matches_golden_file(capsys):
     # tests/data/verify_all.json: `kktools verify all --format json` with
     # elapsed_ms removed; a faster sweep must leave every byte else alone

@@ -3,6 +3,8 @@
 import dataclasses
 import inspect
 import random
+import re
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +32,9 @@ from kktools import (
     verify_lieby_duality,
 )
 from kktools import shadows as shadows_module
+from kktools.binomials import _cascade_terms
+from kktools.kappa import _star_cut
+from kktools.shadows import _shadow_formula
 
 
 def test_shadow_of_triangle():
@@ -276,6 +281,33 @@ def test_kk_shadow_min_examples():
             assert got == kk_shadow_min(m, k)
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_cascade_walk_matches_each_cascade(r):
+    # every k <= C(2r, r) + 2r: the walk's terms are k's cascade, and its
+    # top row holds k, the shadow formula and Thm 2.3's cut of that cascade
+    top = binom(2 * r, r) + 2 * r
+    for k, rows in enumerate(islice(shadows_module._cascade_walk(r), top + 1)):
+        terms = _cascade_terms(k, r)
+        assert tuple(row[:2] for row in rows[1:]) == terms, (r, k)
+        _, _, total, formula, least, star, _ = rows[-1]
+        assert (total, formula, (least, star)) == \
+            (k, _shadow_formula(terms), _star_cut(terms)), (r, k)
+
+
+@pytest.mark.parametrize("r, widest", [(2, 447), (3, 85)])
+def test_cascade_walk_matches_each_cascade_far_out(r, widest):
+    # k <= 10**5 at low levels: at r = 2 the top coefficient passes 400,
+    # and at r = 3 the folds chain, so one step drops r - 1 terms
+    drops, before = set(), 0
+    for k, rows in enumerate(islice(shadows_module._cascade_walk(r), 10**5 + 1)):
+        terms = tuple(row[:2] for row in rows[1:])
+        assert terms == _cascade_terms(k, r), (r, k)
+        drops.add(before - len(terms))
+        before = len(terms)
+    assert terms[0] == (widest, r)
+    assert r - 1 in drops
+
+
 def test_kkt_sweep_passes():
     rep = verify_kkt(n_max=8, samples=120, seed=7)
     assert rep.passed
@@ -289,6 +321,25 @@ def test_kkt_sweep_passes():
 def test_kkt_sweep_rejects_bad_arguments(kwargs, name):
     with pytest.raises(ValueError, match=name):
         verify_kkt(**kwargs)
+
+
+@pytest.mark.parametrize("sweep, kwargs, message", [
+    (verify_kkt, {"n_max": 23}, "verify_kkt: need 1 <= n_max <= 22, got 23"),
+    (verify_kkt, {"n_max": 2, "samples": 50, "sample_n_max": 21},
+     "verify_kkt: need 2 <= sample_n_max <= 20, got 21"),
+    (verify_lieby_duality, {"n": 23}, "verify_lieby_duality: need 1 <= n <= 22, got 23"),
+    (verify_clements_minimality, {"n": 17},
+     "verify_clements_minimality: need 1 <= n <= 16, got 17"),
+])
+def test_shadow_sweeps_refuse_ground_sets_past_their_cap(monkeypatch, sweep, kwargs,
+                                                         message):
+    # one past each cap is refused before any level is built
+    def no_level(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(shadows_module, "level_masks", no_level)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep(**kwargs)
 
 
 def test_kkt_sweep_builds_each_sampled_level_once(monkeypatch):
@@ -307,29 +358,38 @@ def test_kkt_sweep_builds_each_sampled_level_once(monkeypatch):
 
 
 def test_kkt_sweep_takes_one_cascade_per_cell(monkeypatch):
-    calls = []
+    walk = shadows_module._cascade_walk
+    walks, steps = [], {}
 
-    def counting(m, k):
-        calls.append((m, k))
-        return kk_shadow_min(m, k)
+    def counting(r):
+        walks.append(r)
+        for rows in walk(r):
+            steps[r] = steps.get(r, 0) + 1
+            yield rows
 
-    monkeypatch.setattr(shadows_module, "kk_shadow_min", counting)
+    monkeypatch.setattr(shadows_module, "_cascade_walk", counting)
     rep = verify_kkt(n_max=9, samples=300, seed=11)
     assert rep.passed
-    # the tightness cells (m, k) with m <= C(9, k) are every distinct cell
-    # the samples can draw
-    assert len(calls) == len(set(calls)) == sum(binom(9, k) + 1
-                                               for k in range(1, 10))
+    # one walk per level, one step per cell (m, k): the tightness cells with
+    # m <= C(9, k) are every distinct cell the samples can draw
+    assert walks == list(range(1, 10))
+    assert steps == {k: binom(9, k) + 1 for k in range(1, 10)}
 
 
 def test_kkt_reports_a_wrong_formula_at_every_cell_that_uses_it(monkeypatch):
     # the formula is off at one (m, k) = (3, 2); every level with three
     # 2-sets has a tightness cell there, and every sample drawn there with
     # shadow 3 (a triangle) is a lower-bound violation
-    def off_by_one(m, k):
-        return kk_shadow_min(m, k) + ((m, k) == (3, 2))
+    walk = shadows_module._cascade_walk
 
-    monkeypatch.setattr(shadows_module, "kk_shadow_min", off_by_one)
+    def off_by_one(r):
+        for m, rows in enumerate(walk(r)):
+            if (m, r) == (3, 2):
+                a, i, total, formula, *rest = rows[-1]
+                rows = rows[:-1] + [(a, i, total, formula + 1, *rest)]
+            yield rows
+
+    monkeypatch.setattr(shadows_module, "_cascade_walk", off_by_one)
     rep = verify_kkt(n_max=7, samples=400, seed=13, sample_n_max=5)
     tight = [v for v in rep.violations if v["part"] == "tightness"]
     assert tight == [{"part": "tightness", "n": n, "k": 2, "m": 3,
