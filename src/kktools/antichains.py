@@ -22,13 +22,14 @@ from . import _pure
 from .binomials import binom, _cascade_terms, _check_int, _check_type
 from .kappa import _run_column, _star_cut
 from .report import VerificationReport, timed
-from .shadows import _cascade_walk
 from .squashed import SetFamily, Subset, _masks_text, format_subset, level_masks
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
 # Below this many pairs, two levels are compared pair by pair: a shade or
 # shadow kernel call costs more (measured on the antichains of {1..5}).
 _PAIRS_PER_KERNEL_CALL = 64
+# The largest even n of construct_extremal and the extremal sweep
+_MAX_EXTREMAL_N = 22  # the pair holds 1,352,078 masks there
 
 
 def _is_antichain_masks(masks) -> bool:
@@ -263,7 +264,7 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     about C(n, n/2) + C(n, n/2+1) masks, 1,352,078 at n = 22, so a larger n
     is refused up front.
     """
-    _check_int("construct_extremal", "n", n, 4, 22, even=True)
+    _check_int("construct_extremal", "n", n, 4, _MAX_EXTREMAL_N, even=True)
     _check_int("construct_extremal", "k", k, 0, comb(n, n // 2))
     r = n // 2
     m = _star_cut(_cascade_terms(k, r))[0]
@@ -578,21 +579,20 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     antichains, the disjointness relation is a matching of size <= k, and
     the total equals theorem25_bound(n, k) (n = 8 by default).
 
-    The families depend on k only through m, the least minimizer read off
-    k's cascade, which grows with k.  The cascades of consecutive k come
-    from one walk (shadows._cascade_walk), which carries Thm 2.3's cut and
-    so gives each k's m in amortized O(1).  The sweep runs
+    The families depend on k only through m, the least m <= k with
+    kappa(m) = kappa*(k), which grows with k.  The sweep takes kappa by the
+    block route (the running sum of kappa._run_column), which does not rest
+    on Thm 2.3, and kappa* as its running minimum, so each k's m is the
+    first hit of that minimum; construct_extremal reads the same m off k's
+    cascade by Thm 2.3 (kappa._star_cut).  The sweep runs
     construct_extremal's walk once, through every m, on a B that keeps its
     own counts (_ExtremalTally), and checks B at each m some k reaches from
-    those counts; A, the n/2-level, is checked once.
-    The pair count against k and the total against the bound are checked
-    for every k, with kappa* taken as the running minimum of kappa by the
-    block route (the running sum of kappa._run_column), which rests neither
-    on Thm 2.3 nor on the cascade walk.  Even n runs from 4 to 22,
-    construct_extremal's range: past it a larger n is refused before either
-    middle level is built.
+    those counts; A, the n/2-level, is checked once.  The pair count
+    against k and the total against the bound are checked for every k.
+    Even n runs from 4 to 22, construct_extremal's range: past it a larger
+    n is refused before either middle level is built.
     """
-    _check_int("verify_extremal_constructions", "n", n, 4, 22, even=True)
+    _check_int("verify_extremal_constructions", "n", n, 4, _MAX_EXTREMAL_N, even=True)
     rep = VerificationReport("thm25-extremal", {"n": n})
     r = n // 2
     a_masks = level_masks(n, r)
@@ -610,18 +610,14 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
         return problems, pair_count, half + len(family)
 
     walk = _extremal_walk(n, family, a_masks)
-    star = at = 0
+    star = m = 0
     checked = check_b()
     # kappa_r(0..half) summed as it is read: the list of _kappa_column
     # would raise the sweep's peak memory
-    kappas = accumulate(_run_column(r, half), initial=0)
-    for k, (kappa, rows) in enumerate(zip(kappas, _cascade_walk(r))):
-        if kappa < star:
-            star = kappa
-        m = rows[-1][4]  # the least minimizer of k's cut
-        if m != at:
-            deque(islice(walk, m - at), maxlen=0)
-            at, checked = m, check_b()
+    for k, kappa in enumerate(accumulate(_run_column(r, half), initial=0)):
+        if kappa < star:  # a new minimum: the least minimizer moves to k
+            deque(islice(walk, k - m), maxlen=0)
+            star, m, checked = kappa, k, check_b()
         problems, pair_count, total = checked
         problems = list(problems)
         rep.checks_run += 1

@@ -16,8 +16,9 @@ import os
 import sys
 
 from . import antichains, binomials, shadows, squashed
-from .kappa import (KappaTable, kappa, kappa_star, verify_conjecture51,
-                    verify_lemma38, verify_prop22, verify_prop24, verify_thm23)
+from .kappa import (_MAX_DEFAULT_R, KappaTable, kappa, kappa_star,
+                    verify_conjecture51, verify_lemma38, verify_prop22,
+                    verify_prop24, verify_thm23)
 from .report import VerificationReport
 
 # command: (help, its required int flags in call order)
@@ -187,10 +188,15 @@ def run_all(n_max: int = 8, r_max: int = 6):
 
     Returns a list of (name, report): the identity grid at (n_max, r_max),
     per-ground-set checks for n up to n_max, per-level checks for r up to
-    r_max, and the brute-force checks at their enumerable sizes.
+    r_max, and the brute-force checks at their enumerable sizes.  n_max
+    runs to 16, the cap of the window sweep, and r_max to 13, the largest
+    level whose default m_max a kappa table takes; past either the suite is
+    refused before any sweep runs.
     """
     binomials._check_int("run_all", "n_max", n_max, 1)
     binomials._check_int("run_all", "r_max", r_max, 1)
+    binomials._check_int("run_all", "n_max", n_max, 1, shadows._MAX_WINDOW_N)
+    binomials._check_int("run_all", "r_max", r_max, 1, _MAX_DEFAULT_R)
     out: list[tuple[str, VerificationReport]] = []
 
     def log(name, rep):

@@ -22,7 +22,8 @@ from .shadows import _shadow_formula, kk_shadow_min
 # verify_prop22 and verify_thm23 at r = 13, past C(26, 13), the level size
 # of the n = 26 sweeps.  A sweep or build past it is refused before anything
 # is allocated, instead of growing until the process is killed.
-_MAX_UPPER_M = comb(26, 13) + 26
+_MAX_DEFAULT_R = 13
+_MAX_UPPER_M = comb(2 * _MAX_DEFAULT_R, _MAX_DEFAULT_R) + 2 * _MAX_DEFAULT_R
 
 
 def kappa(r: int, m: int) -> int:
@@ -40,9 +41,7 @@ def kappa_star(r: int, m: int) -> int:
     _star_cut(_cascade_terms(m, r))[1], which theorem25_bound reads; that
     becomes the body here once the benchmark's peak-memory meter reads each
     run's own process.  Until then this is the oracle the cut is tested
-    against.  It does not read shadows._cascade_walk either, which steps
-    from one cascade to the next in amortized O(1) comb calls, for the
-    same reason: that meter reads the faster run as a memory regression.
+    against.
     """
     _check_int("kappa_star", "r", r, 1)
     _check_int("kappa_star", "m", m, 0)

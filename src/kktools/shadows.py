@@ -116,37 +116,26 @@ def _shadow_formula(terms) -> int:
 
 
 def _cascade_walk(r: int):
-    """The cascades of k = 0, 1, 2, ... at level r in turn, each yielded as
-    the walk's live stack of rows, one row (a_i, i, sum C, shadow, least,
-    star, cut) per term after a base row for the empty cascade of k = 0.
-    The top row gives k's shadow formula (kk_shadow_min(k, r)) and the
-    (least m, kappa*_r(k)) that kappa._star_cut reads off k's cascade: sum C
-    is the running sum of C(a_i, i), shadow that of C(a_i, i - 1), and cut
-    is set once a positive D(a_i, i) has ended the cut.  Endless and
-    unchecked; the rows are valid until the next step.
+    """kk_shadow_min(k, r) for k = 0, 1, 2, ... in turn: the shadow formula
+    of each cascade at level r, stepped from the one before.  Endless and
+    unchecked.
 
     The cascade of k + 1 is that of k with its last term (a_t, t) changed:
     for t >= 2 append (t - 1, t - 1); for t = 1 raise a_1 by one, and while
     it then equals the coefficient above, fold C(a, i + 1) + C(a, i) =
-    C(a + 1, i + 1).  k = 1 is (r, r).  A step pushes one row, so it makes
-    two comb calls, amortized over its folds.
+    C(a + 1, i + 1).  k = 1 is (r, r).  The walk keeps a stack of rows
+    (a_i, i, running sum of C(a_i, i - 1)), one per term after a base row
+    for the empty cascade, and a step pushes one row, so it makes one comb
+    call, amortized over its folds.
     """
-    rows = [(0, 0, 0, 0, 0, 0, False)]
-    total = shadow = least = star = 0
-    cut = False
-    yield rows
+    rows = [(0, 0, 0)]
+    shadow = 0
+    yield shadow
     a = i = r
     while True:
-        c, below = comb(a, i), comb(a, i - 1)
-        total += c
-        shadow += below
-        d = below - c  # D(a, i), as a >= i
-        if cut or d > 0:
-            cut = True
-        elif d:
-            least, star = total, star + d
-        rows.append((a, i, total, shadow, least, star, cut))
-        yield rows
+        shadow += comb(a, i - 1)
+        rows.append((a, i, shadow))
+        yield shadow
         if i > 1:
             a = i = i - 1
             continue
@@ -156,7 +145,7 @@ def _cascade_walk(r: int):
             rows.pop()
             a += 1
             i += 1
-        _, _, total, shadow, least, star, cut = rows[-1]
+        shadow = rows[-1][2]
 
 
 def kk_shadow_min(m: int, r: int) -> int:
@@ -199,7 +188,7 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
             columns[k] = [], _cascade_walk(k)
         col, walk = columns[k]
         if len(col) <= m:
-            col += [rows[-1][3] for rows in islice(walk, m + 1 - len(col))]
+            col += islice(walk, m + 1 - len(col))
         return col
 
     for n in range(1, n_max + 1):

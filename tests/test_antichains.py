@@ -943,31 +943,35 @@ def test_extremal_sweep_catches_a_faulty_construction(monkeypatch, fault):
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_extremal_sweep_catches_a_walk_off_by_one_in_m(monkeypatch, n):
+def test_extremal_sweep_catches_a_kappa_off_by_one(monkeypatch, n):
     # the least minimizer moves exactly at the k where kappa* falls, to k
-    # itself; a cascade walk giving m = k - 1 at one such k builds B at
-    # k - 1 there, whose total misses the bound by kappa(k - 1) - kappa*(k)
-    # > 0, and only that k is reported
+    # itself; a kappa column one lower at one such k only makes the sweep's
+    # kappa* one lower from that k on while m stays there, so B's total
+    # misses the bound by one from that k until kappa falls below the
+    # faulty minimum, and at no other k
     r = n // 2
-    walk = antichains._cascade_walk
+    run_column = antichains._run_column
     middle = binom(n, r) + binom(n, r + 1)
     jumps = [k for k in range(1, binom(n, r) + 1)
              if star_cut(k, r)[0] != star_cut(k - 1, r)[0]]
     assert jumps and all(star_cut(k, r)[0] == k for k in jumps)
     for jump in jumps:
-        def off_by_one(level):
-            for k, rows in enumerate(walk(level)):
-                if k == jump:
-                    a, i, total, formula, least, *rest = rows[-1]
-                    rows = rows[:-1] + [(a, i, total, formula, least - 1, *rest)]
-                yield rows
+        def off_by_one(level, count):
+            col = run_column(level, count)  # kappa(k) - kappa(k - 1) at k - 1
+            col[jump - 1] -= 1
+            if jump < count:
+                col[jump] += 1
+            return col
 
-        monkeypatch.setattr(antichains, "_cascade_walk", off_by_one)
+        monkeypatch.setattr(antichains, "_run_column", off_by_one)
         rep = verify_extremal_constructions(n)
         assert rep.checks_run == binom(n, r) + 1
+        low = kappa(r, jump) - 1
+        stop = next((k for k in jumps if kappa(r, k) < low), binom(n, r) + 1)
         assert rep.violations == [
-            {"n": n, "k": jump, "case": "ii", "m": jump - 1,
-             "problems": [f"total {middle - kappa(r, jump - 1)} misses the bound"]}], jump
+            {"n": n, "k": k, "case": "ii", "m": jump,
+             "problems": [f"total {middle - kappa(r, jump)} misses the bound"]}
+            for k in range(jump, stop)], jump
 
 
 def test_the_tally_follows_any_walk(monkeypatch):

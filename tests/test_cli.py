@@ -240,6 +240,22 @@ def test_verify_all_rejects_a_zero_bound(capsys, flag, message):
     assert out == "" and f"error: run_all: {message}" in err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "17", "need 1 <= n_max <= 16, got 17"),
+    ("--r", "14", "need 1 <= r_max <= 13, got 14")])
+def test_verify_all_past_its_caps_exits_2_before_any_sweep(capsys, monkeypatch,
+                                                          flag, value, message):
+    # refused up front, where --n 17 ran every earlier sweep for about a
+    # minute before the window sweep refused it
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli.binomials, "verify_d_identities", no_sweep)
+    code, out, err = run_cli(capsys, "verify", "all", flag, value)
+    assert code == 2
+    assert out == "" and err == f"error: run_all: {message}\n"
+
+
 def test_verify_kkt_past_its_cap_exits_2(capsys):
     # refused up front, where it used to run for minutes building levels
     code, out, err = run_cli(capsys, "verify", "kkt", "--n", "30")
