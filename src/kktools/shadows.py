@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import accumulate, islice
+from itertools import accumulate, compress, count, islice, starmap
 from math import comb
+from operator import ne
 
 from . import _pure
 from .binomials import _cascade_terms, _check_int, _check_type
@@ -23,11 +24,11 @@ from .squashed import SetFamily, level_masks
 
 # The largest ground sets the shadow sweeps take; a larger one is refused
 # before any level is built.  On a shared 2-core VM, Python 3.11:
-# verify_kkt(22, samples=0) takes 15 s at a 301 MB peak (VmHWM) and
-# verify_lieby_duality(22) 15 s at 205 MB, each about 4x the time and
-# memory per two more elements; 50 samples at sample_n_max 20 take 1.8 s
-# and at 22 take 45 s; verify_clements_minimality(16) takes 36 s, its
-# windows about 16x per two more elements.
+# `kktools verify kkt --n 22` takes 9-11 s at a 299 MiB peak (VmHWM) and
+# verify_lieby_duality(22) 14-20 s at 206 MiB, each about 4x the time and
+# memory per two more elements; 50 samples at sample_n_max 20 take 2.1 s
+# at 65 MiB and at 22 took 45 s; verify_clements_minimality(16) takes
+# 36 s, its windows about 16x per two more elements.
 _MAX_LEVEL_N = 22
 _MAX_SAMPLE_N = 20
 _MAX_WINDOW_N = 16
@@ -168,11 +169,14 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     A sample's shadow is counted on membership bitsets: the family is the
     2**n-bit int with bit x per member x, and the shadow is the OR over the
     elements e of its members holding e shifted down by 2**e (one column
-    per e, built once per sampled n).  The shadow is never listed.  The
-    formula values of level k come from one cascade walk (_cascade_walk),
-    stepped as far as the largest m a cell or sample reads.  n_max runs to
-    22 and sample_n_max to 20; past either the sweep is refused before any
-    level is built.
+    per e, built once per sampled n).  The shadow is never listed.
+    Squashed order does not depend on the ground set: level k of {1..n} is
+    the first C(n, k) sets of level k of {1..n_max}.  So each level k gets
+    one union pass over level_masks(n_max, k) and one formula column from
+    one cascade walk (_cascade_walk), as long as the largest level any cell
+    or sample reads, and one compare of the two; a miss at m is reported at
+    every n with C(n, k) >= m.  n_max runs to 22 and sample_n_max to 20;
+    past either the sweep is refused before any level is built.
     """
     _check_int("verify_kkt", "n_max", n_max, 1, _MAX_LEVEL_N)
     _check_int("verify_kkt", "samples", samples, 0)
@@ -180,27 +184,21 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     _check_int("verify_kkt", "sample_n_max", sample_n_max, 2, _MAX_SAMPLE_N)
     rep = VerificationReport("kkt", {"n_max": n_max, "samples": samples,
                                      "seed": seed, "sample_n_max": sample_n_max})
-    columns = {}  # level k: (formula values for m = 0, 1, ..., the walk growing them)
-
-    def formula_column(k, m):
-        """Level k's formula column, walked as far as m."""
-        if k not in columns:
-            columns[k] = [], _cascade_walk(k)
-        col, walk = columns[k]
-        if len(col) <= m:
-            col += islice(walk, m + 1 - len(col))
-        return col
-
+    top = max(n_max, sample_n_max) if samples else n_max
+    columns, misses = {}, {}  # level k: formula column, its (m, shadow, formula) misses
+    for k in range(1, top + 1):
+        col = columns[k] = list(islice(_cascade_walk(k), comb(top, k) + 1))
+        if k <= n_max:
+            sizes = _pure.prefix_shadow_sizes(level_masks(n_max, k))
+            misses[k] = [(m, sizes[m], col[m])
+                         for m in compress(count(), map(ne, sizes, col))]
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            sizes = _pure.prefix_shadow_sizes(level_masks(n, k))
-            col = formula_column(k, len(sizes) - 1)
-            rep.checks_run += len(sizes)
-            for m, (got, want) in enumerate(zip(sizes, col)):
-                if got != want:
-                    rep.violations.append(
-                        {"part": "tightness", "n": n, "k": k, "m": m,
-                         "shadow": got, "formula": want})
+            cells = comb(n, k) + 1
+            rep.checks_run += cells
+            rep.violations += ({"part": "tightness", "n": n, "k": k, "m": m,
+                                "shadow": got, "formula": want}
+                               for m, got, want in misses[k] if m < cells)
     rng = random.Random(seed)
     level_of = cache(level_masks)  # one build per sampled (n, k)
     columns_of = cache(_pure._membership_columns)  # one build per sampled n
@@ -212,7 +210,7 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
         fam = rng.sample(level, m)
         got = _pure._shadow_size(fam, columns_of(n))
         rep.checks_run += 1
-        want = formula_column(k, m)[m]
+        want = columns[k][m]
         if got < want:
             rep.violations.append(
                 {"part": "lower-bound", "n": n, "k": k, "m": m,
@@ -233,11 +231,10 @@ def verify_lieby_duality(n: int = 8) -> VerificationReport:
     for k in range(1, n + 1):
         down = _pure.prefix_shadow_sizes(level_masks(n, k))
         up = _pure.suffix_shade_sizes(level_masks(n, n - k), n)
-        for m, (a, b) in enumerate(zip(down, up, strict=True)):
-            rep.checks_run += 1
-            if a != b:
-                rep.violations.append({"n": n, "k": k, "m": m,
-                                       "shadow": a, "shade": b})
+        rep.checks_run += len(down)
+        for m in compress(count(), starmap(ne, zip(down, up, strict=True))):
+            rep.violations.append({"n": n, "k": k, "m": m,
+                                   "shadow": down[m], "shade": up[m]})
     return rep
 
 

@@ -3,6 +3,7 @@
 import importlib
 import random
 import timeit
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1061,6 +1062,27 @@ def test_least_minimizer_is_the_first_hit_of_the_kappa_table(r, top):
     assert [star for _, star in cuts] == table.kappa_star
     threshold = negativity_threshold(r)
     assert [k for k, m in enumerate(want) if m == 0] == list(range(threshold))
+
+
+def test_least_minimizer_is_the_first_hit_of_the_sweep_column_at_r_11():
+    # construct_extremal reads m off Thm 2.3's cut and the extremal sweep
+    # off the first hit of kappa's running minimum; at r = 11 (n = 22) the
+    # two agree at every k where the first hit moves, at the k before each
+    # move, and at 50,000 seeded other k
+    r, half = 11, binom(22, 11)
+    firsts, stars = [], []
+    first = star = 0
+    for k, value in enumerate(accumulate(antichains._run_column(r, half), initial=0)):
+        if value < star:
+            first, star = k, value
+        firsts.append(first)
+        stars.append(star)
+    moves = [k for k in range(1, half + 1) if firsts[k] != firsts[k - 1]]
+    assert len(moves) == binom(2 * r, r) // (r + 1)
+    others = random.Random(33).sample(range(half + 1), 50_000)
+    ks = set(moves) | {k - 1 for k in moves} | set(others)
+    for k in sorted(ks):
+        assert star_cut(k, r) == (firsts[k], stars[k]), k
 
 
 def test_least_minimizer_meets_kappa_star():

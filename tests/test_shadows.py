@@ -372,6 +372,53 @@ def test_kkt_sweep_takes_one_cascade_per_cell(monkeypatch):
     assert steps == {k: binom(9, k) + 1 for k in range(1, 10)}
 
 
+@pytest.mark.parametrize("n_max", [1, 5, 9])
+def test_kkt_tightness_walks_each_level_of_the_largest_ground_set_once(monkeypatch, n_max):
+    # level k of {1..n} is the first C(n, k) sets of level k of {1..n_max},
+    # so with no samples the tightness half builds each level of {1..n_max}
+    # once and walks its formula column exactly that far, however large
+    # sample_n_max is
+    walk = shadows_module._cascade_walk
+    calls, steps = [], {}
+
+    def counting_level(n, k):
+        calls.append((n, k))
+        return level_masks(n, k)
+
+    def counting_walk(r):
+        for value in walk(r):
+            steps[r] = steps.get(r, 0) + 1
+            yield value
+
+    monkeypatch.setattr(shadows_module, "level_masks", counting_level)
+    monkeypatch.setattr(shadows_module, "_cascade_walk", counting_walk)
+    rep = verify_kkt(n_max=n_max, samples=0, sample_n_max=20)
+    assert rep.passed
+    assert rep.checks_run == sum(binom(n, k) + 1 for n in range(1, n_max + 1)
+                                 for k in range(1, n + 1))
+    assert calls == [(n_max, k) for k in range(1, n_max + 1)]
+    assert steps == {k: binom(n_max, k) + 1 for k in range(1, n_max + 1)}
+
+
+def test_kkt_tightness_reports_a_fault_only_where_the_level_reaches_it(monkeypatch):
+    # each faulty m is one past the level size of a smaller ground set:
+    # C(3, 2) = 3 and C(6, 3) = 20, so (4, 2) is read from n = 4 on and
+    # (21, 3) only at n = 7, in n-major order
+    walk = shadows_module._cascade_walk
+
+    def off_by_one(r):
+        for m, value in enumerate(walk(r)):
+            yield value + ((m, r) in {(4, 2), (21, 3)})
+
+    monkeypatch.setattr(shadows_module, "_cascade_walk", off_by_one)
+    rep = verify_kkt(n_max=7, samples=0)
+    cells = [(n, 2, 4) for n in range(4, 8)] + [(7, 3, 21)]
+    assert rep.violations == [{"part": "tightness", "n": n, "k": k, "m": m,
+                               "shadow": kk_shadow_min(m, k),
+                               "formula": kk_shadow_min(m, k) + 1}
+                              for n, k, m in cells]
+
+
 def test_kkt_reports_a_wrong_formula_at_every_cell_that_uses_it(monkeypatch):
     # the formula is off at one (m, k) = (3, 2); every level with three
     # 2-sets has a tightness cell there, and every sample drawn there with
