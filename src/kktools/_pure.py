@@ -3,7 +3,9 @@ suffix-shade sizes, the shadow size on membership bitsets, and the
 antichain pair scan with its index.
 
 Masks are plain ints with bit e-1 for element e, so ground sets of any size
-work.  The new-shadow/new-shade kernels use closed forms: a k-set owns the
+work.  The four set kernels (shadow, shade, new shadow, new shade) return
+their masks unordered; SetFamily.from_masks orders them (squashed._canonical).
+The new-shadow/new-shade kernels use closed forms: a k-set owns the
 deletions of the elements of its initial run 1, 2, ... and the insertions of
 the elements below its minimum.  The tests keep the literal ownership rule
 (squashed-least extension, squashed-greatest deletion) as an oracle.
@@ -12,8 +14,8 @@ the elements below its minimum.  The tests keep the literal ownership rule
 from __future__ import annotations
 
 
-def shadow_masks(masks) -> list[int]:
-    """Sorted distinct masks obtained by dropping one element from a member."""
+def shadow_masks(masks) -> set[int]:
+    """The set of masks obtained by dropping one element from a member."""
     out = set()
     for m in masks:
         x = m
@@ -21,11 +23,11 @@ def shadow_masks(masks) -> list[int]:
             low = x & -x
             out.add(m ^ low)
             x ^= low
-    return sorted(out)
+    return out
 
 
-def shade_masks(masks, n: int) -> list[int]:
-    """Sorted distinct masks obtained by adding one element within {1..n}."""
+def shade_masks(masks, n: int) -> set[int]:
+    """The set of masks obtained by adding one element within {1..n}."""
     out = set()
     full = (1 << n) - 1
     for m in masks:
@@ -34,13 +36,13 @@ def shade_masks(masks, n: int) -> list[int]:
             low = x & -x
             out.add(m | low)
             x ^= low
-    return sorted(out)
+    return out
 
 
 def new_shadow_masks(masks, n: int) -> list[int]:
     """Shadow sets owned by a member: the deletions of one element of its
     initial run, the trailing ones (m ^ (m + 1)) >> 1.  Ownership classes of
-    distinct sets never overlap, so for distinct members the sorted result
+    distinct sets never overlap, so for distinct members the unordered result
     has no duplicates and is the concatenation of the per-member lists; the
     window sweep of verify_clements_minimality sums per-member lengths."""
     out = []
@@ -50,15 +52,14 @@ def new_shadow_masks(masks, n: int) -> list[int]:
         while b <= run:
             out.append(m ^ b)
             b <<= 1
-    out.sort()
     return out
 
 
 def new_shade_masks(masks, n: int) -> list[int]:
     """Shade sets owned by a member: the insertions of one element below its
     minimum, the bits of ((m & -m) - 1) & full; every singleton for m = 0.
-    As for new_shadow_masks, distinct members give a sorted result with no
-    duplicates that concatenates the per-member lists."""
+    As for new_shadow_masks, distinct members give an unordered result with
+    no duplicates that concatenates the per-member lists."""
     out = []
     full = (1 << n) - 1
     for m in masks:
@@ -67,7 +68,6 @@ def new_shade_masks(masks, n: int) -> list[int]:
         while b <= below:
             out.append(m | b)
             b <<= 1
-    out.sort()
     return out
 
 

@@ -22,7 +22,8 @@ from . import _pure
 from .binomials import binom, _cascade_terms, _check_int, _check_type
 from .kappa import _run_column, _star_cut
 from .report import VerificationReport, timed
-from .squashed import SetFamily, Subset, _masks_text, format_subset, level_masks
+from .squashed import (SetFamily, Subset, _canonical, _masks_text, format_subset,
+                       level_masks)
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
 # Below this many pairs, two levels are compared pair by pair: a shade or
@@ -55,7 +56,7 @@ def _is_antichain_masks(masks) -> bool:
                     near, other = _pure.shade_masks(lower, n), upper
                 else:
                     near, other = _pure.shadow_masks(upper), lower
-                if not set(near).isdisjoint(other):
+                if not near.isdisjoint(other):
                     return False
                 continue
             for a in lower:
@@ -84,18 +85,17 @@ def _sperner_move(fam: SetFamily, op: str, down: bool) -> SetFamily:
     and the bottom level a prefix."""
     _check_type(op, "fam", fam, SetFamily)
     _require_antichain(fam, op)
-    masks = fam.masks()
-    n = fam.ground_n
+    masks, n = fam.masks(), fam.ground_n
     if masks == [0] or masks == [(1 << n) - 1]:
         raise ValueError(f"{op} is not defined on the one-member extremes")
     sizes = list(map(int.bit_count, masks))
     if down:
         cut = bisect_left(sizes, sizes[-1])
         moved = _pure.shadow_masks(masks[cut:])
-        return SetFamily.from_masks(masks[:cut] + moved, n)
+        return SetFamily.from_masks(moved.union(masks[:cut]), n)
     cut = bisect_right(sizes, sizes[0])
     moved = _pure.shade_masks(masks[:cut], n)
-    return SetFamily.from_masks(masks[cut:] + moved, n)
+    return SetFamily.from_masks(moved.union(masks[cut:]), n)
 
 
 def sperner_down(fam: SetFamily) -> SetFamily:
@@ -277,13 +277,13 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
 
 def _antichain_steps(n: int):
     """The DFS transitions of _antichain_walk and the Sperner count:
-    (order, keep) with order the subsets of {1..n} in canonical (size,
-    squashed) order and keep[i] the bitset of the later positions j whose
-    subset does not contain order[i].  An antichain whose lowest member is
-    order[i] takes its other members from keep[i].  Not cached, so a sweep
-    that does not enumerate pays for its own table.
+    (order, keep) with order the subsets of {1..n} in SetFamily's canonical
+    (size, squashed) order, from _canonical, and keep[i] the bitset of the
+    later positions j whose subset does not contain order[i].  An antichain
+    whose lowest member is order[i] takes its other members from keep[i].
+    Not cached, so a sweep that does not enumerate pays for its own table.
     """
-    order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    order = _canonical(range(1 << n))
     keep = [sum(1 << j for j in range(i + 1, len(order)) if a & ~order[j])
             for i, a in enumerate(order)]
     return order, keep
@@ -491,7 +491,7 @@ def verify_thm26_structure(n: int = 4,
                 if len(half) + len(rest) != len(masks):
                     parts = ["levels"]
                 else:
-                    shade_of_half = set(_pure.shade_masks(half, n))
+                    shade_of_half = _pure.shade_masks(half, n)
                     if rest != upper_level - shade_of_half:
                         parts.append("upper-complement")
                     size = len(half)

@@ -98,8 +98,8 @@ def _check_family_ground(ground_n) -> None:
 
 
 def _canonical(distinct) -> tuple[int, ...]:
-    """Distinct masks in canonical order: popcount ascending, then numeric
-    (squashed) order; a stable sort by popcount of the numeric order."""
+    """The one ordering of masks: distinct masks by popcount ascending, then
+    numeric (squashed) order; a stable sort by popcount of the numeric order."""
     out = sorted(distinct)
     out.sort(key=int.bit_count)
     return tuple(out)
@@ -107,8 +107,8 @@ def _canonical(distinct) -> tuple[int, ...]:
 
 @dataclass(frozen=True, init=False, repr=False)
 class SetFamily:
-    """A family of subsets of one ground set, deduplicated and in canonical
-    order: sizes ascending, squashed order inside a size class.
+    """A family of subsets of one ground set, deduplicated and in _canonical's
+    order, the one order of masks: sizes ascending, squashed within a size.
 
     The family is the tuple of its member masks in that order; equality,
     hashing, length, sizes, `in` and str read the masks only.  Each read of

@@ -15,8 +15,12 @@ from itertools import accumulate, islice
 
 import pytest
 
-from kktools import (KappaTable, _pure, binom, enumerate_antichains, kappa,
-                     level_masks, unrank)
+from kktools import (KappaTable, SetFamily, _pure, binom, construct_extremal,
+                     enumerate_antichains, is_antichain, kappa, level_masks,
+                     new_shade, new_shadow, shade, shadow, sperner_down,
+                     sperner_up, unrank, verify_clements_minimality,
+                     verify_extremal_constructions, verify_thm26_structure)
+from kktools.antichains import _PAIRS_PER_KERNEL_CALL
 from kktools.squashed import _squashed_walk
 
 
@@ -118,8 +122,8 @@ def test_closed_forms_match_ownership_rule_on_full_levels(kernels):
     for n in range(1, 8):
         for k in range(0, n + 1):
             level = level_masks(n, k)
-            assert kernels.new_shadow_masks(level, n) == oracle_new_shadow(level, n)
-            assert kernels.new_shade_masks(level, n) == oracle_new_shade(level, n)
+            assert sorted(kernels.new_shadow_masks(level, n)) == oracle_new_shadow(level, n)
+            assert sorted(kernels.new_shade_masks(level, n)) == oracle_new_shade(level, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 32, 33, 63, 64, 65,
@@ -131,10 +135,10 @@ def test_pure_closed_forms_match_ownership_rule_on_random_families(n):
     for k in sizes:
         for _ in range(3):
             fam = _random_level_family(rng, n, k, rng.randint(0, 8))
-            assert _pure.new_shadow_masks(fam, n) == oracle_new_shadow(fam, n)
-            assert _pure.new_shade_masks(fam, n) == oracle_new_shade(fam, n)
-            assert _pure.shadow_masks(fam) == sorted(oracle_shadow(fam))
-            assert _pure.shade_masks(fam, n) == sorted(oracle_shade(fam, n))
+            assert sorted(_pure.new_shadow_masks(fam, n)) == oracle_new_shadow(fam, n)
+            assert sorted(_pure.new_shade_masks(fam, n)) == oracle_new_shade(fam, n)
+            assert sorted(_pure.shadow_masks(fam)) == sorted(oracle_shadow(fam))
+            assert sorted(_pure.shade_masks(fam, n)) == sorted(oracle_shade(fam, n))
             assert _pure.prefix_shadow_sizes(fam) == \
                 [len(oracle_shadow(fam[:i])) for i in range(len(fam) + 1)]
             assert _pure.suffix_shade_sizes(fam, n) == \
@@ -283,3 +287,101 @@ def test_pair_scan_through_a_shared_index_matches_a_fresh_index():
     for _ in range(4):
         part = rng.sample(pool, rng.randint(10, 120))
         _scans_match_fresh_index(part, (0, 1, 2, 3, rng.randint(4, 10)))
+
+
+class _DescendingSet(set):
+    """A set of masks that iterates in descending order."""
+
+    def __iter__(self):
+        return iter(sorted(set.__iter__(self), reverse=True))
+
+
+def _report_json(rep) -> dict:
+    payload = rep.to_json()
+    payload.pop("elapsed_ms")
+    return payload
+
+
+def _nesting_cases(rng, n: int, size: int, counts):
+    """is_antichain families of two adjacent levels, size and size + 1 on
+    {1..n}, with more than _PAIRS_PER_KERNEL_CALL pairs: for each (lower
+    count, upper count), one antichain and the same family with one lower
+    set moved under an upper one."""
+    out = []
+    for n_low, n_up in counts:
+        assert n_low * n_up > _PAIRS_PER_KERNEL_CALL
+        upper = set()
+        while len(upper) < n_up:
+            upper.add(sum(1 << b for b in rng.sample(range(n), size + 1)))
+        under = {u ^ (u & -u) for u in upper}  # one set under each upper set
+        lower = set()
+        while len(lower) < n_low:
+            x = sum(1 << b for b in rng.sample(range(n), size))
+            if not any(x & u == x for u in upper):
+                lower.add(x)
+        nested = sorted(lower)[1:] + [min(under)]
+        out += [SetFamily.from_masks([*lower, *upper], n),
+                SetFamily.from_masks([*nested, *upper], n)]
+    return out
+
+
+def _kernel_order_calls():
+    """(label, call) for every library call the order test compares."""
+    rng = random.Random(3400)
+    calls = []
+    for n in (1, 2, 5, 12, 63, 64, 65, 70):
+        for k in sorted({0, 1, n // 2, n - 1, n}):
+            fam = SetFamily.from_masks(
+                _random_level_family(rng, n, k, rng.randint(1, 40)), n)
+            for op in (shadow, shade, new_shadow, new_shade):
+                if (op in (shadow, new_shadow) and k == 0) \
+                        or (op in (shade, new_shade) and k == n):
+                    continue
+                calls.append((f"{op.__name__} n={n} k={k}",
+                              lambda op=op, fam=fam: op(fam).masks()))
+    antichains = [a for a in rng.sample(enumerate_antichains(5), 150)
+                  if a not in ((), (0,), (31,))]
+    for a in antichains:
+        fam = SetFamily.from_masks(a, 5)
+        calls += [(f"sperner_down {a}", lambda fam=fam: sperner_down(fam).masks()),
+                  (f"sperner_up {a}", lambda fam=fam: sperner_up(fam).masks())]
+    nesting = _nesting_cases(rng, 10, 4, ((10, 20), (20, 10))) \
+        + _nesting_cases(rng, 65, 3, ((5, 80), (20, 20)))
+    calls += [(f"is_antichain {i}", lambda fam=fam: is_antichain(fam))
+              for i, fam in enumerate(nesting)]
+    calls += [("thm26", lambda: _report_json(verify_thm26_structure(4))),
+              ("clements", lambda: _report_json(verify_clements_minimality(6))),
+              ("extremal", lambda: _report_json(verify_extremal_constructions(8)))]
+    calls += [(f"construct_extremal k={k}",
+               lambda k=k: construct_extremal(8, k).to_json())
+              for k in (0, 5, 23, 48, 70)]
+    return calls
+
+
+def test_no_library_caller_reads_the_order_of_kernel_output(monkeypatch):
+    # the set kernels promise no order: with each one handing back its real
+    # result in descending order (a list stays a list, a set iterates
+    # descending), every caller must give what it gives unpatched
+    calls = _kernel_order_calls()
+    want = [call() for _, call in calls]
+    assert {got for (label, _), got in zip(calls, want)
+            if label.startswith("is_antichain")} == {True, False}
+    ran, routes = [], set()
+    for name in ("shadow_masks", "shade_masks", "new_shadow_masks",
+                 "new_shade_masks"):
+        real = getattr(_pure, name)
+
+        def descending(*args, real=real, name=name):
+            ran.append(name)
+            out = real(*args)
+            if isinstance(out, set):
+                return _DescendingSet(out)
+            return sorted(out, reverse=True)
+        monkeypatch.setattr(_pure, name, descending)
+    for (label, call), expected in zip(calls, want):
+        ran.clear()
+        assert call() == expected, label
+        if label.startswith("is_antichain"):
+            routes.update(ran)
+    # is_antichain took both kernel routes
+    assert routes == {"shadow_masks", "shade_masks"}

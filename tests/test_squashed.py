@@ -441,6 +441,8 @@ def test_edge_arguments_give_a_value_or_a_value_error():
     (segment_after, (200, 100, 0, 10**30), "segment_after"),
     (first_segment, (200, 100, 10**30), "first_segment"),
     (last_segment, (200, 100, 10**30), "last_segment"),
+    # C(67, 33) lies between sys.maxsize and 2 * sys.maxsize
+    (level_masks, (67, 33), "level_masks"),
 ])
 def test_non_integer_arguments_are_named_in_the_error(call, args, name):
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
