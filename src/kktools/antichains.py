@@ -399,6 +399,16 @@ def brute_force_max(n: int, k: int, exact: bool = False,
                   for a, b in hits]
 
 
+def _side_max(families, index, k: int, best: int, wits) -> int:
+    """The at-most maximum under the side condition k <= min(|A|, |B|),
+    given the unconditioned scan's (best, wits).  The condition only
+    removes pairs, so when some maximizer already meets it the answer is
+    best and no second scan runs."""
+    if any(k <= min(len(a), len(b)) for a, b in wits):
+        return best
+    return _brute_force_masks(families, index, k, require_side=True)[0]
+
+
 def _witness_json(masks_a, masks_b, text: dict[int, str]) -> dict:
     """One maximizer's report, each mask rendered by the text map."""
     return {
@@ -421,9 +431,10 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     the first must equal the bound, the second must never exceed it.  In
     exact mode (matching size exactly k) only the no-excess direction is
     asserted, as the equality there is conjectural; exact mode already
-    imposes the side condition, so its one scan gives both maxima.  Every
-    scan reads one pair index of the antichains, and each distinct mask is
-    rendered once per call.
+    imposes the side condition, so its one scan gives both maxima; in the
+    at-most mode a second scan runs only when no maximizer meets the side
+    condition (_side_max).  Every scan reads one pair index of the
+    antichains, and each distinct mask is rendered once per call.
     """
     _check_int("verify_thm25_brute", "n", n, 4, 5, even=True)
     half = comb(n, n // 2)
@@ -438,8 +449,7 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     for kk in ks:
         bound = theorem25_bound(n, kk)
         best, wits = _brute_force_masks(families, index, kk, exact)
-        best_side = best if exact else \
-            _brute_force_masks(families, index, kk, require_side=True)[0]
+        best_side = best if exact else _side_max(families, index, kk, best, wits)
         rep.checks_run += 1
         if exact:
             failed = best > bound

@@ -76,34 +76,55 @@ def _cascade_terms(m: int, r: int) -> tuple[tuple[int, int], ...]:
     Greedily taking the largest C(a, i) <= remainder at each level i = r,
     r-1, ... yields the unique representation: the remainder after C(a_i, i)
     is below C(a_i + 1, i) - C(a_i, i) = C(a_i, i-1), which forces strict
-    decrease.  So each a_i is found by bisection on [i-1, a_{i+1}), and the
-    top one on a bracket found by doubling; the work is polynomial in
-    log m and r.  When m < 2**r the doubling is skipped: with b <= r the
-    bit length of m, C(r + b, r) >= 2**b > m, so r + b brackets a_r without
-    computing C(2r, r), which for a huge r and a tiny m is slow or
-    overflows.
+    decrease.  Levels 2 and 1 are closed forms: the largest a with
+    C(a, 2) <= rem is (1 + isqrt(8 rem + 1)) // 2, and a_1 = rem, below a_2
+    because rem < C(a_2, 1).  The top term, at a level i >= 3, is bisected
+    on a bracket found by doubling.  When m < 2**r the doubling is skipped:
+    with b <= r the bit length of m, C(r + b, r) >= 2**b > m, so r + b
+    brackets a_r without computing C(2r, r), which for a huge r and a tiny
+    m is slow or overflows.  Below the top, a_i gallops down from a_{i+1}:
+    it probes a_{i+1} - 1, - 2, - 4, ... until C(cand, i) <= rem, then
+    bisects the last bracket.  A typical a_i sits a few steps below
+    a_{i+1}, so this costs a few comb calls where a bisection over
+    [i-1, a_{i+1}) costs log a_{i+1}; the worst case, a_i far below
+    a_{i+1}, costs about twice the bisection's log2(a_{i+1} - a_i) calls.
+    A step down one at a time would be unbounded there: a_i - i can be
+    near m ** (1/i).  Each comb value the search accepts is the one
+    subtracted, so every accepted a_i costs one comb call, and the work
+    stays polynomial in log m and r.
     """
+    comb = math.comb
     terms = []
-    rem = m
-    i = r
-    hi = None
-    while rem > 0:
-        lo = i - 1
-        if hi is None:
+    rem, i = m, r
+    top = None
+    while rem > 0 and i > 2:
+        if top is None:  # the top term: double, then bisect
+            lo, c_lo = i - 1, 0
             hi = i if rem >> i else i + rem.bit_length()
-            while math.comb(hi, i) <= rem:
-                lo, hi = hi, 2 * hi
-        # invariant: C(lo, i) <= rem < C(hi, i)
+            while (c := comb(hi, i)) <= rem:
+                lo, c_lo, hi = hi, c, 2 * hi
+        else:  # gallop down from a_{i+1} = top, where C(top, i) > rem
+            hi, lo, step = top, top - 1, 1
+            while (c_lo := comb(lo, i)) > rem:
+                hi, step = lo, 2 * step
+                lo = top - step if top - step > i else i
+        # invariant: C(lo, i) = c_lo <= rem < C(hi, i)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if math.comb(mid, i) <= rem:
-                lo = mid
+            if (c := comb(mid, i)) <= rem:
+                lo, c_lo = mid, c
             else:
                 hi = mid
         terms.append((lo, i))
-        rem -= math.comb(lo, i)
-        hi = lo
+        rem -= c_lo
+        top = lo
         i -= 1
+    if rem > 0 and i == 2:
+        a = (1 + math.isqrt(8 * rem + 1)) // 2
+        terms.append((a, 2))
+        rem -= a * (a - 1) // 2
+    if rem > 0:
+        terms.append((rem, 1))
     return tuple(terms)
 
 

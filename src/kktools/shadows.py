@@ -175,8 +175,12 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     one union pass over level_masks(n_max, k) and one formula column from
     one cascade walk (_cascade_walk), as long as the largest level any cell
     or sample reads, and one compare of the two; a miss at m is reported at
-    every n with C(n, k) >= m.  n_max runs to 22 and sample_n_max to 20;
-    past either the sweep is refused before any level is built.
+    every n with C(n, k) >= m.  A sample of {1..n} draws from the first
+    C(n, k) sets of one held level k: a prefix of the tightness level when
+    sample_n_max <= n_max, else level_masks(n, k) for the largest n drawn
+    so far at k, rebuilt only when a draw needs a larger n.  n_max runs to
+    22 and sample_n_max to 20; past either the sweep is refused before any
+    level is built.
     """
     _check_int("verify_kkt", "n_max", n_max, 1, _MAX_LEVEL_N)
     _check_int("verify_kkt", "samples", samples, 0)
@@ -185,13 +189,18 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     rep = VerificationReport("kkt", {"n_max": n_max, "samples": samples,
                                      "seed": seed, "sample_n_max": sample_n_max})
     top = max(n_max, sample_n_max) if samples else n_max
-    columns, misses = {}, {}  # level k: formula column, its (m, shadow, formula) misses
+    # level k: formula column, its (m, shadow, formula) misses, and the
+    # level the samples draw prefixes of
+    columns, misses, levels = {}, {}, {}
     for k in range(1, top + 1):
         col = columns[k] = list(islice(_cascade_walk(k), comb(top, k) + 1))
         if k <= n_max:
-            sizes = _pure.prefix_shadow_sizes(level_masks(n_max, k))
+            level = level_masks(n_max, k)
+            sizes = _pure.prefix_shadow_sizes(level)
             misses[k] = [(m, sizes[m], col[m])
                          for m in compress(count(), map(ne, sizes, col))]
+            if samples and k <= sample_n_max <= n_max:
+                levels[k] = level[:comb(sample_n_max, k)]
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             cells = comb(n, k) + 1
@@ -200,14 +209,16 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
                                 "shadow": got, "formula": want}
                                for m, got, want in misses[k] if m < cells)
     rng = random.Random(seed)
-    level_of = cache(level_masks)  # one build per sampled (n, k)
     columns_of = cache(_pure._membership_columns)  # one build per sampled n
     for _ in range(samples):
         n = rng.randint(2, sample_n_max)
         k = rng.randint(1, n)
-        level = level_of(n, k)
-        m = rng.randint(0, len(level))
-        fam = rng.sample(level, m)
+        size = comb(n, k)
+        level = levels.get(k, ())
+        if len(level) < size:  # only past n_max: the largest n drawn so far
+            level = levels[k] = level_masks(n, k)
+        m = rng.randint(0, size)
+        fam = rng.sample(level[:size], m)
         got = _pure._shadow_size(fam, columns_of(n))
         rep.checks_run += 1
         want = columns[k][m]

@@ -3,7 +3,7 @@
 import importlib
 import random
 import timeit
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -657,10 +657,11 @@ def test_brute_force_sweeps_and_oracles_agree_on_a_wrong_maximum(monkeypatch):
     real = antichains._brute_force_masks
 
     def faulty(families, index, k, exact=False, require_side=False):
-        # exact mode imposes the side condition itself, so its scans with
-        # and without require_side are one scan and both carry the fault
+        # every scan at k = 3 overcounts by one; the at-most sweep reads its
+        # side maximum off the maximizers, which meet the side condition at
+        # k = 3, so that maximum carries the fault as the oracle's side scan does
         best, wits = real(families, index, k, exact, require_side)
-        return (best + 1 if k == 3 and (exact or not require_side) else best), wits
+        return (best + 1 if k == 3 else best), wits
 
     monkeypatch.setattr(antichains, "_brute_force_masks", faulty)
     for exact in (False, True):
@@ -668,6 +669,43 @@ def test_brute_force_sweeps_and_oracles_agree_on_a_wrong_maximum(monkeypatch):
         want = oracle_thm25_report(4, exact)
         assert [v["k"] for v in want[1]] == [3]
         assert (rep.checks_run, rep.violations, rep.witnesses) == want
+
+
+def test_thm25_sweep_scans_once_per_k_when_a_maximizer_meets_the_side(monkeypatch):
+    # at n = 4 some maximizer has k <= min(|A|, |B|) at every k = 0..6, so
+    # the at-most sweep needs no second scan
+    real = antichains._brute_force_masks
+    scans = []
+
+    def counting(families, index, k, exact=False, require_side=False):
+        scans.append((k, exact, require_side))
+        return real(families, index, k, exact, require_side)
+
+    monkeypatch.setattr(antichains, "_brute_force_masks", counting)
+    assert verify_thm25_brute(4).passed
+    assert scans == [(k, False, False) for k in range(7)]
+
+
+def test_side_maximum_matches_the_side_scan_on_small_antichain_lists():
+    # every list of at most three antichains of {1..3}, and all antichains
+    # of {1..3} and of {1..5}: the shortcut and the fallback scan both agree
+    # with a scan under the side condition, and the fallback is reached
+    # both where no pair qualifies and where a smaller pair does
+    three = enumerate_antichains(3)
+    lists = [list(sub) for size in (1, 2, 3) for sub in combinations(three, size)]
+    lists += [list(three), list(enumerate_antichains(5))]
+    fallbacks = set()
+    for families in lists:
+        index = _pure.pair_index(families)
+        for k in range(12 if len(families) > 3 else 5):
+            best, wits = antichains._brute_force_masks(families, index, k)
+            want = antichains._brute_force_masks(families, index, k,
+                                                 require_side=True)[0]
+            assert antichains._side_max(families, index, k, best, wits) == want
+            if not any(k <= min(len(a), len(b)) for a, b in wits):
+                assert want < best or want == best == -1
+                fallbacks.add("no pair" if want < 0 else "a smaller pair")
+    assert fallbacks == {"no pair", "a smaller pair"}
 
 
 def test_sperner_maximum():

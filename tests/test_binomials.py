@@ -1,13 +1,16 @@
 """Binomial coefficients and the level-difference function."""
 
 import math
+import random
 import sys
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kktools import binom, binomials, d_value, hockey_stick, verify_d_identities
+from kktools import (binom, binomials, d_value, hockey_stick, rank, unrank,
+                     verify_d_identities)
+from kktools.binomials import _cascade_terms
 
 
 @given(st.integers(min_value=0, max_value=60), st.integers(min_value=-3, max_value=63))
@@ -78,6 +81,96 @@ def test_hockey_stick_refuses_a_sum_that_misses_the_closed_form(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         hockey_stick(2, 2)
     assert str(info.value) == "hockey_stick: sum 11 misses C(5, 2)"
+
+
+def bisection_cascade(m, r):
+    """The greedy cascade with each a_i found by a fresh bisection of
+    math.comb over [i-1, a_{i+1}), and a_r on a bracket found by doubling
+    (or r + bit length of m when m < 2**r)."""
+    terms = []
+    rem, i, hi = m, r, None
+    while rem > 0:
+        lo = i - 1
+        if hi is None:
+            hi = i if rem >> i else i + rem.bit_length()
+            while math.comb(hi, i) <= rem:
+                lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if math.comb(mid, i) <= rem:
+                lo = mid
+            else:
+                hi = mid
+        terms.append((lo, i))
+        rem -= math.comb(lo, i)
+        hi = lo
+        i -= 1
+    return tuple(terms)
+
+
+def test_cascade_search_matches_the_bisection_on_every_small_m():
+    for r in range(1, 9):
+        for m in range(3001):
+            assert _cascade_terms(m, r) == bisection_cascade(m, r), (m, r)
+
+
+def test_cascade_search_matches_the_bisection_on_seeded_pairs():
+    rng = random.Random(35)
+    for _ in range(50_000):
+        r = rng.randint(1, 40)
+        m = rng.randint(0, math.comb(90, r))
+        assert _cascade_terms(m, r) == bisection_cascade(m, r), (m, r)
+
+
+HUGE_CASCADES = [(10**100, 12), (math.comb(1000, 500) // 3, 500), (10**300, 2),
+                 (2**70, 1), *((m, 10**6) for m in (1, 2, 7, 2**20 - 1))]
+
+
+@pytest.mark.parametrize("m, r", HUGE_CASCADES,
+                         ids=["1e100-12", "C(1000,500)//3-500", "1e300-2", "2^70-1",
+                              *(f"{m}-1e6" for m in (1, 2, 7, 2**20 - 1))])
+def test_cascade_search_matches_the_bisection_on_huge_arguments(m, r):
+    assert _cascade_terms(m, r) == bisection_cascade(m, r)
+
+
+def test_unrank_and_rank_round_trip_at_130():
+    # unrank reads its set off the cascade: {1..t-1} and a_i + 1 per term
+    n = 130
+    rng = random.Random(130)
+    for k in range(n + 1):
+        top = math.comb(n, k) - 1
+        for m in {0, top, rng.randint(0, top), rng.randint(0, top)}:
+            terms = bisection_cascade(m, k)
+            want = (*range(1, k - len(terms) + 1), *(a + 1 for a, _ in reversed(terms)))
+            s = unrank(m, n, k)
+            assert tuple(s.elements) == want and rank(s) == m
+
+
+def comb_calls(monkeypatch, search, m, r):
+    """The math.comb calls one cascade search makes."""
+    calls = 0
+    real = math.comb
+
+    def counting(n, k):
+        nonlocal calls
+        calls += 1
+        return real(n, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "comb", counting)
+        search(m, r)
+    return calls
+
+
+def test_cascade_search_comb_calls(monkeypatch):
+    # levels 2 and 1 are closed forms; a long gallop costs at most about
+    # twice the bisection it replaces
+    assert comb_calls(monkeypatch, _cascade_terms, 10**300, 2) == 0
+    assert comb_calls(monkeypatch, _cascade_terms, 2**70, 1) == 0
+    assert comb_calls(monkeypatch, _cascade_terms,
+                      math.comb(1000, 500) // 3, 500) <= 1200
+    assert comb_calls(monkeypatch, _cascade_terms, 10**100, 12) <= \
+        2 * comb_calls(monkeypatch, bisection_cascade, 10**100, 12)
 
 
 # D off by delta at one (n, r), and the records verify_d_identities(6, 4)

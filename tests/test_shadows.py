@@ -353,6 +353,44 @@ def test_kkt_sweep_builds_each_sampled_level_once(monkeypatch):
     assert verify_kkt(n_max=1, samples=0).checks_run == 2
 
 
+def test_kkt_sweep_slices_each_sampled_level_from_the_tightness_levels(monkeypatch):
+    # level k of {1..n} is a prefix of level k of {1..9}, so the samples at
+    # n <= 9 build no level of their own
+    calls = []
+
+    def counting(n, k):
+        calls.append((n, k))
+        return level_masks(n, k)
+
+    monkeypatch.setattr(shadows_module, "level_masks", counting)
+    assert verify_kkt(n_max=9).passed
+    assert calls == [(9, k) for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("n_max, sample_n_max", [(7, 5), (7, 7), (2, 7), (1, 9)])
+def test_kkt_samples_draw_the_families_of_their_own_levels(monkeypatch, n_max,
+                                                           sample_n_max):
+    # a shadow-size kernel that counts nothing fails every nonempty sample;
+    # the reported families are the draws of the seeded stream from
+    # level_masks(n, k) itself, whether the level is a prefix of a
+    # tightness level or one held past n_max
+    monkeypatch.setattr(_pure, "_shadow_size", lambda masks, columns: 0)
+    rep = verify_kkt(n_max=n_max, samples=150, seed=8, sample_n_max=sample_n_max)
+    rng = random.Random(8)
+    want = []
+    for _ in range(150):
+        n = rng.randint(2, sample_n_max)
+        k = rng.randint(1, n)
+        level = level_masks(n, k)
+        m = rng.randint(0, len(level))
+        fam = rng.sample(level, m)
+        if m:
+            want.append({"part": "lower-bound", "n": n, "k": k, "m": m,
+                         "shadow": 0, "formula": kk_shadow_min(m, k),
+                         "family": sorted(fam)})
+    assert [v for v in rep.violations if v["part"] == "lower-bound"] == want
+
+
 def test_kkt_sweep_takes_one_cascade_per_cell(monkeypatch):
     walk = shadows_module._cascade_walk
     walks, steps = [], {}
