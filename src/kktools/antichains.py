@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, compress, groupby, islice
 from math import comb
 
 from . import _pure
 from .binomials import binom, _cascade_terms, _check_int, _check_type
 from .kappa import _run_column, _star_cut
 from .report import VerificationReport, timed
-from .squashed import (SetFamily, Subset, _canonical, _masks_text, format_subset,
-                       level_masks)
+from .squashed import (SetFamily, Subset, _canonical, _masks_text, _squashed_walk,
+                       format_subset, level_masks)
 
 DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
 # Below this many pairs, two levels are compared pair by pair: a shade or
@@ -201,7 +200,8 @@ def _count_disjoint(a_masks, b_masks, n: int) -> tuple[int, bool]:
     """(pair count, is_matching) between A's and B's distinct masks on
     {1..n}.  A member x of A misses a member y of B only when
     |x| <= n - |y|, and at equality x is y's complement: one set lookup,
-    with the smaller members of A still scanned."""
+    with the smaller members of A still scanned.  B may come in any order:
+    each run of one size in it scans one list of A's smaller members."""
     full = (1 << n) - 1
     by_size = groupby(sorted(a_masks, key=int.bit_count), int.bit_count)
     index = {size: set(run) for size, run in by_size}
@@ -221,34 +221,17 @@ def _extremal_step(n: int, y: int) -> tuple[list[int], list[int]]:
     masks it gives up).  B takes in the half-set y and gives up the upper
     sets y owns, y ∪ {e} for e below min(y) (_pure.new_shade_masks).
 
-    An upper set u is owned by u minus its least element, the last of its
-    half-size subsets in squashed order.  So while the walk takes the level
-    from its end, u is over a half-set of B exactly when its owner is in B:
-    the sets y owns are the sets over y still in B, and no other step
-    gives them up.
+    B starts at m = 0 as the (n/2+1)-level, and step m takes in the m-th
+    half-set from the end of the n/2-level: a step gives up its removals,
+    then takes in its additions.  An upper set u is owned by u minus its
+    least element, the last of its half-size subsets in squashed order.  So
+    while the walk takes the level from its end, u is over a half-set of B
+    exactly when its owner is in B: the sets y owns are the sets over y
+    still in B, and no other step gives them up.  construct_extremal and
+    verify_extremal_constructions both apply this rule, so a fault in it
+    reaches both.
     """
     return [y], _pure.new_shade_masks([y], n)
-
-
-def _extremal_walk(n: int, family: set[int], a_masks: list[int]):
-    """Grow B of construct_extremal, the set family, in place, one m a step.
-
-    B starts at m = 0 as the (n/2+1)-level, and a_masks is the n/2-level.
-    Step m takes in the m-th half-set from the end of the level and drops
-    the upper sets over it still in B (_extremal_step), so after m steps B
-    is construct_extremal's B at m.  Each upper set leaves once: the steps
-    propose C(n, n/2+1) removals together.  A step discards its removals
-    from family, then adds its additions, through family's own discard and
-    add, so a family that keeps counts of itself (_ExtremalTally) sees
-    every member that enters or leaves.  Yields once after each step.
-    """
-    for y in reversed(a_masks):
-        added, removed = _extremal_step(n, y)
-        for x in removed:
-            family.discard(x)
-        for x in added:
-            family.add(x)
-        yield
 
 
 def construct_extremal(n: int, k: int) -> ExtremalConstruction:
@@ -257,8 +240,9 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     Take the least m <= k at which kappa meets kappa*(k), read off the cascade
     of k by Thm 2.3; B becomes the last m half-size sets together with the
     upper middle level minus their shade, paired to A (the full half-size
-    level) through the m complements.  B is _extremal_walk run up to m, the
-    walk verify_extremal_constructions runs through every m.  Below the
+    level) through the m complements.  B is the first m steps
+    (_extremal_step) applied to a set, the steps
+    verify_extremal_constructions applies through every m.  Below the
     negativity threshold m = 0 (case i): the two middle levels already do
     it, with no disjoint pair.  Even n runs from 4 to 22: the pair holds
     about C(n, n/2) + C(n, n/2+1) masks, 1,352,078 at n = 22, so a larger n
@@ -269,7 +253,10 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     r = n // 2
     m = _star_cut(_cascade_terms(k, r))[0]
     a_masks, family = level_masks(n, r), set(level_masks(n, r + 1))
-    deque(islice(_extremal_walk(n, family, a_masks), m), maxlen=0)
+    for y in islice(reversed(a_masks), m):
+        added, removed = _extremal_step(n, y)
+        family.difference_update(removed)
+        family.update(added)
     return ExtremalConstruction(n, k, SetFamily.from_masks(a_masks, n),
                                 SetFamily.from_masks(family, n),
                                 "ii" if m else "i", m or None)
@@ -518,71 +505,6 @@ def verify_thm26_structure(n: int = 4,
     return rep
 
 
-class _ExtremalTally(set):
-    """B of the extremal sweep, a set of masks that keeps what the sweep
-    knows of it: whether B is an antichain, its pair count with A, the full
-    n/2-level, and whether those pairs form a matching.
-
-    B starts as the (n/2+1)-level, so above[h], the count of B's upper
-    members over the n/2-set h, starts at n/2 for every h.  bad counts B's
-    n/2-sets with a count above 0: B within the two middle levels is an
-    antichain iff bad is 0.  There an n/2-set of B misses one member of A,
-    its complement, and an upper set misses none, so the pairs are a
-    matching of halves pairs.  add and discard move the counts when a
-    member actually enters or leaves.  A B with a member off the two middle
-    levels (outside > 0) is checked whole, by _is_antichain_masks and
-    _count_disjoint.
-    """
-
-    def __init__(self, n: int, a_masks: list[int]):
-        super().__init__(level_masks(n, n // 2 + 1))
-        self.n, self.a_masks = n, a_masks
-        self.above = dict.fromkeys(a_masks, n // 2)
-        self.bad = self.halves = self.outside = 0
-
-    # set.add and set.discard, not super(): these run once per member the
-    # walk moves, and super() made the walk about 1.4x slower at n = 20
-    def add(self, x: int) -> None:
-        if x not in self:
-            set.add(self, x)
-            self._count(x, 1)
-
-    def discard(self, x: int) -> None:
-        if x in self:
-            set.discard(self, x)
-            self._count(x, -1)
-
-    def _count(self, x: int, step: int) -> None:
-        """Count x into (step 1) or out of (step -1) the tallies.  An
-        n/2-set moves halves and bad; an upper set moves the count of each
-        n/2-set h under it, and bad when that count leaves or reaches 0
-        while h is in B; any other set moves outside."""
-        size = x.bit_count() - self.n // 2
-        if size == 0:
-            self.halves += step
-            self.bad += step * (self.above[x] > 0)
-        elif size == 1:
-            above, edge = self.above, 1 if step > 0 else 0
-            rest = x
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                h = x ^ low
-                count = above[h] = above[h] + step
-                if count == edge and h in self:
-                    self.bad += step
-        else:
-            self.outside += step
-
-    def verdict(self) -> tuple[bool, int, bool]:
-        """(B is an antichain, pair count, the pairs form a matching)."""
-        if not self.outside:
-            return not self.bad, self.halves, True
-        b_masks = sorted(self, key=int.bit_count)
-        return (_is_antichain_masks(b_masks),
-                *_count_disjoint(self.a_masks, b_masks, self.n))
-
-
 @timed
 def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     """construct_extremal meets the bound for every k: both families are
@@ -594,39 +516,90 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     block route (the running sum of kappa._run_column), which does not rest
     on Thm 2.3, and kappa* as its running minimum, so each k's m is the
     first hit of that minimum; construct_extremal reads the same m off k's
-    cascade by Thm 2.3 (kappa._star_cut).  The sweep runs
-    construct_extremal's walk once, through every m, on a B that keeps its
-    own counts (_ExtremalTally), and checks B at each m some k reaches from
-    those counts; A, the n/2-level, is checked once.  The pair count
-    against k and the total against the bound are checked for every k.
-    Even n runs from 4 to 22, construct_extremal's range: past it a larger
-    n is refused before either middle level is built.
+    cascade by Thm 2.3 (kappa._star_cut).  The sweep applies
+    construct_extremal's steps (_extremal_step) once, through every m, and
+    checks B at each m some k reaches; A, the n/2-level, is checked once.
+    The pair count against k and the total against the bound are checked
+    for every k.
+
+    B is two bytearrays indexed by mask: in_b, its membership, and
+    above[h], the count of its upper members over the n/2-set h, which
+    starts at n/2 (B starts as the (n/2+1)-level) and so fits a byte.  bad
+    counts B's n/2-sets whose count is above 0: B within the two middle
+    levels is an antichain iff bad is 0.  There an n/2-set of B misses one
+    member of A, its complement, and an upper set misses none, so the
+    pairs are a matching of halves pairs.  The counts move only when a
+    member actually enters or leaves, so they follow any step.  A B with a
+    member off the two middle levels (outside > 0), which only a faulty
+    step gives, is checked whole, by _is_antichain_masks and
+    _count_disjoint.  Even n runs from 4 to 22, construct_extremal's range:
+    past it a larger n is refused before either middle level is built.
     """
     _check_int("verify_extremal_constructions", "n", n, 4, _MAX_EXTREMAL_N, even=True)
     rep = VerificationReport("thm25-extremal", {"n": n})
     r = n // 2
     a_masks = level_masks(n, r)
-    half = len(a_masks)
-    family = _ExtremalTally(n, a_masks)  # B at m = 0
-    middle = half + len(family)
+    half, size = len(a_masks), comb(n, r + 1)  # B at m = 0
+    middle = half + size
+    in_b, above = bytearray(1 << n), bytearray([r]) * (1 << n)
+    for x in islice(_squashed_walk((1 << r + 1) - 1), size):
+        in_b[x] = 1
+    halves = bad = outside = 0
     a_problems = [] if _is_antichain_masks(a_masks) else ["family_a not an antichain"]
+
+    def move(x: int, into: int) -> None:
+        """Put x into B (into 1) or take it out (into 0).  An n/2-set moves
+        halves and bad; an upper set moves the count of each n/2-set h
+        under it, and bad when that count leaves or reaches 0 while h is in
+        B; any other set moves outside."""
+        nonlocal size, halves, bad, outside
+        if in_b[x] == into:
+            return
+        in_b[x] = into
+        step = 2 * into - 1
+        size += step
+        level = x.bit_count() - r
+        if level == 0:
+            halves += step
+            bad += step * (above[x] > 0)
+        elif level == 1:
+            rest = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                h = x ^ low
+                count = above[h] = above[h] + step
+                if count == into and in_b[h]:
+                    bad += step
+        else:
+            outside += step
 
     def check_b():
         """(problems of the pair, pair count, total) for B as it stands."""
-        b_is_antichain, pair_count, matching = family.verdict()
+        if outside:
+            b_masks = list(compress(range(1 << n), in_b))
+            b_is_antichain = _is_antichain_masks(b_masks)
+            pair_count, matching = _count_disjoint(a_masks, b_masks, n)
+        else:
+            b_is_antichain, pair_count, matching = not bad, halves, True
         problems = a_problems + ([] if b_is_antichain else ["family_b not an antichain"])
         if not matching:
             problems.append("disjoint pairs not a matching")
-        return problems, pair_count, half + len(family)
+        return problems, pair_count, half + size
 
-    walk = _extremal_walk(n, family, a_masks)
+    walk = reversed(a_masks)
     star = m = 0
     checked = check_b()
     # kappa_r(0..half) summed as it is read: the list of _kappa_column
     # would raise the sweep's peak memory
     for k, kappa in enumerate(accumulate(_run_column(r, half), initial=0)):
         if kappa < star:  # a new minimum: the least minimizer moves to k
-            deque(islice(walk, k - m), maxlen=0)
+            for y in islice(walk, k - m):
+                added, removed = _extremal_step(n, y)
+                for x in removed:
+                    move(x, 0)
+                for x in added:
+                    move(x, 1)
             star, m, checked = kappa, k, check_b()
         problems, pair_count, total = checked
         problems = list(problems)

@@ -24,7 +24,7 @@ from .squashed import SetFamily, level_masks
 
 # The largest ground sets the shadow sweeps take; a larger one is refused
 # before any level is built.  On a shared 2-core VM, Python 3.11:
-# `kktools verify kkt --n 22` takes 9-11 s at a 299 MiB peak (VmHWM) and
+# `kktools verify kkt --n 22` takes 9-11 s at a 209 MiB peak (VmHWM) and
 # verify_lieby_duality(22) 14-20 s at 206 MiB, each about 4x the time and
 # memory per two more elements; 50 samples at sample_n_max 20 take 2.1 s
 # at 65 MiB and at 22 took 45 s; verify_clements_minimality(16) takes
@@ -175,12 +175,13 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     one union pass over level_masks(n_max, k) and one formula column from
     one cascade walk (_cascade_walk), as long as the largest level any cell
     or sample reads, and one compare of the two; a miss at m is reported at
-    every n with C(n, k) >= m.  A sample of {1..n} draws from the first
-    C(n, k) sets of one held level k: a prefix of the tightness level when
-    sample_n_max <= n_max, else level_masks(n, k) for the largest n drawn
-    so far at k, rebuilt only when a draw needs a larger n.  n_max runs to
-    22 and sample_n_max to 20; past either the sweep is refused before any
-    level is built.
+    every n with C(n, k) >= m.  After the compare a column keeps only the
+    C(sample_n_max, k) + 1 entries the samples read.  A sample of {1..n}
+    draws from the first C(n, k) sets of one held level k: a prefix of the
+    tightness level when sample_n_max <= n_max, else level_masks(n, k) for
+    the largest n drawn so far at k, rebuilt only when a draw needs a
+    larger n.  n_max runs to 22 and sample_n_max to 20; past either the
+    sweep is refused before any level is built.
     """
     _check_int("verify_kkt", "n_max", n_max, 1, _MAX_LEVEL_N)
     _check_int("verify_kkt", "samples", samples, 0)
@@ -199,6 +200,7 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
             sizes = _pure.prefix_shadow_sizes(level)
             misses[k] = [(m, sizes[m], col[m])
                          for m in compress(count(), map(ne, sizes, col))]
+            del col[comb(sample_n_max, k) + 1 if samples else 0:]
             if samples and k <= sample_n_max <= n_max:
                 levels[k] = level[:comb(sample_n_max, k)]
     for n in range(1, n_max + 1):

@@ -885,10 +885,13 @@ def test_extremal_sweep_matches_per_k_oracle(n):
 
 
 def walked_families(n):
-    """B after each step of the extremal walk, m = 0, 1, ..., C(n, n/2)."""
-    family = set(level_masks(n, n // 2 + 1))
-    steps = antichains._extremal_walk(n, family, level_masks(n, n // 2))
-    return [set(family)] + [set(family) for _ in steps]
+    """B after each step of the extremal walk, m = 0, 1, ..., C(n, n/2):
+    a step's removals leave, then its additions enter."""
+    families = [set(level_masks(n, n // 2 + 1))]
+    for y in reversed(level_masks(n, n // 2)):
+        added, removed = antichains._extremal_step(n, y)
+        families.append(families[-1].difference(removed).union(added))
+    return families
 
 
 def test_the_walk_meets_the_segment_rebuild_at_every_m():
@@ -1014,21 +1017,25 @@ def test_extremal_sweep_catches_a_kappa_off_by_one(monkeypatch, n):
 
 
 def test_the_tally_follows_any_walk(monkeypatch):
-    # random steps over every level, walked on the tally and on a plain set
-    # side by side: both hold the step's result, and the tally's verdict on
-    # it is the pairwise antichain test and a scan of every pair
+    # random steps over every level drive the sweep, which must report on
+    # the families they build exactly as the per-k oracle does; a step may
+    # re-add a member B holds, drop one it lacks, or add a set off the two
+    # middle levels, and B's counts must move only when a member does
     rng = random.Random(28)
     outcomes = set()
     for n in (4, 6, 8):
-        half_level = level_masks(n, n // 2)
-        near = level_masks(n, n // 2 + 1) + half_level
+        r = n // 2
+        half_level = level_masks(n, r)
+        near = level_masks(n, r + 1) + half_level
 
         def pick():
             return rng.choice(near) if rng.random() < 0.8 else rng.randrange(1 << n)
 
         def step(n, y):
-            # drawn once per y, from B before the step, for both walks
+            # drawn once per y, from B before the step, then replayed for
+            # every later walk that reaches y: walks take y in one order
             if y not in proposals:
+                plain = walked[-1]
                 held = sorted(plain)
                 added = [pick() for _ in range(rng.randint(0, 2))]
                 removed = [pick() for _ in range(rng.randint(0, 4))]
@@ -1040,29 +1047,23 @@ def test_the_tally_follows_any_walk(monkeypatch):
                 lacked = [x for x in near if x not in plain]
                 if lacked and rng.random() < 0.3:
                     removed.append(rng.choice(lacked))  # one B lacks
+                off = [x for x in held if x.bit_count() - r not in (0, 1)]
+                if off and rng.random() < 0.5:
+                    removed.append(rng.choice(off))  # B may go back to its counts
                 proposals[y] = added, removed
+                walked.append(plain.difference(removed).union(added))
             return proposals[y]
 
         monkeypatch.setattr(antichains, "_extremal_step", step)
+        checked = {star_cut(k, r)[0] for k in range(binom(n, r) + 1)}
         for _ in range(40 // n):
-            plain, proposals = set(level_masks(n, n // 2 + 1)), {}
-            tally = antichains._ExtremalTally(n, half_level)
-            expected = set(plain)
-            for y, *_ in zip(reversed(half_level),
-                             antichains._extremal_walk(n, plain, half_level),
-                             antichains._extremal_walk(n, tally, half_level)):
-                # a step's removals leave, then its additions enter
-                added, removed = proposals[y]
-                expected = expected.difference(removed).union(added)
-                assert tally == plain == expected
-                pairs, matching = pairwise_disjoint_pairs(half_level, sorted(plain))
-                got = tally.verdict()
-                assert got == (oracle_is_antichain(plain), len(pairs), matching)
-                # off the two middle levels: B goes back to the counts when
-                # the last such member leaves
-                assert tally.outside == sum(x.bit_count() - n // 2 not in (0, 1)
-                                            for x in plain)
-                outcomes.add((got[0], got[2], tally.outside > 0))
+            walked, proposals = [set(level_masks(n, r + 1))], {}
+            rep = verify_extremal_constructions(n)
+            assert (rep.checks_run, rep.violations) == oracle_extremal_report(n)
+            for m in checked:  # B as the sweep checked it
+                _, matching = pairwise_disjoint_pairs(half_level, sorted(walked[m]))
+                outside = any(x.bit_count() - r not in (0, 1) for x in walked[m])
+                outcomes.add((oracle_is_antichain(walked[m]), matching, outside))
     assert {(True, True, False), (False, True, False), (False, False, True)} <= outcomes
 
 
