@@ -39,7 +39,7 @@ def shade_masks(masks, n: int) -> set[int]:
     return out
 
 
-def new_shadow_masks(masks, n: int) -> list[int]:
+def new_shadow_masks(masks) -> list[int]:
     """Shadow sets owned by a member: the deletions of one element of its
     initial run, the trailing ones (m ^ (m + 1)) >> 1.  Ownership classes of
     distinct sets never overlap, so for distinct members the unordered result
@@ -131,7 +131,8 @@ def _shadow_size(masks, columns) -> int:
 
 def pair_index(families):
     """The index scan_pairs reads, built once per list of families and
-    shared by every scan of that list: (order, bit, member, once, twice).
+    shared by every scan of that list within the call that built it:
+    (order, bit, member, once, twice).
 
     order lists the family positions by descending size.  Disjointness runs
     on subset-membership masks (Knuth, TAOCP 4A 7.1.3): each distinct mask x

@@ -28,6 +28,7 @@ DEDEKIND_COUNTS = {1: 3, 2: 6, 3: 20, 4: 168, 5: 7581, 6: 7828354}
 # Below this many pairs, two levels are compared pair by pair: a shade or
 # shadow kernel call costs more (measured on the antichains of {1..5}).
 _PAIRS_PER_KERNEL_CALL = 64
+_MAX_LISTED_N = 5  # the largest n whose antichains are listed; M(6) is only counted
 # The largest even n of construct_extremal and the extremal sweep
 _MAX_EXTREMAL_N = 22  # the pair holds 1,352,078 masks there
 
@@ -244,9 +245,8 @@ def construct_extremal(n: int, k: int) -> ExtremalConstruction:
     (_extremal_step) applied to a set, the steps
     verify_extremal_constructions applies through every m.  Below the
     negativity threshold m = 0 (case i): the two middle levels already do
-    it, with no disjoint pair.  Even n runs from 4 to 22: the pair holds
-    about C(n, n/2) + C(n, n/2+1) masks, 1,352,078 at n = 22, so a larger n
-    is refused up front.
+    it, with no disjoint pair.  Even n runs from 4 to _MAX_EXTREMAL_N, and
+    a larger n is refused up front.
     """
     _check_int("construct_extremal", "n", n, 4, _MAX_EXTREMAL_N, even=True)
     _check_int("construct_extremal", "k", k, 0, comb(n, n // 2))
@@ -285,7 +285,7 @@ def enumerate_antichains(n: int) -> tuple[tuple[int, ...], ...]:
     size floor.  The total count is checked against the known values (168
     at n = 4, 7581 at n = 5).
     """
-    _check_int("enumerate_antichains", "n", n, 1, 5)
+    _check_int("enumerate_antichains", "n", n, 1, _MAX_LISTED_N)
     out = _antichain_walk(*_antichain_steps(n), None, 0)
     if len(out) != DEDEKIND_COUNTS[n]:
         raise RuntimeError(f"enumerated {len(out)} antichains at n={n}, "
@@ -368,14 +368,14 @@ def _brute_force_masks(families, index, k: int, exact: bool = False,
 def brute_force_max(n: int, k: int, exact: bool = False,
                     require_side: bool = False):
     """Maximum |A|+|B| over ordered antichain pairs with a disjointness
-    matching of size <= k, by full enumeration (n <= 5).
+    matching of size <= k, by full enumeration (n <= _MAX_LISTED_N).
 
     In exact mode the matching size must equal k and k <= min(|A|, |B|);
     require_side imposes that side condition in the at-most mode as well.
     Returns (max_total, witnesses) with every maximizing pair as
     (SetFamily, SetFamily); (-1, []) if no pair qualifies.
     """
-    _check_int("brute_force_max", "n", n, 1, 5)
+    _check_int("brute_force_max", "n", n, 1, _MAX_LISTED_N)
     _check_int("brute_force_max", "k", k, 0)
     _check_type("brute_force_max", "exact", exact, bool)
     _check_type("brute_force_max", "require_side", require_side, bool)
@@ -423,7 +423,7 @@ def verify_thm25_brute(n: int = 4, k: int | None = None,
     condition (_side_max).  Every scan reads one pair index of the
     antichains, and each distinct mask is rendered once per call.
     """
-    _check_int("verify_thm25_brute", "n", n, 4, 5, even=True)
+    _check_int("verify_thm25_brute", "n", n, 4, _MAX_LISTED_N, even=True)
     half = comb(n, n // 2)
     if k is not None:
         _check_int("verify_thm25_brute", "k", k, 0, half)
@@ -466,7 +466,7 @@ def verify_thm26_structure(n: int = 4,
     segment's shade is counted once per length, and a family is rendered
     only when it is reported.
     """
-    _check_int("verify_thm26_structure", "n", n, 4, 5, even=True)
+    _check_int("verify_thm26_structure", "n", n, 4, _MAX_LISTED_N, even=True)
     r = n // 2
     half_level = level_masks(n, r)
     if k is not None:
@@ -512,15 +512,16 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     the total equals theorem25_bound(n, k) (n = 8 by default).
 
     The families depend on k only through m, the least m <= k with
-    kappa(m) = kappa*(k), which grows with k.  The sweep takes kappa by the
-    block route (the running sum of kappa._run_column), which does not rest
-    on Thm 2.3, and kappa* as its running minimum, so each k's m is the
-    first hit of that minimum; construct_extremal reads the same m off k's
-    cascade by Thm 2.3 (kappa._star_cut).  The sweep applies
-    construct_extremal's steps (_extremal_step) once, through every m, and
-    checks B at each m some k reaches; A, the n/2-level, is checked once.
-    The pair count against k and the total against the bound are checked
-    for every k.
+    kappa(m) = kappa*(k), which grows with k through Catalan(n/2) + 1
+    values.  The sweep takes kappa by the block route (the running sum of
+    kappa._run_column), which does not rest on Thm 2.3, and kappa* as its
+    running minimum, so each k's m is the first hit of that minimum;
+    construct_extremal reads the same m off k's cascade by Thm 2.3
+    (kappa._star_cut), and the tests hold the two to each other.  The sweep
+    applies construct_extremal's steps (_extremal_step) once, through every
+    m, and checks B at each m some k reaches; A, the n/2-level, is checked
+    once.  The pair count against k and the total against the bound are
+    checked for every k.
 
     B is two bytearrays indexed by mask: in_b, its membership, and
     above[h], the count of its upper members over the n/2-set h, which
@@ -532,8 +533,8 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
     member actually enters or leaves, so they follow any step.  A B with a
     member off the two middle levels (outside > 0), which only a faulty
     step gives, is checked whole, by _is_antichain_masks and
-    _count_disjoint.  Even n runs from 4 to 22, construct_extremal's range:
-    past it a larger n is refused before either middle level is built.
+    _count_disjoint.  Even n runs to _MAX_EXTREMAL_N, construct_extremal's
+    range: past it n is refused before either middle level is built.
     """
     _check_int("verify_extremal_constructions", "n", n, 4, _MAX_EXTREMAL_N, even=True)
     rep = VerificationReport("thm25-extremal", {"n": n})
@@ -617,8 +618,8 @@ def verify_extremal_constructions(n: int = 8) -> VerificationReport:
 @timed
 def sperner_max_check(n: int = 4) -> VerificationReport:
     """Largest antichain size is C(n, floor(n/2)), and the only maximizers
-    are the full middle level(s), both of them for odd n (1 <= n <= 6,
-    n = 4 by default).
+    are the full middle level(s), both of them for odd n (n = 4 by default,
+    up to the largest n of DEDEKIND_COUNTS).
 
     Counts instead of listing: _antichain_profiles gives the number of
     antichains and their largest size from the DFS states alone, and
@@ -626,7 +627,7 @@ def sperner_max_check(n: int = 4) -> VerificationReport:
     number of antichains, checked against Dedekind's M(n) (7,828,354 at
     n = 6).
     """
-    _check_int("sperner_max_check", "n", n, 1, 6)
+    _check_int("sperner_max_check", "n", n, 1, max(DEDEKIND_COUNTS))
     rep = VerificationReport("sperner", {"n": n})
     order, keep = _antichain_steps(n)
     memo = _antichain_profiles(keep)

@@ -3,8 +3,9 @@
 Exit codes: 0 on success / all checks pass, 1 when a verification records
 violations, 2 on usage errors (bad parameters, a flag the sweep does not
 read, an --out path that cannot be written).  Reports print to standard
-output; long sweeps log progress to standard error so output pipes cleanly.
-Identical invocations give identical reports apart from elapsed times.
+output, identical for identical invocations apart from elapsed times.
+Standard error gets errors, --out's "wrote FILE" line and one summary line
+per sweep of `verify all` as it ends; a lone sweep prints nothing until done.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ def run_all(n_max: int = 8, r_max: int = 6):
     Returns a list of (name, report): the identity grid at (n_max, r_max),
     per-ground-set checks for n up to n_max, per-level checks for r up to
     r_max, and the brute-force checks at their enumerable sizes.  n_max
-    runs to 16, the cap of the window sweep, and r_max to 13, the largest
-    level whose default m_max a kappa table takes; past either the suite is
-    refused before any sweep runs.
+    runs to the window sweep's cap and r_max to the largest level whose
+    default m_max a kappa table takes; past either the suite is refused
+    before any sweep runs.
     """
     binomials._check_int("run_all", "n_max", n_max, 1)
     binomials._check_int("run_all", "r_max", r_max, 1)

@@ -18,10 +18,9 @@ from .binomials import _cascade_terms, _check_int, _d
 from .report import VerificationReport, timed
 from .shadows import _shadow_formula, kk_shadow_min
 
-# The largest upper_m a kappa table is built for: the default m_max of
-# verify_prop22 and verify_thm23 at r = 13, past C(26, 13), the level size
-# of the n = 26 sweeps.  A sweep or build past it is refused before anything
-# is allocated, instead of growing until the process is killed.
+# The largest upper_m a kappa table is built for (the default m_max at r = 13,
+# past C(26, 13)): a larger one is refused before anything is allocated, as
+# its int columns grow until the process is killed (BENCH_kappa_run_column.json).
 _MAX_DEFAULT_R = 13
 _MAX_UPPER_M = comb(2 * _MAX_DEFAULT_R, _MAX_DEFAULT_R) + 2 * _MAX_DEFAULT_R
 

@@ -22,21 +22,17 @@ from .binomials import _cascade_terms, _check_int, _check_type
 from .report import VerificationReport, timed
 from .squashed import SetFamily, level_masks
 
-# The largest ground sets the shadow sweeps take; a larger one is refused
-# before any level is built.  On a shared 2-core VM, Python 3.11:
-# `kktools verify kkt --n 22` takes 9-11 s at a 209 MiB peak (VmHWM) and
-# verify_lieby_duality(22) 14-20 s at 206 MiB, each about 4x the time and
-# memory per two more elements; 50 samples at sample_n_max 20 take 2.1 s
-# at 65 MiB and at 22 took 45 s; verify_clements_minimality(16) takes
-# 36 s, its windows about 16x per two more elements.
-_MAX_LEVEL_N = 22
-_MAX_SAMPLE_N = 20
-_MAX_WINDOW_N = 16
+# The largest ground set each shadow sweep takes: past it the sweep is refused
+# before any level is built, so that it cannot grow until the process is
+# killed (the times at the caps are in BENCH_kkt_levels.json).
+_MAX_LEVEL_N = 22  # every level of {1..n} is held: 4x the memory per 2 more
+_MAX_SAMPLE_N = 20  # a sample's 2**n-bit membership int is built quadratically
+_MAX_WINDOW_N = 16  # the windows of a level: about 16x the time per 2 more
 
 
 def _level_move(fam: SetFamily, op: str, kernel, down: bool) -> SetFamily:
-    """kernel(masks, ground_n) on a uniform family, a level down or up; an
-    empty family is its own image."""
+    """kernel(masks) down a level, or kernel(masks, ground_n) up a level, on
+    a uniform family; an empty family is its own image."""
     _check_type(op, "fam", fam, SetFamily)
     if len(fam) == 0:
         return fam
@@ -46,7 +42,8 @@ def _level_move(fam: SetFamily, op: str, kernel, down: bool) -> SetFamily:
         raise ValueError(f"{op} requires member size >= 1")
     if not down and fam.uniform_size() >= fam.ground_n:
         raise ValueError(f"{op} requires member size < ground set size")
-    return SetFamily.from_masks(kernel(fam.masks(), fam.ground_n), fam.ground_n)
+    masks, n = fam.masks(), fam.ground_n
+    return SetFamily.from_masks(kernel(masks) if down else kernel(masks, n), n)
 
 
 def shadow(fam: SetFamily) -> SetFamily:
@@ -55,7 +52,7 @@ def shadow(fam: SetFamily) -> SetFamily:
     Members must share a size k >= 1; the shadow of a family of singletons
     is the one-member family containing the empty set.
     """
-    return _level_move(fam, "shadow", lambda masks, n: _pure.shadow_masks(masks), True)
+    return _level_move(fam, "shadow", _pure.shadow_masks, True)
 
 
 def shade(fam: SetFamily) -> SetFamily:
@@ -180,8 +177,8 @@ def verify_kkt(n_max: int = 10, samples: int = 1000, seed: int = 20240824,
     draws from the first C(n, k) sets of one held level k: a prefix of the
     tightness level when sample_n_max <= n_max, else level_masks(n, k) for
     the largest n drawn so far at k, rebuilt only when a draw needs a
-    larger n.  n_max runs to 22 and sample_n_max to 20; past either the
-    sweep is refused before any level is built.
+    larger n.  n_max runs to _MAX_LEVEL_N and sample_n_max to _MAX_SAMPLE_N;
+    past either the sweep is refused before any level is built.
     """
     _check_int("verify_kkt", "n_max", n_max, 1, _MAX_LEVEL_N)
     _check_int("verify_kkt", "samples", samples, 0)
@@ -237,7 +234,7 @@ def verify_lieby_duality(n: int = 8) -> VerificationReport:
     """|shadow(first m k-sets)| = |shade(last m (n-k)-sets)| for every k, m.
 
     Both sides are computed by explicit union, never by formula; n = 8 by
-    default, and n runs to 22.
+    default, and n runs to _MAX_LEVEL_N.
     """
     _check_int("verify_lieby_duality", "n", n, 1, _MAX_LEVEL_N)
     rep = VerificationReport("lieby", {"n": n})
@@ -258,7 +255,7 @@ def verify_clements_minimality(n: int = 6, k: int | None = None) -> Verification
     new-shade size; checked for every window of every length (each window
     counts as two checks, one per direction).  By default n = 6, and k None
     checks levels 1..n-1 in one report (params k "1..n-1"), each violation
-    tagged with its k.  n runs to 16.
+    tagged with its k.  n runs to _MAX_WINDOW_N.
 
     Ownership classes of distinct sets are disjoint, so a window's new
     shadow (new shade) size is the sum of its members' sizes: the kernel runs
@@ -272,7 +269,7 @@ def verify_clements_minimality(n: int = 6, k: int | None = None) -> Verification
         tag = {"k": kk} if k is None else {}
         level = level_masks(n, kk)
         total = len(level)
-        nsh = list(accumulate((len(_pure.new_shadow_masks([mask], n)) for mask in level),
+        nsh = list(accumulate((len(_pure.new_shadow_masks([mask])) for mask in level),
                               initial=0))
         nse = list(accumulate((len(_pure.new_shade_masks([mask], n)) for mask in level),
                               initial=0))

@@ -471,8 +471,8 @@ def test_every_sweep_keyword_is_a_defaulted_parameter():
             assert params[keyword].default is not inspect.Parameter.empty, (which, flag)
 
 
-# The params each sweep reports when `verify <name>` gets no flag (README's
-# table of defaults).
+# The params each sweep reports when `verify <name>` gets no flag; README's
+# table of flags and defaults is checked by tests/test_readme.py.
 DEFAULT_PARAMS = {
     "d-identities": {"n_max": 24, "r_max": 20},
     "kkt": {"n_max": 10, "samples": 1000, "seed": 20240824, "sample_n_max": 9},

@@ -122,7 +122,7 @@ def test_closed_forms_match_ownership_rule_on_full_levels(kernels):
     for n in range(1, 8):
         for k in range(0, n + 1):
             level = level_masks(n, k)
-            assert sorted(kernels.new_shadow_masks(level, n)) == oracle_new_shadow(level, n)
+            assert sorted(kernels.new_shadow_masks(level)) == oracle_new_shadow(level, n)
             assert sorted(kernels.new_shade_masks(level, n)) == oracle_new_shade(level, n)
 
 
@@ -135,7 +135,7 @@ def test_pure_closed_forms_match_ownership_rule_on_random_families(n):
     for k in sizes:
         for _ in range(3):
             fam = _random_level_family(rng, n, k, rng.randint(0, 8))
-            assert sorted(_pure.new_shadow_masks(fam, n)) == oracle_new_shadow(fam, n)
+            assert sorted(_pure.new_shadow_masks(fam)) == oracle_new_shadow(fam, n)
             assert sorted(_pure.new_shade_masks(fam, n)) == oracle_new_shade(fam, n)
             assert sorted(_pure.shadow_masks(fam)) == sorted(oracle_shadow(fam))
             assert sorted(_pure.shade_masks(fam, n)) == sorted(oracle_shade(fam, n))

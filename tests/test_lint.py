@@ -120,6 +120,23 @@ def test_check_int_is_defined_once_and_called_per_argument():
     assert keyword_form == []
 
 
+def test_check_int_takes_no_literal_upper_bound():
+    # a cap is a named constant (or an expression of one), written as code
+    # once; a bare 5 or 22 in a call would restate it where no reader looks
+    found = []
+    for name, tree in _library_trees():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _called_name(node) == "_check_int"):
+                continue
+            hi = node.args[4] if len(node.args) > 4 else next(
+                (k.value for k in node.keywords if k.arg == "hi"), None)
+            if isinstance(hi, ast.UnaryOp):
+                hi = hi.operand
+            if isinstance(hi, ast.Constant) and isinstance(hi.value, (int, float)):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_binomials_catches_no_type_error():
     # the arguments are checked before math.comb runs, not re-raised after
     tree = ast.parse((SRC / "binomials.py").read_text(encoding="utf-8"))
